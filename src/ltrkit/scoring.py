@@ -53,6 +53,7 @@ __all__ = [
 _ROW_SUM_TOL = 1e-6
 _BRUTEFORCE_MAX_PATHS = 10_000_000
 _LM_FLOOR = 1e-12
+_EMISSION_CHUNK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,9 @@ class PosteriorGrid:
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 2:
             raise ValueError(f"grid must be (frames, tokens+blank) with at least one of each, got shape {probs.shape}")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("grid entries must lie in [0, 1]")
+        # Written so that NaN, for which every comparison is False, fails too.
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError("grid entries must be finite and lie in [0, 1]")
         sums = probs.sum(axis=1)
         worst = int(np.argmax(np.abs(sums - 1.0)))
         if abs(sums[worst] - 1.0) > _ROW_SUM_TOL:
@@ -209,37 +211,54 @@ def ctc_min_frames(target: Sequence[int]) -> int:
 def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     """-log of the total probability of all paths collapsing to ``target``.
 
-    Standard forward algorithm over the blank-interleaved state sequence in
+    Standard forward algorithm over the S = 2U+1 blank-interleaved states in
     log space. Finite and non-negative for feasible targets; ``inf`` when no
     path collapses to the target (too few frames, or every such path has
     probability zero).
+
+    At frame t of T only the band of states ``[max(0, S - 2(T-t)),
+    min(S, 2t+2))`` is updated: a state above it is unreachable from the
+    start and one below it cannot reach the two final states, so skipping
+    them changes no value that reaches the result. The band is empty for
+    every frame when U > T, and the loss is then ``inf`` without a pass.
+    Emission log-probabilities are gathered per state in chunks of a fixed
+    number of frames, so they take O(chunk x S) memory, not O(T x S); the
+    forward variables take two preallocated rows of S + 2.
     """
     grid = _as_grid(grid)
     target = _validated_target(target, grid.num_tokens)
     states = np.asarray(interleave_blanks(target, grid.blank_index))
     num_states = len(states)
-
-    with np.errstate(divide="ignore"):
-        logp = np.log(grid.probs)
-
-    alpha = np.full(num_states, -np.inf)
-    alpha[0] = logp[0, states[0]]
-    if num_states > 1:
-        alpha[1] = logp[0, states[1]]
+    frames = grid.num_frames
+    if num_states >= 2 * frames + 2:
+        return math.inf
 
     # A state may additionally inherit from two states back when that skip
     # does not jump over a required separator blank.
     can_skip = np.zeros(num_states, dtype=bool)
     can_skip[2:] = (states[2:] != grid.blank_index) & (states[2:] != states[:-2])
 
-    for t in range(1, grid.num_frames):
-        from_prev = np.concatenate(([-np.inf], alpha))[:num_states]
-        from_skip = np.concatenate(([-np.inf, -np.inf], alpha))[:num_states]
-        total = np.logaddexp(alpha, from_prev)
-        total = np.where(can_skip, np.logaddexp(total, from_skip), total)
-        alpha = total + logp[t, states]
+    # alpha of the previous and the current frame; state s lives at index
+    # s + 2, behind two -inf pads that stand for the states s-1 and s-2 of
+    # s = 0. An entry above the band is never written, so it stays -inf.
+    prev = np.full(num_states + 2, -np.inf)
+    cur = np.full(num_states + 2, -np.inf)
+    for start in range(0, frames, _EMISSION_CHUNK_FRAMES):
+        with np.errstate(divide="ignore"):
+            emit = np.log(grid.probs[start : start + _EMISSION_CHUNK_FRAMES])[:, states]
+        for t in range(start, start + len(emit)):
+            lo = max(0, num_states - 2 * (frames - t))
+            hi = min(num_states, 2 * t + 2)
+            out = cur[lo + 2 : hi + 2]
+            if t == 0:
+                out[:] = emit[0, lo:hi]
+            else:
+                np.logaddexp(prev[lo + 2 : hi + 2], prev[lo + 1 : hi + 1], out=out)
+                np.logaddexp(out, prev[lo:hi], out=out, where=can_skip[lo:hi])
+                out += emit[t - start, lo:hi]
+            prev, cur = cur, prev
 
-    log_total = alpha[-1] if num_states == 1 else np.logaddexp(alpha[-1], alpha[-2])
+    log_total = prev[-1] if num_states == 1 else np.logaddexp(prev[-1], prev[-2])
     return math.inf if log_total == -np.inf else float(-log_total)
 
 
@@ -354,15 +373,30 @@ def rescore_hypotheses(hypotheses: Sequence[Hypothesis], weights: FusionWeights)
     Ties break toward the lexicographically smaller token sequence, then
     toward the earlier list position. The returned hypothesis carries its
     ``fused_score``.
+
+    Raises:
+        ValueError: if the list is empty, or if two hypotheses tie and their
+            token sequences cannot be compared (say a string and an integer
+            at the same place).
     """
     if not hypotheses:
         raise ValueError("cannot rescore an empty hypothesis list")
     best = None
     best_score = -math.inf
-    for hypothesis in hypotheses:
+    for position, hypothesis in enumerate(hypotheses):
         score = fused_score(hypothesis, weights)
-        if best is None or score > best_score or (score == best_score and hypothesis.tokens < best.tokens):
-            best, best_score = hypothesis, score
+        if best is not None and score == best_score:
+            try:
+                better = hypothesis.tokens < best.tokens
+            except TypeError:
+                raise ValueError(
+                    f"hypotheses at list positions {best_position} and {position} tie on fused score, "
+                    f"but their tokens {best.tokens!r} and {hypothesis.tokens!r} cannot be ordered"
+                ) from None
+        else:
+            better = best is None or score > best_score
+        if better:
+            best, best_score, best_position = hypothesis, score, position
     return replace(best, fused_score=best_score)
 
 

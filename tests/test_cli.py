@@ -10,6 +10,7 @@ from ltrkit.cli import run
 from ltrkit.dataset import load_manifest, save_manifest, ManifestRecord
 from ltrkit.features import load_features
 from ltrkit.ltr import LtrConfig, reverse_segments
+from ltrkit.matrix_io import POSTERIORS_MAGIC, write_matrix
 from ltrkit.scoring import PosteriorGrid, ctc_loss, save_grid
 
 
@@ -176,6 +177,14 @@ def test_score_ctc_unknown_label_is_data_error(tmp_path, capsys):
     assert run(["score", "ctc", "--grid", str(path), "--vocab", "a b", "--tokens", "z"]) == 2
 
 
+def test_score_ctc_nan_grid_is_data_error(tmp_path, capsys):
+    path = tmp_path / "g.pst"
+    write_matrix(np.array([[0.5, 0.25, 0.25], [np.nan, 0.5, 0.5]]), path, POSTERIORS_MAGIC)
+    assert run(["score", "ctc", "--grid", str(path), "--vocab", "a b", "--tokens", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_score_fuse(tmp_path, capsys):
     hyps = tmp_path / "h.jsonl"
     lines = [
@@ -188,6 +197,14 @@ def test_score_fuse(tmp_path, capsys):
     # by hand: h0 = .5(-1)+.5(-2)+.3(-3) = -2.4 ; h1 = .5(-.5)+.5(-.4)+.3(-9) = -3.15
     assert best["tokens"] == [0, 1]
     assert best["fused_score"] == pytest.approx(-2.4, rel=1e-12)
+
+
+def test_score_fuse_unorderable_tie_is_data_error(tmp_path, capsys):
+    hyps = tmp_path / "h.jsonl"
+    line = {"log_p_ctc": -1.0, "log_p_att": -2.0, "log_p_lm": -3.0}
+    hyps.write_text(json.dumps({"tokens": ["a"], **line}) + "\n" + json.dumps({"tokens": [1], **line}) + "\n", encoding="utf-8")
+    assert run(["score", "fuse", "--alpha", "0.5", "--beta", "0.3", "--hyps", str(hyps)]) == 2
+    assert "positions 0 and 1" in capsys.readouterr().err
 
 
 def test_score_fuse_bad_line_is_data_error(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ltrkit import scoring
 from ltrkit.matrix_io import MatrixFormatError
 from ltrkit.scoring import (
     FusionWeights,
@@ -131,6 +132,65 @@ def test_ctc_partitions_path_space():
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def _full_lattice_ctc_loss(grid, target):
+    """The unbanded forward loop: every state at every frame, the whole grid's
+    log taken up front, fresh arrays each frame. The banded ``ctc_loss`` does
+    the same arithmetic on the states that matter, so it must match this
+    bit for bit."""
+    states = np.asarray(interleave_blanks(target, grid.blank_index))
+    num_states = len(states)
+    with np.errstate(divide="ignore"):
+        logp = np.log(grid.probs)
+    alpha = np.full(num_states, -np.inf)
+    alpha[0] = logp[0, states[0]]
+    if num_states > 1:
+        alpha[1] = logp[0, states[1]]
+    can_skip = np.zeros(num_states, dtype=bool)
+    can_skip[2:] = (states[2:] != grid.blank_index) & (states[2:] != states[:-2])
+    for t in range(1, grid.num_frames):
+        from_prev = np.concatenate(([-np.inf], alpha))[:num_states]
+        from_skip = np.concatenate(([-np.inf, -np.inf], alpha))[:num_states]
+        total = np.logaddexp(alpha, from_prev)
+        total = np.where(can_skip, np.logaddexp(total, from_skip), total)
+        alpha = total + logp[t, states]
+    log_total = alpha[-1] if num_states == 1 else np.logaddexp(alpha[-1], alpha[-2])
+    return math.inf if log_total == -np.inf else float(-log_total)
+
+
+def test_ctc_matches_full_lattice_loop_exactly_on_long_grids():
+    rng = np.random.default_rng(2021)
+    chunk = scoring._EMISSION_CHUNK_FRAMES
+    frame_counts = [1, 2, 3, 8, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 700]
+    frame_counts += rng.integers(1, 701, size=5).tolist()
+    outcomes = {"finite": 0, "inf": 0}
+    for case, frames in enumerate(frame_counts):
+        num_tokens = int(rng.integers(1, 5))
+        probs = rng.uniform(0.05, 1.0, size=(frames, num_tokens + 1))
+        if case % 3 == 1:  # zero entries, never a whole row
+            mask = rng.uniform(size=probs.shape) < 0.15
+            mask[mask.all(axis=1)] = False
+            probs[mask] = 0.0
+        if case % 3 == 2:  # tiny token columns: a product of two such entries underflows to 0
+            probs[:, rng.uniform(size=num_tokens + 1) < 0.5] *= 1e-250
+            probs[:, -1] = np.maximum(probs[:, -1], 0.05)
+        grid = PosteriorGrid(probs / probs.sum(axis=1, keepdims=True))
+        half = (frames + 1) // 2
+        targets = [
+            (),
+            tuple(rng.integers(0, num_tokens, size=rng.integers(1, half + 1)).tolist()),
+            (0,) * half,  # repeats needing exactly `frames` frames when `frames` is odd
+            (0,) * (half + 1),  # repeats needing more frames than the grid has
+            tuple(rng.integers(0, num_tokens, size=frames).tolist()),
+            tuple(rng.integers(0, num_tokens, size=frames + 1).tolist()),  # longer than the grid
+        ]
+        for target in targets:
+            want = _full_lattice_ctc_loss(grid, target)
+            got = ctc_loss(grid, target)
+            assert got == want or (math.isinf(got) and math.isinf(want)), (frames, target)
+            outcomes["inf" if math.isinf(want) else "finite"] += 1
+    assert outcomes["finite"] >= 25 and outcomes["inf"] >= 25
+
+
 def test_bruteforce_budget_guard():
     grid = PosteriorGrid(np.full((30, 4), 0.25))
     with pytest.raises(ValueError, match="budget"):
@@ -150,6 +210,12 @@ def test_grid_validation():
         PosteriorGrid(np.array([[1.2, -0.2]]))
     with pytest.raises(ValueError, match="shape"):
         PosteriorGrid(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorGrid(np.array([[0.5, 0.5], [bad, 0.5]]))
 
 
 # ---------------------------------------------------------------- attention
@@ -242,6 +308,15 @@ def test_rescore_tie_breaks_lexicographically_then_position():
     assert rescore_hypotheses([a, b], w).tokens == (0, 9)
     c = Hypothesis((0, 9), -0.5, -1.5, 0.0)  # same fused score at alpha=.5, same tokens
     assert rescore_hypotheses([c, b], w) == rescore_hypotheses([c], w)
+
+
+def test_rescore_unorderable_tie_is_value_error():
+    w = FusionWeights(ctc_weight=0.5, lm_weight=0.3)
+    hyps = [Hypothesis(("a",), -1.0, -2.0, -3.0), Hypothesis((0,), -5.0, -5.0, -5.0), Hypothesis((1,), -1.0, -2.0, -3.0)]
+    with pytest.raises(ValueError, match="positions 0 and 2"):
+        rescore_hypotheses(hyps, w)
+    # without a tie the tokens are never compared
+    assert rescore_hypotheses(hyps[:2], w).tokens == ("a",)
 
 
 def test_rescore_empty_list():
