@@ -7,7 +7,7 @@ when comparing recognition output on natural vs. distorted speech.
 Run:  python3 demos/04_error_rates.py
 """
 
-from ltrkit import align, corpus_rate, tokenize, top_confusions
+from ltrkit import align, corpus_rate, corpus_report, tokenize, top_confusions
 
 print("Word-level alignment keeps full error-type counts:")
 ref = tokenize("the cat sat on the mat", "word")
@@ -34,6 +34,9 @@ pairs = [
     (tokenize("thanks a lot", "word"), tokenize("thanks lot", "word")),
 ]
 print(f"  corpus rate = {corpus_rate(pairs):.4f} over {sum(len(r) for r, _ in pairs)} reference words")
+pooled = corpus_report(pairs)
+print(f"  pooled S={pooled.substitutions} I={pooled.insertions} D={pooled.deletions} H={pooled.hits}"
+      f"  ref_len={pooled.ref_len}")
 
 print("\nRanked substitution table across many utterances:")
 reports = [

@@ -25,7 +25,7 @@ from .features import (
     spectral_distance,
 )
 from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, render_ltr_family, reverse_segments, segment_samples
-from .metrics import ErrorReport, TrnFormatError, align, corpus_rate, read_trn, tokenize, top_confusions
+from .metrics import ErrorReport, TrnFormatError, align, corpus_rate, corpus_report, read_trn, tokenize, top_confusions
 from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
 from .scoring import (
     FusionWeights,

@@ -9,6 +9,7 @@ at any ``--parallelism``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -28,7 +29,7 @@ from .dataset import (
 from .features import boundary_discontinuity, fbank, load_features, mvn, save_features, spectral_distance
 from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
 from .matrix_io import MatrixFormatError
-from .metrics import TrnFormatError, align, read_trn, tokenize, top_confusions
+from .metrics import TrnFormatError, corpus_report, read_trn, tokenize, top_confusions
 from .perturb import SpecAugmentPolicy, spec_augment, speed_perturb
 from .scoring import FusionWeights, Hypothesis, Vocabulary, ctc_loss, load_grid, rescore_hypotheses
 
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build_set)
 
     p = sub.add_parser("build-speed-set", help="build a speed-perturbed training set from a manifest")
-    p.add_argument("--factors", type=_float_list, default=[0.9, 1.0, 1.1], metavar="F,F,...")
+    p.add_argument("--factors", type=_float_list, default=(0.9, 1.0, 1.1), metavar="F,F,...")
     p.add_argument("--manifest", required=True, metavar="JSONL")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--out-manifest", required=True, metavar="JSONL")
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="per-duration LTR distortion metrics as CSV (segment_ms,value)")
     p.add_argument("--metric", choices=("boundary", "spectral-distance"), required=True)
     p.add_argument("--in", dest="in_path", required=True, metavar="WAV")
-    p.add_argument("--durations", type=_float_list, default=list(DEFAULT_DURATIONS_MS), metavar="MS,MS,...")
+    p.add_argument("--durations", type=_float_list, default=DEFAULT_DURATIONS_MS, metavar="MS,MS,...")
     p.add_argument("--out", dest="out_path", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_analyze)
 
@@ -286,24 +287,18 @@ def _cmd_wer(args) -> int:
     if missing:
         raise ValueError(f"utt_ids not present in both files: {', '.join(missing[:5])}")
 
-    reports = []
-    errors = ref_total = 0
+    pairs = []
     for utt_id, ref_text in refs.items():
-        report = align(tokenize(ref_text, args.unit), tokenize(hyps[utt_id], args.unit))
-        reports.append(report)
-        errors += report.total_errors
-        ref_total += report.ref_len
-    rate = errors / ref_total
-    totals = {
-        "substitutions": sum(r.substitutions for r in reports),
-        "insertions": sum(r.insertions for r in reports),
-        "deletions": sum(r.deletions for r in reports),
-        "hits": sum(r.hits for r in reports),
-    }
+        ref = tokenize(ref_text, args.unit)
+        if not ref:
+            raise ValueError(f"{args.ref}: utterance {utt_id!r} has an empty reference; error rate is undefined")
+        pairs.append((ref, tokenize(hyps[utt_id], args.unit)))
+    report = corpus_report(pairs)
 
-    print(f"{args.unit} error rate: {100.0 * rate:.2f}%  ({errors} errors / {ref_total} ref tokens, {len(reports)} utterances)")
-    print(f"S={totals['substitutions']} I={totals['insertions']} D={totals['deletions']} H={totals['hits']}")
-    confusions = top_confusions(reports, args.confusions) if args.confusions else []
+    print(f"{args.unit} error rate: {100.0 * report.rate:.2f}%  "
+          f"({report.total_errors} errors / {report.ref_len} ref tokens, {len(pairs)} utterances)")
+    print(f"S={report.substitutions} I={report.insertions} D={report.deletions} H={report.hits}")
+    confusions = top_confusions([report], args.confusions) if args.confusions else []
     if confusions:
         print("top substitutions:")
         for (ref_tok, hyp_tok), count in confusions:
@@ -311,20 +306,31 @@ def _cmd_wer(args) -> int:
     if args.json_out:
         payload = {
             "unit": args.unit,
-            "error_rate": rate,
-            "ref_len": ref_total,
-            "utterances": len(reports),
-            **totals,
+            "error_rate": report.rate,
+            "ref_len": report.ref_len,
+            "utterances": len(pairs),
+            "substitutions": report.substitutions,
+            "insertions": report.insertions,
+            "deletions": report.deletions,
+            "hits": report.hits,
             "confusions": [[ref_tok, hyp_tok, count] for (ref_tok, hyp_tok), count in
-                           top_confusions(reports, args.confusions or 10)],
+                           top_confusions([report], args.confusions or 10)],
         }
         Path(args.json_out).write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
+@functools.lru_cache(maxsize=8)
+def _parser_for(parallelism_env: str | None) -> argparse.ArgumentParser:
+    # Building the nine subparsers costs about a millisecond, so in-process
+    # callers of run() share one parser. The key is the environment value
+    # that build_parser() reads for the --parallelism default.
+    return build_parser()
+
+
 def run(argv) -> int:
     """Parse and dispatch; returns the process exit code instead of exiting."""
-    parser = build_parser()
+    parser = _parser_for(os.environ.get("LTRKIT_PARALLELISM"))
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

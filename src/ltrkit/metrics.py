@@ -4,7 +4,8 @@ counts, and substitution confusion tables.
 Rates are (substitutions + insertions + deletions) / reference length. The
 same alignment serves word, character, and phone units; only tokenization
 differs. Corpus rates are pooled (total errors over total reference tokens),
-not averaged per utterance.
+not averaged per utterance. One numpy kernel aligns a whole corpus in padded
+batches; a single pair is its smallest case.
 """
 
 from __future__ import annotations
@@ -13,20 +14,36 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["ErrorReport", "TrnFormatError", "align", "corpus_rate", "read_trn", "tokenize", "top_confusions"]
+import numpy as np
+
+__all__ = [
+    "ErrorReport",
+    "TrnFormatError",
+    "align",
+    "corpus_rate",
+    "corpus_report",
+    "read_trn",
+    "tokenize",
+    "top_confusions",
+]
 
 _UNITS = ("word", "char", "phone")
+# Padded cells per kernel batch: 2**22 int32 cells is 16 MiB.
+_BUCKET_CELLS = 1 << 22
+# Cells one pair may need (1 GiB as int32); a longer pair is rejected.
+_MAX_PAIR_CELLS = 1 << 28
 
 
 class TrnFormatError(Exception):
     """Raised for transcript files without the trailing ``(utt_id)`` marker."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorReport:
-    """Alignment outcome for one reference/hypothesis pair.
+    """Alignment outcome for one reference/hypothesis pair, or pooled over a
+    corpus by :func:`corpus_report`.
 
     ``hits + substitutions + deletions == ref_len`` always holds. The rate
     can exceed 1 through insertions.
@@ -45,6 +62,13 @@ class ErrorReport:
 
     @property
     def rate(self) -> float:
+        """Errors per reference token.
+
+        Raises:
+            ValueError: if ``ref_len`` is 0 (every reference was empty).
+        """
+        if self.ref_len == 0:
+            raise ValueError("all references are empty; error rate is undefined")
         return self.total_errors / self.ref_len
 
 
@@ -68,65 +92,130 @@ def tokenize(text: str, unit: str) -> list[str]:
     return clusters
 
 
-def _align(ref: Sequence[str], hyp: Sequence[str]) -> ErrorReport:
-    n, m = len(ref), len(hyp)
-    # Unit-cost edit distance; row i is the cost of aligning ref[:i].
-    cost = [list(range(m + 1))]
-    for i in range(1, n + 1):
-        row = [i] + [0] * m
-        prev = cost[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (ref[i - 1] != hyp[j - 1])
-            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
-        cost.append(row)
+def _buckets(pairs: list[tuple[list, list]]):
+    """Pairs sorted by length, cut into batches of at most ``_BUCKET_CELLS``
+    padded cells (a pair that alone needs more gets a batch of its own)."""
+    bucket: list[tuple[list, list]] = []
+    n_max = m_max = 0
+    for ref, hyp in sorted(pairs, key=lambda pair: (len(pair[0]), len(pair[1]))):
+        n, m = max(n_max, len(ref)), max(m_max, len(hyp))
+        if bucket and (n + 1) * (len(bucket) + 1) * (m + 1) > _BUCKET_CELLS:
+            yield bucket
+            bucket, n, m = [], len(ref), len(hyp)
+        bucket.append((ref, hyp))
+        n_max, m_max = n, m
+    if bucket:
+        yield bucket
 
-    # Backtrace preference at equal cost: substitution, deletion, insertion.
+
+def _cost_matrix(bucket: list[tuple[list, list]]) -> np.ndarray:
+    """Unit-cost edit distances of a batch: ``cost[i, b, j]`` aligns
+    ``ref[:i]`` with ``hyp[:j]`` of pair ``b``.
+
+    Tokens are mapped to integer codes, and each step fills row ``i`` for
+    every pair and every hypothesis position at once. Shorter pairs are
+    padded to the longest; a real cell depends only on cells above and to
+    its left, so padding never changes its value.
+    """
+    n_max = max(len(ref) for ref, _ in bucket)
+    m_max = max(len(hyp) for _, hyp in bucket)
+    codes: dict = {}
+    ref_codes = np.full((n_max, len(bucket), 1), -1, np.int32)
+    hyp_codes = np.full((len(bucket), m_max), -2, np.int32)
+    for b, (ref, hyp) in enumerate(bucket):
+        ref_codes[: len(ref), b, 0] = [codes.setdefault(token, len(codes)) for token in ref]
+        hyp_codes[b, : len(hyp)] = [codes.setdefault(token, len(codes)) for token in hyp]
+
+    # Rows hold cost[i, b, j] - j while they are filled. In that frame a
+    # diagonal step costs -match, a deletion +1 and an insertion 0, so the
+    # insertions of a row are one prefix-minimum scan along j.
+    cost = np.empty((n_max + 1, len(bucket), m_max + 1), np.int32)
+    cost[0] = 0
+    match = np.empty((len(bucket), m_max), np.bool_)
+    deletion = np.empty((len(bucket), m_max), np.int32)
+    for i in range(1, n_max + 1):
+        prev, row = cost[i - 1], cost[i]
+        np.equal(hyp_codes, ref_codes[i - 1], out=match)
+        np.subtract(prev[:, :-1], match, out=row[:, 1:])
+        np.add(prev[:, 1:], 1, out=deletion)
+        np.minimum(row[:, 1:], deletion, out=row[:, 1:])
+        row[:, 0] = i
+        np.minimum.accumulate(row, axis=1, out=row)
+    cost += np.arange(m_max + 1, dtype=np.int32)
+    return cost
+
+
+def _backtrace(cost: np.ndarray, ref: list, hyp: list, confusions: Counter) -> tuple[int, int, int, int]:
+    # Preference at equal cost: substitution, deletion, insertion.
     hits = subs = dels = ins = 0
-    confusions: Counter = Counter()
-    i, j = n, m
+    i, j = len(ref), len(hyp)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i > 0 and j > 0 and cost.item(i, j) == cost.item(i - 1, j - 1) + (ref[i - 1] != hyp[j - 1]):
             if ref[i - 1] == hyp[j - 1]:
                 hits += 1
             else:
                 subs += 1
                 confusions[(ref[i - 1], hyp[j - 1])] += 1
             i, j = i - 1, j - 1
-        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
+        elif i > 0 and cost.item(i, j) == cost.item(i - 1, j) + 1:
             dels += 1
             i -= 1
         else:
             ins += 1
             j -= 1
-    return ErrorReport(subs, ins, dels, hits, n, confusions)
+    return subs, ins, dels, hits
+
+
+def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> ErrorReport:
+    """Pooled alignment counts over a corpus of (reference, hypothesis) pairs.
+
+    Each pair is aligned on its own; the report sums their substitutions,
+    insertions, deletions, hits and reference lengths and merges their
+    confusions. A pair with an empty reference adds its hypothesis tokens as
+    insertions. All pairs are aligned in padded batches by one numpy kernel
+    that fills the cost matrix one reference position at a time.
+
+    Raises:
+        ValueError: if one pair needs more than ``_MAX_PAIR_CELLS`` matrix
+            cells; this is checked for every pair before any is aligned.
+    """
+    pairs = [(list(ref), list(hyp)) for ref, hyp in pairs]
+    for ref, hyp in pairs:
+        if (len(ref) + 1) * (len(hyp) + 1) > _MAX_PAIR_CELLS:
+            raise ValueError(
+                f"aligning a {len(ref)}-token reference with a {len(hyp)}-token hypothesis needs more than "
+                f"{_MAX_PAIR_CELLS} cost-matrix cells"
+            )
+    totals = (0, 0, 0, 0)
+    confusions: Counter = Counter()
+    for bucket in _buckets(pairs):
+        cost = _cost_matrix(bucket)
+        for b, (ref, hyp) in enumerate(bucket):
+            counts = _backtrace(cost[:, b], ref, hyp, confusions)
+            totals = tuple(map(sum, zip(totals, counts)))
+    return ErrorReport(*totals, sum(len(ref) for ref, _ in pairs), confusions)
 
 
 def align(ref: Sequence[str], hyp: Sequence[str]) -> ErrorReport:
-    """Minimum-edit-distance alignment of hypothesis against reference.
+    """Minimum-edit-distance alignment of hypothesis against reference: the
+    one-pair case of :func:`corpus_report`.
 
     Raises:
-        ValueError: if the reference is empty (the rate would be undefined).
+        ValueError: if the reference is empty (the rate would be undefined),
+            or if the pair is too long to align (see :func:`corpus_report`).
     """
     if len(ref) == 0:
         raise ValueError("reference is empty; error rate is undefined")
-    return _align(list(ref), list(hyp))
+    return corpus_report([(ref, hyp)])
 
 
-def corpus_rate(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> float:
+def corpus_rate(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:
     """Pooled rate over a corpus: sum of errors over sum of reference lengths.
 
     Pairs with an empty reference contribute their hypothesis tokens as
     insertions; at least one reference must be non-empty.
     """
-    errors = 0
-    ref_total = 0
-    for ref, hyp in pairs:
-        report = _align(list(ref), list(hyp))
-        errors += report.total_errors
-        ref_total += report.ref_len
-    if ref_total == 0:
-        raise ValueError("all references are empty; corpus rate is undefined")
-    return errors / ref_total
+    return corpus_report(pairs).rate
 
 
 def top_confusions(reports: Sequence[ErrorReport], n: int) -> list[tuple[tuple[str, str], int]]:

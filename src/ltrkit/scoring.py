@@ -375,9 +375,10 @@ def rescore_hypotheses(hypotheses: Sequence[Hypothesis], weights: FusionWeights)
     ``fused_score``.
 
     Raises:
-        ValueError: if the list is empty, or if two hypotheses tie and their
-            token sequences cannot be compared (say a string and an integer
-            at the same place).
+        ValueError: if the list is empty, if a fused score is NaN (naming the
+            list position of the first such hypothesis), or if two hypotheses
+            tie and their token sequences cannot be compared (say a string
+            and an integer at the same place).
     """
     if not hypotheses:
         raise ValueError("cannot rescore an empty hypothesis list")
@@ -385,6 +386,8 @@ def rescore_hypotheses(hypotheses: Sequence[Hypothesis], weights: FusionWeights)
     best_score = -math.inf
     for position, hypothesis in enumerate(hypotheses):
         score = fused_score(hypothesis, weights)
+        if math.isnan(score):
+            raise ValueError(f"hypothesis at list position {position} has a NaN fused score")
         if best is not None and score == best_score:
             try:
                 better = hypothesis.tokens < best.tokens

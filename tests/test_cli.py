@@ -11,6 +11,7 @@ from ltrkit.dataset import load_manifest, save_manifest, ManifestRecord
 from ltrkit.features import load_features
 from ltrkit.ltr import LtrConfig, reverse_segments
 from ltrkit.matrix_io import POSTERIORS_MAGIC, write_matrix
+from ltrkit.metrics import align, top_confusions
 from ltrkit.scoring import PosteriorGrid, ctc_loss, save_grid
 
 
@@ -157,6 +158,32 @@ def test_parallelism_env_default(tmp_path, wav, monkeypatch):
     assert args.parallelism == 3
 
 
+def test_run_reads_parallelism_env_on_every_call(tmp_path, wav, monkeypatch):
+    import ltrkit.cli as cli
+
+    manifest = tmp_path / "m.jsonl"
+    save_manifest([ManifestRecord("u0", str(wav), "hi", 1.0)], manifest)
+    seen = []
+    monkeypatch.setattr(cli, "build_set", lambda records, aug, out_dir, parallelism: seen.append(parallelism) or [])
+    argv = ["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "d"),
+            "--out-manifest", str(tmp_path / "o.jsonl")]
+    for value in ("2", "5", "2"):
+        monkeypatch.setenv("LTRKIT_PARALLELISM", value)
+        assert run(argv) == 0
+    monkeypatch.delenv("LTRKIT_PARALLELISM")
+    assert run(argv) == 0
+    assert seen == [2, 5, 2, 1]
+
+
+def test_list_defaults_are_immutable():
+    from ltrkit.cli import build_parser
+
+    parser = build_parser()
+    speed = parser.parse_args(["build-speed-set", "--manifest", "m", "--out-dir", "d", "--out-manifest", "o"])
+    analyze = parser.parse_args(["analyze", "--metric", "boundary", "--in", "a.wav"])
+    assert isinstance(speed.factors, tuple) and isinstance(analyze.durations, tuple)
+
+
 def test_score_ctc_matches_library(tmp_path, capsys):
     rng = np.random.default_rng(5)
     probs = rng.uniform(0.1, 1, size=(5, 3))
@@ -207,6 +234,18 @@ def test_score_fuse_unorderable_tie_is_data_error(tmp_path, capsys):
     assert "positions 0 and 1" in capsys.readouterr().err
 
 
+def test_score_fuse_nan_score_is_data_error(tmp_path, capsys):
+    hyps = tmp_path / "h.jsonl"
+    lines = [
+        {"tokens": [1], "log_p_ctc": -0.5, "log_p_att": -0.4, "log_p_lm": -9.0},
+        {"tokens": [0], "log_p_ctc": math.nan, "log_p_att": -2.0, "log_p_lm": -3.0},
+    ]
+    hyps.write_text("\n".join(json.dumps(o) for o in lines) + "\n", encoding="utf-8")
+    assert run(["score", "fuse", "--alpha", "0.5", "--beta", "0.3", "--hyps", str(hyps)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "position 1 has a NaN" in captured.err
+
+
 def test_score_fuse_bad_line_is_data_error(tmp_path):
     hyps = tmp_path / "h.jsonl"
     hyps.write_text('{"tokens": [0]}\n', encoding="utf-8")
@@ -237,6 +276,41 @@ def test_wer_mismatched_ids_is_data_error(tmp_path, capsys):
     assert run(["wer", "--ref", str(ref), "--hyp", str(hyp)]) == 2
     err = capsys.readouterr().err
     assert "u1" in err and "u2" in err
+
+
+def test_wer_empty_reference_names_utterance(tmp_path, capsys):
+    ref = tmp_path / "ref.trn"
+    hyp = tmp_path / "hyp.trn"
+    ref.write_text("a b (u1)\n(u2)\n", encoding="utf-8")
+    hyp.write_text("a b (u1)\nc (u2)\n", encoding="utf-8")
+    assert run(["wer", "--ref", str(ref), "--hyp", str(hyp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'u2'" in captured.err and "empty reference" in captured.err
+
+
+def test_wer_json_equals_pooled_per_pair_align(tmp_path):
+    rng = np.random.default_rng(11)
+    refs, hyps = [], []
+    for k in range(12):
+        ref_words = list(rng.choice(list("abcde"), size=rng.integers(1, 15)))
+        hyp_words = [w for w in ref_words if rng.random() > 0.2] + list(rng.choice(list("abx"), size=rng.integers(0, 3)))
+        rng.shuffle(hyp_words)
+        refs.append((f"u{k}", ref_words))
+        hyps.append((f"u{k}", hyp_words))
+    ref = tmp_path / "ref.trn"
+    hyp = tmp_path / "hyp.trn"
+    ref.write_text("".join(f"{' '.join(words)} ({utt})\n" for utt, words in refs), encoding="utf-8")
+    hyp.write_text("".join(f"{' '.join(words)} ({utt})\n" for utt, words in hyps), encoding="utf-8")
+    json_out = tmp_path / "report.json"
+    assert run(["wer", "--ref", str(ref), "--hyp", str(hyp), "--confusions", "100", "--json-out", str(json_out)]) == 0
+    report = json.loads(json_out.read_text())
+
+    reports = [align(r, h) for (_, r), (_, h) in zip(refs, hyps)]
+    for key in ("substitutions", "insertions", "deletions", "hits", "ref_len"):
+        assert report[key] == sum(getattr(r, key) for r in reports)
+    assert report["utterances"] == 12
+    assert report["error_rate"] == sum(r.total_errors for r in reports) / sum(r.ref_len for r in reports)
+    assert report["confusions"] == [[a, b, n] for (a, b), n in top_confusions(reports, 100)]
 
 
 def test_wer_char_unit(tmp_path, capsys):

@@ -1,10 +1,22 @@
+import dataclasses
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltrkit.metrics import ErrorReport, TrnFormatError, align, corpus_rate, read_trn, tokenize, top_confusions
+from ltrkit import metrics
+from ltrkit.metrics import (
+    ErrorReport,
+    TrnFormatError,
+    align,
+    corpus_rate,
+    corpus_report,
+    read_trn,
+    tokenize,
+    top_confusions,
+)
 
 tokens_st = st.lists(st.sampled_from("abcd"), max_size=6)
 
@@ -18,6 +30,81 @@ def simple_edit_distance(a, b):
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (a[i - 1] != b[j - 1]))
         prev = cur
     return prev[len(b)]
+
+
+def _seed_align(ref, hyp):
+    """The original pure-Python alignment: full cost matrix as lists, then
+    the backtrace preferring substitution, deletion, insertion. The
+    reference that the numpy kernel must match count for count."""
+    n, m = len(ref), len(hyp)
+    cost = [list(range(m + 1))]
+    for i in range(1, n + 1):
+        row = [i] + [0] * m
+        prev = cost[i - 1]
+        for j in range(1, m + 1):
+            diag = prev[j - 1] + (ref[i - 1] != hyp[j - 1])
+            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
+        cost.append(row)
+
+    hits = subs = dels = ins = 0
+    confusions: Counter = Counter()
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            if ref[i - 1] == hyp[j - 1]:
+                hits += 1
+            else:
+                subs += 1
+                confusions[(ref[i - 1], hyp[j - 1])] += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return ErrorReport(subs, ins, dels, hits, n, confusions)
+
+
+def _counts(report):
+    return (report.substitutions, report.insertions, report.deletions, report.hits, report.ref_len, report.confusions)
+
+
+def _seed_pooled(pairs):
+    reports = [_seed_align(list(ref), list(hyp)) for ref, hyp in pairs]
+    confusions = Counter()
+    for report in reports:
+        confusions.update(report.confusions)
+    return tuple(sum(getattr(r, key) for r in reports)
+                 for key in ("substitutions", "insertions", "deletions", "hits", "ref_len")) + (confusions,)
+
+
+def _noisy(rng, tokens, alphabet, rate):
+    out = []
+    for token in tokens:
+        roll = rng.random()
+        if roll < rate / 3:
+            continue  # deletion
+        out.append(rng.choice(alphabet) if roll < 2 * rate / 3 else token)
+        if roll > 1 - rate / 3:
+            out.append(rng.choice(alphabet))  # insertion
+    return out
+
+
+def _random_pairs(rng, count, alphabet, max_len, empty_refs=False):
+    pairs = []
+    for _ in range(count):
+        n = rng.choice([0 if empty_refs else 1, 1, 2, rng.randint(1, max_len)])
+        ref = [rng.choice(alphabet) for _ in range(n)]
+        kind = rng.random()
+        if kind < 0.15:
+            hyp = []
+        elif kind < 0.3:
+            hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, max_len))]
+        else:
+            hyp = _noisy(rng, ref, alphabet, rng.choice([0.05, 0.3, 0.9]))
+        pairs.append((ref, hyp))
+    return pairs
 
 
 # ---------------------------------------------------------------- tokenize
@@ -122,6 +209,80 @@ def test_triangle_inequality(a, b, c):
     assert align(a, c).total_errors <= align(a, b).total_errors + align(b, c).total_errors
 
 
+# ---------------------------------------------------------------- kernel vs seed
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abcdefghij", [f"w{k}" for k in range(300)]], ids=len)
+def test_align_matches_seed_exactly(alphabet):
+    rng = random.Random(len(alphabet))
+    for ref, hyp in _random_pairs(rng, 60, alphabet, 400):
+        assert _counts(align(ref, hyp)) == _counts(_seed_align(ref, hyp))
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abcdefghij"], ids=len)
+def test_corpus_report_matches_pooled_seed_exactly(alphabet):
+    rng = random.Random(100 + len(alphabet))
+    for _ in range(6):
+        pairs = _random_pairs(rng, rng.randint(1, 30), alphabet, rng.choice([5, 60, 400]), empty_refs=True)
+        assert _counts(corpus_report(pairs)) == _seed_pooled(pairs)
+
+
+def test_corpus_report_matches_seed_on_combining_mark_graphemes():
+    rng = random.Random(7)
+    letters = ["e", "e\u0301", "e\u0300", "a\u0308", "n\u0303", "\u4f60", "\u597d"]
+    pairs = []
+    for _ in range(20):
+        text = "".join(rng.choice(letters + [" "]) for _ in range(rng.randint(1, 120)))
+        noisy = "".join(_noisy(rng, list(text), letters, 0.2))
+        pairs.append((tokenize(text, "char"), tokenize(noisy, "char")))
+    assert any(len(token) > 1 for ref, _ in pairs for token in ref)
+    assert _counts(corpus_report(pairs)) == _seed_pooled(pairs)
+    for ref, hyp in pairs:
+        if ref:
+            assert _counts(align(ref, hyp)) == _counts(_seed_align(ref, hyp))
+
+
+@pytest.mark.parametrize("bucket_cells", [1, 64, 2000])
+def test_corpus_report_split_across_many_buckets(monkeypatch, bucket_cells):
+    rng = random.Random(bucket_cells)
+    pairs = _random_pairs(rng, 40, "abc", 50, empty_refs=True)
+    batches = []
+    kernel = metrics._cost_matrix
+
+    def recording_kernel(bucket):
+        cost = kernel(bucket)
+        batches.append((len(bucket), cost.size))
+        return cost
+
+    monkeypatch.setattr(metrics, "_BUCKET_CELLS", bucket_cells)
+    monkeypatch.setattr(metrics, "_cost_matrix", recording_kernel)
+    assert _counts(corpus_report(pairs)) == _seed_pooled(pairs)
+    assert sum(size for size, _ in batches) == 40 and len(batches) > 3
+    assert all(cells <= bucket_cells or size == 1 for size, cells in batches)
+
+
+def test_corpus_report_rejects_oversize_pair_before_aligning(monkeypatch):
+    def kernel(bucket):
+        raise AssertionError("no batch may be aligned once an over-size pair is seen")
+
+    monkeypatch.setattr(metrics, "_cost_matrix", kernel)
+    pairs = [(["a"], ["a"]), (["x"] * 20000, ["y"] * 15000)]
+    with pytest.raises(ValueError, match="20000-token reference with a 15000-token hypothesis"):
+        corpus_report(pairs)
+    with pytest.raises(ValueError, match="20000-token"):
+        align(*pairs[1])
+
+
+def test_corpus_report_of_nothing_is_zero():
+    assert _counts(corpus_report([])) == (0, 0, 0, 0, 0, Counter())
+
+
+def test_error_report_is_frozen():
+    report = align(["a"], ["b"])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.substitutions = 0
+
+
 # ---------------------------------------------------------------- corpus rate
 
 
@@ -147,6 +308,18 @@ def test_corpus_rate_empty_ref_pair_counts_insertions():
 def test_corpus_rate_rejects_all_empty():
     with pytest.raises(ValueError, match="all references"):
         corpus_rate([([], ["a"])])
+
+
+def test_rate_of_report_without_reference_tokens_is_value_error():
+    report = corpus_report([([], ["a"]), ([], [])])
+    assert _counts(report) == (0, 1, 0, 0, 0, Counter())
+    with pytest.raises(ValueError, match="all references"):
+        report.rate
+
+
+def test_corpus_rate_is_corpus_report_rate():
+    pairs = [(list("kitten"), list("sitting")), ([], ["x"]), (["a", "b"], ["b"])]
+    assert corpus_rate(pairs) == corpus_report(pairs).rate == 5 / 8
 
 
 # ---------------------------------------------------------------- confusions

@@ -319,6 +319,16 @@ def test_rescore_unorderable_tie_is_value_error():
     assert rescore_hypotheses(hyps[:2], w).tokens == ("a",)
 
 
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_rescore_nan_fused_score_is_value_error_in_either_order(nan_first):
+    w = FusionWeights(ctc_weight=0.5, lm_weight=0.3)
+    nan_hyp = Hypothesis((0,), math.nan, -2.0, -3.0)
+    ok_hyp = Hypothesis((1,), -1.0, -2.0, -3.0)
+    hyps = [nan_hyp, ok_hyp, nan_hyp] if nan_first else [ok_hyp, nan_hyp, ok_hyp]
+    with pytest.raises(ValueError, match=f"position {0 if nan_first else 1} has a NaN"):
+        rescore_hypotheses(hyps, w)
+
+
 def test_rescore_empty_list():
     with pytest.raises(ValueError, match="empty"):
         rescore_hypotheses([], FusionWeights(0.5, 0.0))
