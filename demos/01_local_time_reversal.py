@@ -9,7 +9,7 @@ Run:  python3 demos/01_local_time_reversal.py
 
 import numpy as np
 
-from ltrkit import AudioBuffer, DEFAULT_DURATIONS_MS, LtrConfig, boundary_discontinuity, reverse_segments
+from ltrkit import AudioBuffer, LtrConfig, distortion_curve, reverse_segments
 
 rate = 16000
 t = np.arange(rate) / rate
@@ -36,10 +36,8 @@ print("  energy preserved:", np.isclose(np.sum(once.samples**2), np.sum(utteranc
 print("\nShorter segments mean more seams per second, and on this signal")
 print("also larger jumps at each seam:")
 print("  segment_ms  boundaries/s  mean|jump|")
-for duration_ms in DEFAULT_DURATIONS_MS:
-    cfg = LtrConfig(duration_ms)
-    rendered = reverse_segments(utterance, cfg)
-    seams_per_second = rate / cfg.segment_samples(rate)
-    print(f"  {duration_ms:10.0f}  {seams_per_second:12.1f}  {boundary_discontinuity(rendered, cfg):10.4f}")
+for duration_ms, jump in distortion_curve(utterance, "boundary"):
+    seams_per_second = rate / LtrConfig(duration_ms).segment_samples(rate)
+    print(f"  {duration_ms:10.0f}  {seams_per_second:12.1f}  {jump:10.4f}")
 
 print("\nDone. Try writing a rendering with ltrkit.write_wav(...) and listening to it.")

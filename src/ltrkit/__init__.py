@@ -18,13 +18,14 @@ from .dataset import (
 from .features import (
     FeatureMatrix,
     boundary_discontinuity,
+    distortion_curve,
     fbank,
     load_features,
     mvn,
     save_features,
     spectral_distance,
 )
-from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, render_ltr_family, reverse_segments, segment_samples
+from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
 from .metrics import ErrorReport, TrnFormatError, align, corpus_rate, corpus_report, read_trn, tokenize, top_confusions
 from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
 from .scoring import (
@@ -41,6 +42,7 @@ from .scoring import (
     greedy_ctc_decode,
     interleave_blanks,
     load_grid,
+    load_hypotheses,
     mtl_loss,
     rescore_hypotheses,
     save_grid,

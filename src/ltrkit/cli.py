@@ -26,12 +26,12 @@ from .dataset import (
     load_manifest,
     save_manifest,
 )
-from .features import boundary_discontinuity, fbank, load_features, mvn, save_features, spectral_distance
+from .features import DISTORTION_METRICS, distortion_curve, fbank, load_features, mvn, save_features
 from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
 from .matrix_io import MatrixFormatError
 from .metrics import TrnFormatError, corpus_report, read_trn, tokenize, top_confusions
 from .perturb import SpecAugmentPolicy, spec_augment, speed_perturb
-from .scoring import FusionWeights, Hypothesis, Vocabulary, ctc_loss, load_grid, rescore_hypotheses
+from .scoring import FusionWeights, Vocabulary, ctc_loss, load_grid, load_hypotheses, rescore_hypotheses
 
 __all__ = ["main", "run"]
 
@@ -78,10 +78,6 @@ def _default_parallelism() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-def _open_out(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build_speed_set)
 
     p = sub.add_parser("analyze", help="per-duration LTR distortion metrics as CSV (segment_ms,value)")
-    p.add_argument("--metric", choices=("boundary", "spectral-distance"), required=True)
+    p.add_argument("--metric", choices=DISTORTION_METRICS, required=True)
     p.add_argument("--in", dest="in_path", required=True, metavar="WAV")
     p.add_argument("--durations", type=_float_list, default=DEFAULT_DURATIONS_MS, metavar="MS,MS,...")
     p.add_argument("--out", dest="out_path", default=None, help="CSV path (default: stdout)")
@@ -219,26 +215,12 @@ def _cmd_build_speed_set(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    buffer = read_wav(args.in_path)
-    rows = []
-    if args.metric == "boundary":
-        for duration_ms in args.durations:
-            config = LtrConfig(duration_ms)
-            rendered = reverse_segments(buffer, config)
-            rows.append((duration_ms, boundary_discontinuity(rendered, config)))
+    rows = distortion_curve(read_wav(args.in_path), args.metric, args.durations)
+    csv = "segment_ms,value\n" + "".join(f"{duration_ms:g},{value:.9g}\n" for duration_ms, value in rows)
+    if args.out_path:
+        Path(args.out_path).write_text(csv, encoding="utf-8")
     else:
-        reference = fbank(buffer)
-        for duration_ms in args.durations:
-            rendered = reverse_segments(buffer, LtrConfig(duration_ms))
-            rows.append((duration_ms, spectral_distance(reference, fbank(rendered))))
-    out = _open_out(args.out_path)
-    try:
-        out.write("segment_ms,value\n")
-        for duration_ms, value in rows:
-            out.write(f"{duration_ms:g},{value:.9g}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        sys.stdout.write(csv)
     return 0
 
 
@@ -254,24 +236,7 @@ def _cmd_score_ctc(args) -> int:
 
 def _cmd_score_fuse(args) -> int:
     weights = FusionWeights(ctc_weight=args.alpha, lm_weight=args.beta)
-    hypotheses = []
-    with open(args.hyps, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                hypotheses.append(
-                    Hypothesis(
-                        tokens=tuple(obj["tokens"]),
-                        log_p_ctc=float(obj["log_p_ctc"]),
-                        log_p_att=float(obj["log_p_att"]),
-                        log_p_lm=float(obj["log_p_lm"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{args.hyps}: line {line_no}: {exc}") from exc
-    best = rescore_hypotheses(hypotheses, weights)
+    best = rescore_hypotheses(load_hypotheses(args.hyps), weights)
     print(json.dumps({"tokens": list(best.tokens), "fused_score": best.fused_score,
                       "log_p_ctc": best.log_p_ctc, "log_p_att": best.log_p_att, "log_p_lm": best.log_p_lm},
                      ensure_ascii=False))

@@ -22,6 +22,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -167,20 +168,49 @@ def save_manifest(records: Iterable[ManifestRecord], path: str | Path) -> None:
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _check_collisions(existing: set[str], derived: Iterable[str]) -> None:
-    for utt_id in derived:
-        if utt_id in existing:
-            raise ValueError(f"derived utt_id {utt_id!r} collides with an existing id")
-        existing.add(utt_id)
+def _build(
+    manifest: Sequence[ManifestRecord], variants: Sequence[tuple], out_dir: str | Path, parallelism: int
+) -> list[ManifestRecord]:
+    """One record per (source record, variant), grouped by source in input order.
 
+    A variant is (id suffix, transform, tag, playback speed). A suffix of
+    ``None`` keeps the source record, retagged unless the tag is ``None``;
+    otherwise the transformed audio is written as float32 WAV under the id
+    ``<utt_id>-<suffix>``, with the duration divided by the speed. Source
+    audio is read only if some variant renders it.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ids = {record.utt_id for record in manifest}
+    for derived_id in (f"{r.utt_id}-{v[0]}" for r in manifest for v in variants if v[0] is not None):
+        if derived_id in ids:
+            raise ValueError(f"derived utt_id {derived_id!r} collides with an existing id")
+        ids.add(derived_id)
 
-def _run_ordered(worker, records: Sequence[ManifestRecord], parallelism: int) -> list[list[ManifestRecord]]:
-    # Results are collected in input order regardless of completion order,
-    # so output manifests are identical for any worker count.
+    def render(record: ManifestRecord) -> list[ManifestRecord]:
+        group = []
+        buffer = None
+        for suffix, transform, tag, speed in variants:
+            if suffix is None:
+                group.append(record if tag is None else replace(record, augment=tag))
+                continue
+            if buffer is None:
+                buffer = read_wav(record.audio_path)
+            derived_id = f"{record.utt_id}-{suffix}"
+            out_path = out_dir / f"{derived_id}.wav"
+            write_wav(transform(buffer), out_path, "float32")
+            logger.info("rendered %s", out_path)
+            group.append(ManifestRecord(derived_id, str(out_path), record.text, record.duration_s / speed, tag))
+        return group
+
+    # Groups are collected in input order whatever the completion order, so
+    # the output is identical for any worker count.
     if parallelism <= 1:
-        return [worker(record) for record in records]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(worker, records))
+        groups = [render(record) for record in manifest]
+    else:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            groups = list(pool.map(render, manifest))
+    return [record for group in groups for record in group]
 
 
 def build_set(
@@ -196,27 +226,11 @@ def build_set(
     length and transcript; their records carry an ``ltr`` lineage tag and the
     derived id ``<utt_id>-ltr<ms>``.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    durations = augmentation_set.durations_ms
-
-    ids = {record.utt_id for record in manifest}
-    _check_collisions(ids, (f"{r.utt_id}-ltr{d:g}" for r in manifest for d in durations))
-
-    def render(record: ManifestRecord) -> list[ManifestRecord]:
-        buffer = read_wav(record.audio_path)
-        group = [record]
-        for duration_ms in durations:
-            derived_id = f"{record.utt_id}-ltr{duration_ms:g}"
-            out_path = out_dir / f"{derived_id}.wav"
-            write_wav(reverse_segments(buffer, LtrConfig(duration_ms)), out_path, "float32")
-            logger.info("rendered %s", out_path)
-            group.append(
-                ManifestRecord(derived_id, str(out_path), record.text, record.duration_s, AugmentTag("ltr", duration_ms))
-            )
-        return group
-
-    return [record for group in _run_ordered(render, manifest, parallelism) for record in group]
+    variants = [(None, None, None, 1.0)] + [
+        (f"ltr{ms:g}", partial(reverse_segments, config=LtrConfig(ms)), AugmentTag("ltr", ms), 1.0)
+        for ms in augmentation_set.durations_ms
+    ]
+    return _build(manifest, variants, out_dir, parallelism)
 
 
 def build_speed_set(
@@ -231,33 +245,17 @@ def build_speed_set(
     original id; other factors are resampled, written under ``out_dir`` as
     float32 WAV under the derived id ``<utt_id>-sp<factor>``, with the
     recorded duration scaled by 1/factor. All records carry ``speed`` tags.
+    Factors must be positive and distinct.
     """
     if not factors:
         raise ValueError("factors must be non-empty")
     if any(f <= 0 for f in factors):
         raise ValueError(f"speed factors must be positive, got {list(factors)}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    ids = {record.utt_id for record in manifest}
-    _check_collisions(ids, (f"{r.utt_id}-sp{f:g}" for r in manifest for f in factors if f != 1.0))
-
-    def render(record: ManifestRecord) -> list[ManifestRecord]:
-        group = []
-        buffer = None
-        for factor in factors:
-            if factor == 1.0:
-                group.append(replace(record, augment=AugmentTag("speed", 1.0)))
-                continue
-            if buffer is None:
-                buffer = read_wav(record.audio_path)
-            derived_id = f"{record.utt_id}-sp{factor:g}"
-            out_path = out_dir / f"{derived_id}.wav"
-            write_wav(speed_perturb(buffer, factor), out_path, "float32")
-            logger.info("rendered %s", out_path)
-            group.append(
-                ManifestRecord(derived_id, str(out_path), record.text, record.duration_s / factor, AugmentTag("speed", factor))
-            )
-        return group
-
-    return [record for group in _run_ordered(render, manifest, parallelism) for record in group]
+    if len(set(factors)) != len(factors):
+        raise ValueError(f"speed factors must be distinct, got {list(factors)}")
+    variants = [
+        (None, None, AugmentTag("speed", 1.0), 1.0) if f == 1.0
+        else (f"sp{f:g}", partial(speed_perturb, factor=f), AugmentTag("speed", f), f)
+        for f in factors
+    ]
+    return _build(manifest, variants, out_dir, parallelism)

@@ -10,26 +10,28 @@ everywhere. Mean-variance normalization is per utterance and per coefficient.
 Two analysis helpers quantify what local time reversal does to a signal:
 :func:`boundary_discontinuity` measures the average sample jump at segment
 boundaries, and :func:`spectral_distance` the RMS difference between two
-equally-shaped feature matrices.
+equally-shaped feature matrices; :func:`distortion_curve` sweeps either.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .ltr import LtrConfig
+from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
 from .matrix_io import FEATURES_MAGIC, read_matrix, write_matrix
 
 __all__ = [
+    "DISTORTION_METRICS",
     "FeatureMatrix",
     "fbank",
     "mvn",
     "boundary_discontinuity",
+    "distortion_curve",
     "spectral_distance",
     "save_features",
     "load_features",
@@ -38,18 +40,18 @@ __all__ = [
 _PREEMPHASIS = 0.97
 _ENERGY_FLOOR = 1e-10
 
+DISTORTION_METRICS = ("boundary", "spectral-distance")
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """A frames-by-coefficients real matrix with its framing parameters.
+    """A frames-by-coefficients real matrix.
 
     Immutable like :class:`~ltrkit.audio_io.AudioBuffer`: values are copied
     and marked read-only on construction.
     """
 
     values: np.ndarray
-    frame_length_ms: float = 25.0
-    frame_shift_ms: float = 10.0
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)
@@ -65,10 +67,6 @@ class FeatureMatrix:
     @property
     def dims(self) -> int:
         return self.values.shape[1]
-
-
-def _samples_from_ms(ms: float, sample_rate_hz: int) -> int:
-    return max(1, int(math.floor(ms * sample_rate_hz / 1000.0 + 0.5)))
 
 
 def _mel_filterbank(dims: int, fft_size: int, sample_rate_hz: int) -> np.ndarray:
@@ -97,14 +95,16 @@ def fbank(
     frame_shift_ms: float = 10.0,
 ) -> FeatureMatrix:
     """Log-mel filterbank features, one row per frame. No normalization.
+    Window and hop are rounded to samples by :func:`~ltrkit.ltr.segment_samples`.
 
     Raises:
-        ValueError: if the buffer is shorter than one analysis window.
+        ValueError: if ``dims``, ``frame_length_ms`` or ``frame_shift_ms`` is
+            not positive, or if the buffer is shorter than one analysis window.
     """
     if dims < 1:
         raise ValueError(f"dims must be positive, got {dims}")
-    window = _samples_from_ms(frame_length_ms, buffer.sample_rate_hz)
-    hop = _samples_from_ms(frame_shift_ms, buffer.sample_rate_hz)
+    window = segment_samples(frame_length_ms, buffer.sample_rate_hz)
+    hop = segment_samples(frame_shift_ms, buffer.sample_rate_hz)
     n = len(buffer)
     if n < window:
         raise ValueError(f"buffer of {n} samples is shorter than one {window}-sample window")
@@ -119,7 +119,7 @@ def fbank(
     fft_size = 1 << (window - 1).bit_length()
     spectrum = np.abs(np.fft.rfft(emphasized * np.hamming(window), fft_size))
     energies = spectrum @ _mel_filterbank(dims, fft_size, buffer.sample_rate_hz).T
-    return FeatureMatrix(np.log(np.maximum(energies, _ENERGY_FLOOR)), frame_length_ms, frame_shift_ms)
+    return FeatureMatrix(np.log(np.maximum(energies, _ENERGY_FLOOR)))
 
 
 def mvn(features: FeatureMatrix) -> FeatureMatrix:
@@ -132,7 +132,7 @@ def mvn(features: FeatureMatrix) -> FeatureMatrix:
     v = features.values
     centered = v - v.mean(axis=0)
     scale = np.maximum(v.std(axis=0), 1e-8)
-    return FeatureMatrix(centered / scale, features.frame_length_ms, features.frame_shift_ms)
+    return FeatureMatrix(centered / scale)
 
 
 def boundary_discontinuity(buffer: AudioBuffer, config: LtrConfig) -> float:
@@ -162,12 +162,31 @@ def spectral_distance(a: FeatureMatrix, b: FeatureMatrix) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
+def distortion_curve(
+    buffer: AudioBuffer, metric: str, durations_ms: Iterable[float] = DEFAULT_DURATIONS_MS
+) -> list[tuple[float, float]]:
+    """``(segment_ms, value)`` per duration, in the given order: the
+    ``"boundary"`` discontinuity of each LTR rendering of ``buffer``, or the
+    ``"spectral-distance"`` between the default :func:`fbank` features of
+    ``buffer`` and of each rendering. Renderings are made one at a time.
+    """
+    if metric not in DISTORTION_METRICS:
+        raise ValueError(f"metric must be one of {DISTORTION_METRICS}, got {metric!r}")
+    reference = fbank(buffer) if metric == "spectral-distance" else None
+    curve = []
+    for duration_ms in durations_ms:
+        config = LtrConfig(duration_ms)
+        rendered = reverse_segments(buffer, config)
+        value = boundary_discontinuity(rendered, config) if reference is None else spectral_distance(reference, fbank(rendered))
+        curve.append((duration_ms, value))
+    return curve
+
+
 def save_features(features: FeatureMatrix, path: str | Path) -> None:
     """Write a feature matrix as an FBK1 container (float32 on disk)."""
     write_matrix(features.values, path, FEATURES_MAGIC)
 
 
 def load_features(path: str | Path) -> FeatureMatrix:
-    """Read an FBK1 container. Framing metadata is not stored in the file, so
-    the returned matrix carries the default 25 ms / 10 ms parameters."""
+    """Read an FBK1 container."""
     return FeatureMatrix(read_matrix(path, FEATURES_MAGIC))

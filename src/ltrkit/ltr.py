@@ -10,26 +10,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .audio_io import AudioBuffer
 
-__all__ = ["DEFAULT_DURATIONS_MS", "LtrConfig", "reverse_segments", "render_ltr_family", "segment_samples"]
+__all__ = ["DEFAULT_DURATIONS_MS", "LtrConfig", "reverse_segments", "segment_samples"]
 
 # The standard sweep: 5 ms through 50 ms in 5 ms steps.
 DEFAULT_DURATIONS_MS: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 
 
 def segment_samples(segment_ms: float, sample_rate_hz: int) -> int:
-    """Segment length in samples for a duration in milliseconds.
+    """Length in samples of a duration in milliseconds: LTR segments and
+    filterbank windows and hops alike.
 
     Rounds half away from zero (a fixed rule, so renderings are reproducible
     across runs) and never returns less than one sample.
     """
     if segment_ms <= 0:
-        raise ValueError(f"segment_ms must be positive, got {segment_ms}")
+        raise ValueError(f"a duration must be positive, got {segment_ms} ms")
     if sample_rate_hz <= 0:
         raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
     return max(1, int(math.floor(segment_ms * sample_rate_hz / 1000.0 + 0.5)))
@@ -68,8 +68,3 @@ def reverse_segments(buffer: AudioBuffer, config: LtrConfig) -> AudioBuffer:
     out[:full] = x[:full].reshape(-1, seg)[:, ::-1].reshape(-1)
     out[full:] = x[full:][::-1]
     return AudioBuffer(out, buffer.sample_rate_hz)
-
-
-def render_ltr_family(buffer: AudioBuffer, durations_ms: Iterable[float] = DEFAULT_DURATIONS_MS) -> list[AudioBuffer]:
-    """One locally time-reversed rendering per duration, in the given order."""
-    return [reverse_segments(buffer, LtrConfig(d)) for d in durations_ms]

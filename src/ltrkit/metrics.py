@@ -14,7 +14,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class ErrorReport:
     corpus by :func:`corpus_report`.
 
     ``hits + substitutions + deletions == ref_len`` always holds. The rate
-    can exceed 1 through insertions.
+    can exceed 1 through insertions. ``confusions`` (ref token, hyp token) ->
+    count is copied into a read-only mapping and left out of the hash.
     """
 
     substitutions: int
@@ -54,7 +56,10 @@ class ErrorReport:
     deletions: int
     hits: int
     ref_len: int
-    confusions: Counter = field(default_factory=Counter)
+    confusions: Mapping[tuple[str, str], int] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "confusions", MappingProxyType(dict(self.confusions)))
 
     @property
     def total_errors(self) -> int:

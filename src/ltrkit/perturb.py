@@ -91,4 +91,4 @@ def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureM
         start = int(rng.integers(0, frames - width + 1))
         values[start : start + width, :] = 0.0
 
-    return FeatureMatrix(values, features.frame_length_ms, features.frame_shift_ms)
+    return FeatureMatrix(values)

@@ -21,6 +21,7 @@ for probability zero.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -44,6 +45,7 @@ __all__ = [
     "greedy_ctc_decode",
     "interleave_blanks",
     "load_grid",
+    "load_hypotheses",
     "mtl_loss",
     "rescore_hypotheses",
     "save_grid",
@@ -148,21 +150,17 @@ class FusionWeights:
     """Weights for score fusion.
 
     ``ctc_weight`` interpolates between the CTC and attention log-probabilities
-    at decode time, ``lm_weight`` scales the language-model contribution, and
-    ``task_weight`` is the CTC share of the two-term training loss.
+    at decode time, and ``lm_weight`` scales the language-model contribution.
     """
 
     ctc_weight: float
     lm_weight: float
-    task_weight: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ctc_weight <= 1.0:
             raise ValueError(f"ctc_weight must be in [0, 1], got {self.ctc_weight}")
         if self.lm_weight < 0.0:
             raise ValueError(f"lm_weight must be non-negative, got {self.lm_weight}")
-        if not 0.0 <= self.task_weight <= 1.0:
-            raise ValueError(f"task_weight must be in [0, 1], got {self.task_weight}")
 
 
 def _as_grid(grid: PosteriorGrid | np.ndarray) -> PosteriorGrid:
@@ -327,9 +325,7 @@ def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, targe
         raise ValueError("stepwise probabilities must lie in [0, 1]")
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
         raise ValueError(f"every step distribution must sum to 1 within {_ROW_SUM_TOL}")
-    for t in target:
-        if not 0 <= t < probs.shape[1]:
-            raise ValueError(f"target token {t} is outside [0, {probs.shape[1]})")
+    _validated_target(target, probs.shape[1])
 
     picked = probs[np.arange(len(target)), np.asarray(target)]
     if np.any(picked == 0.0):
@@ -437,3 +433,22 @@ def save_grid(grid: PosteriorGrid, path: str | Path) -> None:
 def load_grid(path: str | Path) -> PosteriorGrid:
     """Read a PST1 container; row distributions are re-validated on load."""
     return PosteriorGrid(read_matrix(path, POSTERIORS_MAGIC))
+
+
+def load_hypotheses(path: str | Path) -> list[Hypothesis]:
+    """Read a JSONL hypothesis list in file order, skipping blank lines. Each
+    line holds ``tokens`` (a list), ``log_p_ctc``, ``log_p_att`` and
+    ``log_p_lm``; a bad line is a ``ValueError`` reading ``"<path>: line N: ..."``.
+    """
+    hypotheses = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                scores = (float(obj[key]) for key in ("log_p_ctc", "log_p_att", "log_p_lm"))
+                hypotheses.append(Hypothesis(tuple(obj["tokens"]), *scores))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    return hypotheses

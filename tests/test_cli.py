@@ -138,6 +138,17 @@ def test_build_speed_set_pipeline(tmp_path, wav):
     assert [r.utt_id for r in load_manifest(out_manifest)] == ["u0-sp0.9", "u0", "u0-sp1.1"]
 
 
+def test_build_speed_set_repeated_factor_is_data_error(tmp_path, wav, capsys):
+    manifest = tmp_path / "m.jsonl"
+    save_manifest([ManifestRecord("u", str(wav), "hi", 1.0)], manifest)
+    out_manifest = tmp_path / "out.jsonl"
+    code = run(["build-speed-set", "--factors", "1,1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "sp"),
+                "--out-manifest", str(out_manifest)])
+    assert code == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not out_manifest.exists()
+
+
 def test_parallelism_gives_identical_manifests(tmp_path, wav):
     manifest = tmp_path / "m.jsonl"
     save_manifest([ManifestRecord(f"u{i}", str(wav), f"text {i}", 1.0) for i in range(5)], manifest)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,9 +164,7 @@ def test_build_set_deterministic_and_parallel_invariant(tmp_path):
     assert [r.utt_id for r in out_a] == [r.utt_id for r in out_b]
     for ra, rb in zip(out_a, out_b):
         if ra.augment is not None:
-            bytes_a = open(ra.audio_path, "rb").read()
-            bytes_b = open(rb.audio_path, "rb").read()
-            assert bytes_a == bytes_b
+            assert Path(ra.audio_path).read_bytes() == Path(rb.audio_path).read_bytes()
 
 
 # ---------------------------------------------------------------- speed set
@@ -209,3 +208,17 @@ def test_build_speed_set_validates_factors(tmp_path):
         build_speed_set([], factors=[], out_dir=tmp_path)
     with pytest.raises(ValueError):
         build_speed_set([], factors=[0.9, -1.0], out_dir=tmp_path)
+
+
+def test_build_speed_set_rejects_repeated_factors(tmp_path):
+    records = write_corpus(tmp_path, count=1)
+    for factors in ([1.0, 1.0], [0.9, 1.1, 0.9]):
+        with pytest.raises(ValueError, match="distinct"):
+            build_speed_set(records, factors=factors, out_dir=tmp_path / "sp")
+
+
+def test_build_speed_set_identity_only_reads_no_audio(tmp_path):
+    record = ManifestRecord("ghost", str(tmp_path / "missing.wav"), "t", 1.0)
+    assert build_speed_set([record], factors=[1.0], out_dir=tmp_path / "sp") == [
+        ManifestRecord("ghost", record.audio_path, "t", 1.0, AugmentTag("speed", 1.0))
+    ]

@@ -5,13 +5,14 @@ from ltrkit.audio_io import AudioBuffer
 from ltrkit.features import (
     FeatureMatrix,
     boundary_discontinuity,
+    distortion_curve,
     fbank,
     load_features,
     mvn,
     save_features,
     spectral_distance,
 )
-from ltrkit.ltr import LtrConfig, reverse_segments
+from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
 from ltrkit.matrix_io import MatrixFormatError
 
 
@@ -35,6 +36,12 @@ def test_frame_count_formula(n):
 def test_too_short_buffer_rejected():
     with pytest.raises(ValueError, match="shorter than one"):
         fbank(AudioBuffer(np.zeros(399), 16000))
+
+
+@pytest.mark.parametrize("window_ms, shift_ms", [(0.0, 10.0), (25.0, -5.0), (-25.0, 10.0), (25.0, 0.0)])
+def test_nonpositive_window_or_shift_rejected(window_ms, shift_ms):
+    with pytest.raises(ValueError, match="must be positive"):
+        fbank(AudioBuffer(np.zeros(800), 8000), 10, window_ms, shift_ms)
 
 
 def test_silence_hits_energy_floor():
@@ -132,6 +139,22 @@ def test_spectral_distance_basics():
     assert spectral_distance(a, c) == spectral_distance(c, a)
     with pytest.raises(ValueError, match="shape"):
         spectral_distance(a, FeatureMatrix(np.zeros((3, 5))))
+
+
+def test_distortion_curve_matches_each_rendering():
+    buf = tone(300, seconds=0.5)
+    boundary = distortion_curve(buf, "boundary")
+    spectral = distortion_curve(buf, "spectral-distance", [30.0, 10.0])
+    reference = fbank(buf)
+    assert boundary == [
+        (ms, boundary_discontinuity(reverse_segments(buf, LtrConfig(ms)), LtrConfig(ms))) for ms in DEFAULT_DURATIONS_MS
+    ]
+    assert spectral == [(ms, spectral_distance(reference, fbank(reverse_segments(buf, LtrConfig(ms))))) for ms in (30.0, 10.0)]
+
+
+def test_distortion_curve_rejects_unknown_metric():
+    with pytest.raises(ValueError, match="metric"):
+        distortion_curve(tone(300), "energy")
 
 
 def test_feature_file_round_trip(tmp_path):

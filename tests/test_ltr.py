@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltrkit.audio_io import AudioBuffer
-from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, render_ltr_family, reverse_segments, segment_samples
+from ltrkit.features import distortion_curve
+from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
 
 
 def make_buffer(values, rate=1000):
@@ -90,23 +91,20 @@ def test_locality_of_single_sample_change():
 
 
 def test_render_family_default_is_ten_renderings():
-    buf = make_buffer(np.linspace(-1, 1, 500), rate=16000)
-    family = render_ltr_family(buf)
-    assert len(family) == 10
-    assert all(len(r) == len(buf) for r in family)
-    assert [len(r) for r in family] == [500] * 10
+    buf = make_buffer(np.linspace(-1, 1, 2000), rate=16000)
+    curve = distortion_curve(buf, "boundary")
+    assert [duration_ms for duration_ms, _ in curve] == list(DEFAULT_DURATIONS_MS)
     assert DEFAULT_DURATIONS_MS == tuple(float(d) for d in range(5, 55, 5))
 
 
 def test_render_family_preserves_order():
     buf = make_buffer([1, 2, 3, 4])
-    family = render_ltr_family(buf, [1.0, 4.0])  # L=1 then L=4
-    assert family[0].samples.tolist() == [1, 2, 3, 4]
-    assert family[1].samples.tolist() == [4, 3, 2, 1]
+    # L=2 renders [2, 1, 4, 3] (one seam, jump 3); L=1 is the identity (three seams, jump 1)
+    assert distortion_curve(buf, "boundary", [2.0, 1.0]) == [(2.0, 3.0), (1.0, 1.0)]
 
 
 def test_render_family_empty_durations():
-    assert render_ltr_family(make_buffer([1.0]), []) == []
+    assert distortion_curve(make_buffer([1.0]), "boundary", []) == []
 
 
 def test_config_rejects_nonpositive_duration():

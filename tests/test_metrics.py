@@ -283,6 +283,18 @@ def test_error_report_is_frozen():
         report.substitutions = 0
 
 
+def test_error_report_confusions_are_read_only_and_report_hashes():
+    report = align(["a"], ["b"])
+    with pytest.raises(TypeError):
+        report.confusions[("a", "b")] += 5
+    assert report.confusions == Counter({("a", "b"): 1})
+    assert hash(report) == hash(align(["a"], ["b"]))
+    source = Counter({("x", "y"): 2})
+    copied = ErrorReport(1, 0, 0, 0, 1, source)
+    source[("x", "y")] += 1
+    assert copied.confusions == {("x", "y"): 2}
+
+
 # ---------------------------------------------------------------- corpus rate
 
 

@@ -20,6 +20,7 @@ from ltrkit.scoring import (
     greedy_ctc_decode,
     interleave_blanks,
     load_grid,
+    load_hypotheses,
     mtl_loss,
     rescore_hypotheses,
     save_grid,
@@ -278,8 +279,6 @@ def test_weights_validation():
         FusionWeights(ctc_weight=1.2, lm_weight=0.0)
     with pytest.raises(ValueError):
         FusionWeights(ctc_weight=0.5, lm_weight=-0.1)
-    with pytest.raises(ValueError):
-        FusionWeights(ctc_weight=0.5, lm_weight=0.0, task_weight=-0.5)
 
 
 def test_fused_score_monotone_in_each_component():
@@ -299,6 +298,21 @@ def test_rescore_single_hypothesis():
     best = rescore_hypotheses([h], FusionWeights(0.5, 0.1))
     assert best.tokens == (1, 0)
     assert best.fused_score == pytest.approx(fused_score(h, FusionWeights(0.5, 0.1)))
+
+
+def test_load_hypotheses_skips_blank_lines_and_names_bad_line(tmp_path):
+    path = tmp_path / "h.jsonl"
+    path.write_text(
+        '{"tokens": [1, 0], "log_p_ctc": -1, "log_p_att": -2.5, "log_p_lm": -3}\n'
+        "\n   \n"
+        '{"tokens": ["a"], "log_p_ctc": -0.5, "log_p_att": -0.25, "log_p_lm": -1e-3}\n',
+        encoding="utf-8",
+    )
+    assert load_hypotheses(path) == [Hypothesis((1, 0), -1.0, -2.5, -3.0), Hypothesis(("a",), -0.5, -0.25, -1e-3)]
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write('\n{"tokens": [0], "log_p_ctc": -1, "log_p_att": -1}\n')
+    with pytest.raises(ValueError, match=r"h\.jsonl: line 6: 'log_p_lm'"):
+        load_hypotheses(path)
 
 
 def test_rescore_tie_breaks_lexicographically_then_position():
