@@ -15,6 +15,7 @@ from .dataset import (
     load_manifest,
     save_manifest,
 )
+from .errors import DataError
 from .features import (
     FeatureMatrix,
     boundary_discontinuity,

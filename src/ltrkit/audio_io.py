@@ -19,13 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError, positive
+
 __all__ = ["AudioBuffer", "WavFormatError", "read_wav", "write_wav"]
 
 _TAG_PCM = 1
 _TAG_IEEE_FLOAT = 3
 
 
-class WavFormatError(Exception):
+class WavFormatError(DataError):
     """Raised for files that are not WAV, or use an unsupported encoding."""
 
 
@@ -34,7 +36,8 @@ class AudioBuffer:
     """A mono audio signal: normalized samples plus a sample rate.
 
     Buffers are immutable values: the sample array is copied on construction
-    and marked read-only, so they are safe to share between threads.
+    and marked read-only, so they are safe to share between threads. Every
+    sample must be finite.
     """
 
     samples: np.ndarray
@@ -43,11 +46,12 @@ class AudioBuffer:
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
+            raise DataError(f"samples must be one-dimensional, got shape {samples.shape}")
+        if not np.isfinite(samples).all():
+            raise DataError(f"samples must be finite, {np.count_nonzero(~np.isfinite(samples))} of {len(samples)} are not")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        positive("sample_rate_hz", self.sample_rate_hz)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -65,7 +69,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
     Raises:
         WavFormatError: malformed RIFF structure, unsupported format tag or
-            bit depth, or an empty data chunk.
+            bit depth, a zero rate, an empty data chunk, or a NaN sample.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -95,8 +99,6 @@ def read_wav(path: str | Path) -> AudioBuffer:
     tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt_body, 0)
     if channels < 1:
         raise WavFormatError(f"{path}: channel count {channels} is invalid")
-    if rate < 1:
-        raise WavFormatError(f"{path}: sample rate {rate} is invalid")
     if (tag, bits) == (_TAG_PCM, 16):
         dtype = np.dtype("<i2")
     elif (tag, bits) == (_TAG_IEEE_FLOAT, 32):
@@ -115,7 +117,10 @@ def read_wav(path: str | Path) -> AudioBuffer:
         values /= 32768.0
     if channels > 1:
         values = values.reshape(-1, channels).mean(axis=1)
-    return AudioBuffer(np.clip(values, -1.0, 1.0), int(rate))
+    try:
+        return AudioBuffer(np.clip(values, -1.0, 1.0), int(rate))
+    except DataError as exc:  # a zero rate or a NaN sample
+        raise WavFormatError(f"{path}: {exc}") from exc
 
 
 def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> None:
@@ -127,7 +132,7 @@ def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> 
     round-trip is accurate to within 1/32768 per sample.
     """
     if len(buffer) == 0:
-        raise ValueError("cannot write an empty buffer")
+        raise DataError("cannot write an empty buffer")
     clipped = np.clip(buffer.samples, -1.0, 1.0)
     if codec == "pcm16":
         ints = np.clip(np.rint(clipped * 32768.0), -32768, 32767)
@@ -137,7 +142,7 @@ def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> 
         payload = clipped.astype("<f4").tobytes()
         tag, bits = _TAG_IEEE_FLOAT, 32
     else:
-        raise ValueError(f"unknown codec {codec!r} (expected 'pcm16' or 'float32')")
+        raise DataError(f"unknown codec {codec!r} (expected 'pcm16' or 'float32')")
 
     block_align = bits // 8
     header = b"".join(

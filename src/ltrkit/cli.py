@@ -1,9 +1,10 @@
 """Single entry point exposing every pipeline stage as a subcommand.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to stderr;
-data goes to files or stdout. Every source of randomness takes an explicit
-seed, so identical arguments over identical inputs give bit-identical outputs,
-at any ``--parallelism``.
+Exit codes: 0 success, 1 usage error, 2 data error: a ``DataError`` (bad
+input, as the library decides it) or an ``OSError``. Any other exception is a
+bug and propagates. Diagnostics go to stderr; data goes to files or stdout.
+Every source of randomness takes an explicit seed, so identical arguments over
+identical inputs give bit-identical outputs, at any ``--parallelism``.
 """
 
 from __future__ import annotations
@@ -17,25 +18,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audio_io import WavFormatError, read_wav, write_wav
-from .dataset import (
-    AugmentationSet,
-    ManifestError,
-    build_set,
-    build_speed_set,
-    load_manifest,
-    save_manifest,
-)
+from .audio_io import read_wav, write_wav
+from .dataset import AugmentationSet, build_set, build_speed_set, load_manifest, save_manifest
+from .errors import DataError, positive
 from .features import DISTORTION_METRICS, distortion_curve, fbank, load_features, mvn, save_features
 from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
-from .matrix_io import MatrixFormatError
-from .metrics import TrnFormatError, corpus_report, read_trn, tokenize, top_confusions
+from .metrics import corpus_report, read_trn, tokenize, top_confusions
 from .perturb import SpecAugmentPolicy, spec_augment, speed_perturb
 from .scoring import FusionWeights, Vocabulary, ctc_loss, load_grid, load_hypotheses, rescore_hypotheses
 
 __all__ = ["main", "run"]
 
-_DATA_ERRORS = (WavFormatError, MatrixFormatError, ManifestError, TrnFormatError, OSError, ValueError, KeyError)
+_DATA_ERRORS = (DataError, OSError)
 
 
 class _UsageError(Exception):
@@ -49,10 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
+    try:
+        return positive("the value", float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -64,11 +58,11 @@ def _positive_int(text: str) -> int:
 
 def _float_list(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
+        values = [positive("each number", float(part)) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, in {text!r}") from None
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(f"expected positive comma-separated numbers, got {text!r}")
     return values
 
 
@@ -228,7 +222,7 @@ def _cmd_score_ctc(args) -> int:
     vocab = Vocabulary(tuple(args.vocab.split()))
     grid = load_grid(args.grid)
     if grid.num_tokens != vocab.size:
-        raise ValueError(f"grid has {grid.num_tokens} token columns but the vocabulary has {vocab.size}")
+        raise DataError(f"grid has {grid.num_tokens} token columns but the vocabulary has {vocab.size}")
     loss = ctc_loss(grid, vocab.encode(args.tokens.split()))
     print(f"{loss:.12g}")
     return 0
@@ -247,16 +241,16 @@ def _cmd_wer(args) -> int:
     refs = read_trn(args.ref)
     hyps = read_trn(args.hyp)
     if not refs:
-        raise ValueError(f"{args.ref}: no utterances")
+        raise DataError(f"{args.ref}: no utterances")
     missing = sorted(set(refs) ^ set(hyps))
     if missing:
-        raise ValueError(f"utt_ids not present in both files: {', '.join(missing[:5])}")
+        raise DataError(f"utt_ids not present in both files: {', '.join(missing[:5])}")
 
     pairs = []
     for utt_id, ref_text in refs.items():
         ref = tokenize(ref_text, args.unit)
         if not ref:
-            raise ValueError(f"{args.ref}: utterance {utt_id!r} has an empty reference; error rate is undefined")
+            raise DataError(f"{args.ref}: utterance {utt_id!r} has an empty reference; error rate is undefined")
         pairs.append((ref, tokenize(hyps[utt_id], args.unit)))
     report = corpus_report(pairs)
 

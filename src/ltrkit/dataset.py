@@ -20,15 +20,17 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .audio_io import read_wav, write_wav
+from .errors import DataError, numbered_lines, positive
 from .ltr import LtrConfig, reverse_segments
-from .perturb import DEFAULT_SPEED_FACTORS, speed_perturb
+from .perturb import _MIN_SPEED_FACTOR, DEFAULT_SPEED_FACTORS, speed_perturb
 
 __all__ = [
     "SET_DURATIONS_MS",
@@ -56,8 +58,8 @@ _AUGMENT_TYPES = ("ltr", "speed", "original")
 logger = logging.getLogger(__name__)
 
 
-class ManifestError(Exception):
-    """Raised for malformed manifest files; messages carry the line number."""
+class ManifestError(DataError):
+    """Raised for malformed manifest files; messages carry the path and line number."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,9 @@ class AugmentTag:
 
     def __post_init__(self) -> None:
         if self.type not in _AUGMENT_TYPES:
-            raise ValueError(f"augment type must be one of {_AUGMENT_TYPES}, got {self.type!r}")
+            raise DataError(f"augment type must be one of {_AUGMENT_TYPES}, got {self.type!r}")
+        if not math.isfinite(self.param):
+            raise DataError(f"augment param must be finite, got {self.param}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,8 @@ class ManifestRecord:
 
     def __post_init__(self) -> None:
         if not self.utt_id:
-            raise ValueError("utt_id must be non-empty")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s} for {self.utt_id!r}")
+            raise DataError("utt_id must be non-empty")
+        positive(f"duration_s of {self.utt_id!r}", self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -93,79 +96,67 @@ class AugmentationSet:
 
     def __post_init__(self) -> None:
         if self.set_id not in SET_DURATIONS_MS:
-            raise ValueError(f"set_id must be in 1..5, got {self.set_id}")
+            raise DataError(f"set_id must be in 1..5, got {self.set_id}")
 
     @property
     def durations_ms(self) -> tuple[float, float]:
         return SET_DURATIONS_MS[self.set_id]
 
 
-def _record_from_json(obj: dict, line_no: int) -> ManifestRecord:
+def _record_from_json(obj: dict, where: str) -> ManifestRecord:
     fields = {}
     for name, kind in (("utt_id", str), ("audio_path", str), ("text", str), ("duration_s", (int, float))):
         if name not in obj:
-            raise ManifestError(f"line {line_no}: missing required field {name!r}")
+            raise ManifestError(f"{where}: missing required field {name!r}")
         value = obj[name]
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise ManifestError(f"line {line_no}: field {name!r} has wrong type {type(value).__name__}")
+            raise ManifestError(f"{where}: field {name!r} has wrong type {type(value).__name__}")
         fields[name] = value
-    augment = None
-    if obj.get("augment") is not None:
-        tag = obj["augment"]
-        if not isinstance(tag, dict) or "type" not in tag or "param" not in tag:
-            raise ManifestError(f"line {line_no}: augment tag must carry 'type' and 'param'")
-        try:
-            augment = AugmentTag(tag["type"], float(tag["param"]))
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(f"line {line_no}: {exc}") from exc
+    tag = obj.get("augment")
+    if tag is not None and (not isinstance(tag, dict) or "type" not in tag or "param" not in tag):
+        raise ManifestError(f"{where}: augment tag must carry 'type' and 'param'")
     try:
+        augment = None if tag is None else AugmentTag(tag["type"], float(tag["param"]))
         return ManifestRecord(
             fields["utt_id"], fields["audio_path"], fields["text"], float(fields["duration_s"]), augment
         )
-    except ValueError as exc:
-        raise ManifestError(f"line {line_no}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # a rejected field, or float() of a bad JSON value
+        raise ManifestError(f"{where}: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> list[ManifestRecord]:
     """Parse a JSONL manifest, preserving order.
 
     Raises:
-        ManifestError: malformed JSON (with line number), missing or
-            mistyped fields, or a duplicate ``utt_id`` (named in the message).
+        ManifestError: malformed JSON, missing, mistyped or out-of-range
+            fields, or a duplicate ``utt_id``; each names the path and line.
+        DataError: the file is not UTF-8 text.
     """
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ManifestError(f"line {line_no}: expected a JSON object")
-            record = _record_from_json(obj, line_no)
-            if record.utt_id in seen:
-                raise ManifestError(f"line {line_no}: duplicate utt_id {record.utt_id!r}")
-            seen.add(record.utt_id)
-            records.append(record)
+    for line_no, line in numbered_lines(path):
+        where = f"{path}: line {line_no}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ManifestError(f"{where}: expected a JSON object")
+        record = _record_from_json(obj, where)
+        if record.utt_id in seen:
+            raise ManifestError(f"{where}: duplicate utt_id {record.utt_id!r}")
+        seen.add(record.utt_id)
+        records.append(record)
     return records
 
 
 def save_manifest(records: Iterable[ManifestRecord], path: str | Path) -> None:
-    """Write records as JSONL in the given order."""
+    """Write records as JSONL in the given order: the fields in declaration
+    order, with ``augment`` left out when it is ``None``."""
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            obj: dict = {
-                "utt_id": record.utt_id,
-                "audio_path": record.audio_path,
-                "text": record.text,
-                "duration_s": record.duration_s,
-            }
-            if record.augment is not None:
-                obj["augment"] = {"type": record.augment.type, "param": record.augment.param}
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            obj = {key: value for key, value in asdict(record).items() if value is not None}
+            handle.write(json.dumps(obj, ensure_ascii=False, allow_nan=False) + "\n")
 
 
 def _build(
@@ -184,7 +175,7 @@ def _build(
     ids = {record.utt_id for record in manifest}
     for derived_id in (f"{r.utt_id}-{v[0]}" for r in manifest for v in variants if v[0] is not None):
         if derived_id in ids:
-            raise ValueError(f"derived utt_id {derived_id!r} collides with an existing id")
+            raise DataError(f"derived utt_id {derived_id!r} collides with an existing id")
         ids.add(derived_id)
 
     def render(record: ManifestRecord) -> list[ManifestRecord]:
@@ -245,14 +236,14 @@ def build_speed_set(
     original id; other factors are resampled, written under ``out_dir`` as
     float32 WAV under the derived id ``<utt_id>-sp<factor>``, with the
     recorded duration scaled by 1/factor. All records carry ``speed`` tags.
-    Factors must be positive and distinct.
+    Factors must be finite, distinct and at least 0.01, checked up front.
     """
     if not factors:
-        raise ValueError("factors must be non-empty")
-    if any(f <= 0 for f in factors):
-        raise ValueError(f"speed factors must be positive, got {list(factors)}")
+        raise DataError("factors must be non-empty")
+    if min(positive("speed factor", f) for f in factors) < _MIN_SPEED_FACTOR:
+        raise DataError(f"speed factors must be at least {_MIN_SPEED_FACTOR}, got {list(factors)}")
     if len(set(factors)) != len(factors):
-        raise ValueError(f"speed factors must be distinct, got {list(factors)}")
+        raise DataError(f"speed factors must be distinct, got {list(factors)}")
     variants = [
         (None, None, AugmentTag("speed", 1.0), 1.0) if f == 1.0
         else (f"sp{f:g}", partial(speed_perturb, factor=f), AugmentTag("speed", f), f)

@@ -22,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .errors import DataError
 from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
 from .matrix_io import FEATURES_MAGIC, read_matrix, write_matrix
 
@@ -56,7 +57,7 @@ class FeatureMatrix:
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 2:
-            raise ValueError(f"feature values must be 2-D, got shape {values.shape}")
+            raise DataError(f"feature values must be 2-D, got shape {values.shape}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -98,16 +99,16 @@ def fbank(
     Window and hop are rounded to samples by :func:`~ltrkit.ltr.segment_samples`.
 
     Raises:
-        ValueError: if ``dims``, ``frame_length_ms`` or ``frame_shift_ms`` is
+        DataError: if ``dims``, ``frame_length_ms`` or ``frame_shift_ms`` is
             not positive, or if the buffer is shorter than one analysis window.
     """
     if dims < 1:
-        raise ValueError(f"dims must be positive, got {dims}")
+        raise DataError(f"dims must be positive, got {dims}")
     window = segment_samples(frame_length_ms, buffer.sample_rate_hz)
     hop = segment_samples(frame_shift_ms, buffer.sample_rate_hz)
     n = len(buffer)
     if n < window:
-        raise ValueError(f"buffer of {n} samples is shorter than one {window}-sample window")
+        raise DataError(f"buffer of {n} samples is shorter than one {window}-sample window")
 
     n_frames = 1 + (n - window) // hop
     frames = np.lib.stride_tricks.sliding_window_view(buffer.samples, window)[::hop][:n_frames]
@@ -143,12 +144,12 @@ def boundary_discontinuity(buffer: AudioBuffer, config: LtrConfig) -> float:
     reversal introduces at the seams.
 
     Raises:
-        ValueError: if the buffer does not span at least two segments.
+        DataError: if the buffer does not span at least two segments.
     """
     seg = config.segment_samples(buffer.sample_rate_hz)
     n = len(buffer)
     if n <= seg:
-        raise ValueError(f"buffer of {n} samples has fewer than two {seg}-sample segments")
+        raise DataError(f"buffer of {n} samples has fewer than two {seg}-sample segments")
     x = buffer.samples
     starts = np.arange(seg, n, seg)
     return float(np.mean(np.abs(x[starts] - x[starts - 1])))
@@ -157,7 +158,7 @@ def boundary_discontinuity(buffer: AudioBuffer, config: LtrConfig) -> float:
 def spectral_distance(a: FeatureMatrix, b: FeatureMatrix) -> float:
     """Root-mean-square difference over all cells of two equal-shape matrices."""
     if a.values.shape != b.values.shape:
-        raise ValueError(f"shape mismatch: {a.values.shape} vs {b.values.shape}")
+        raise DataError(f"shape mismatch: {a.values.shape} vs {b.values.shape}")
     diff = a.values - b.values
     return float(np.sqrt(np.mean(diff * diff)))
 
@@ -171,7 +172,7 @@ def distortion_curve(
     ``buffer`` and of each rendering. Renderings are made one at a time.
     """
     if metric not in DISTORTION_METRICS:
-        raise ValueError(f"metric must be one of {DISTORTION_METRICS}, got {metric!r}")
+        raise DataError(f"metric must be one of {DISTORTION_METRICS}, got {metric!r}")
     reference = fbank(buffer) if metric == "spectral-distance" else None
     curve = []
     for duration_ms in durations_ms:

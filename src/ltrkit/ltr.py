@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .errors import DataError, positive
 
 __all__ = ["DEFAULT_DURATIONS_MS", "LtrConfig", "reverse_segments", "segment_samples"]
 
@@ -28,11 +29,10 @@ def segment_samples(segment_ms: float, sample_rate_hz: int) -> int:
     Rounds half away from zero (a fixed rule, so renderings are reproducible
     across runs) and never returns less than one sample.
     """
-    if segment_ms <= 0:
-        raise ValueError(f"a duration must be positive, got {segment_ms} ms")
-    if sample_rate_hz <= 0:
-        raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
-    return max(1, int(math.floor(segment_ms * sample_rate_hz / 1000.0 + 0.5)))
+    samples = positive("a duration in ms", segment_ms) * positive("sample_rate_hz", sample_rate_hz) / 1000.0
+    if samples == math.inf:
+        raise DataError(f"a duration of {segment_ms} ms at {sample_rate_hz} Hz overflows a sample count")
+    return max(1, int(math.floor(samples + 0.5)))
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class LtrConfig:
     segment_ms: float
 
     def __post_init__(self) -> None:
-        if self.segment_ms <= 0:
-            raise ValueError(f"segment_ms must be positive, got {self.segment_ms}")
+        positive("segment_ms", self.segment_ms)
 
     def segment_samples(self, sample_rate_hz: int) -> int:
         return segment_samples(self.segment_ms, sample_rate_hz)
@@ -60,7 +59,7 @@ def reverse_segments(buffer: AudioBuffer, config: LtrConfig) -> AudioBuffer:
     """
     n = len(buffer)
     if n == 0:
-        raise ValueError("buffer is empty")
+        raise DataError("buffer is empty")
     seg = config.segment_samples(buffer.sample_rate_hz)
     x = buffer.samples
     out = np.empty(n, dtype=x.dtype)

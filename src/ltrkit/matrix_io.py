@@ -11,20 +11,22 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
+
 __all__ = ["FEATURES_MAGIC", "POSTERIORS_MAGIC", "MatrixFormatError", "read_matrix", "write_matrix"]
 
 FEATURES_MAGIC = b"FBK1"
 POSTERIORS_MAGIC = b"PST1"
 
 
-class MatrixFormatError(Exception):
+class MatrixFormatError(DataError):
     """Raised for container files with a wrong magic or inconsistent size."""
 
 
 def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
+        raise DataError(f"expected a 2-D matrix, got shape {values.shape}")
     rows, cols = values.shape
     header = magic + struct.pack("<II", rows, cols)
     Path(path).write_bytes(header + values.astype("<f4").tobytes())

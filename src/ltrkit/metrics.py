@@ -19,6 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import DataError, numbered_lines
+
 __all__ = [
     "ErrorReport",
     "TrnFormatError",
@@ -37,7 +39,7 @@ _BUCKET_CELLS = 1 << 22
 _MAX_PAIR_CELLS = 1 << 28
 
 
-class TrnFormatError(Exception):
+class TrnFormatError(DataError):
     """Raised for transcript files without the trailing ``(utt_id)`` marker."""
 
 
@@ -70,10 +72,10 @@ class ErrorReport:
         """Errors per reference token.
 
         Raises:
-            ValueError: if ``ref_len`` is 0 (every reference was empty).
+            DataError: if ``ref_len`` is 0 (every reference was empty).
         """
         if self.ref_len == 0:
-            raise ValueError("all references are empty; error rate is undefined")
+            raise DataError("all references are empty; error rate is undefined")
         return self.total_errors / self.ref_len
 
 
@@ -85,7 +87,7 @@ def tokenize(text: str, unit: str) -> list[str]:
     combining marks), so decomposed accents count once.
     """
     if unit not in _UNITS:
-        raise ValueError(f"unit must be one of {_UNITS}, got {unit!r}")
+        raise DataError(f"unit must be one of {_UNITS}, got {unit!r}")
     if unit in ("word", "phone"):
         return text.split()
     clusters: list[str] = []
@@ -181,13 +183,13 @@ def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Error
     that fills the cost matrix one reference position at a time.
 
     Raises:
-        ValueError: if one pair needs more than ``_MAX_PAIR_CELLS`` matrix
+        DataError: if one pair needs more than ``_MAX_PAIR_CELLS`` matrix
             cells; this is checked for every pair before any is aligned.
     """
     pairs = [(list(ref), list(hyp)) for ref, hyp in pairs]
     for ref, hyp in pairs:
         if (len(ref) + 1) * (len(hyp) + 1) > _MAX_PAIR_CELLS:
-            raise ValueError(
+            raise DataError(
                 f"aligning a {len(ref)}-token reference with a {len(hyp)}-token hypothesis needs more than "
                 f"{_MAX_PAIR_CELLS} cost-matrix cells"
             )
@@ -206,11 +208,11 @@ def align(ref: Sequence[str], hyp: Sequence[str]) -> ErrorReport:
     one-pair case of :func:`corpus_report`.
 
     Raises:
-        ValueError: if the reference is empty (the rate would be undefined),
+        DataError: if the reference is empty (the rate would be undefined),
             or if the pair is too long to align (see :func:`corpus_report`).
     """
     if len(ref) == 0:
-        raise ValueError("reference is empty; error rate is undefined")
+        raise DataError("reference is empty; error rate is undefined")
     return corpus_report([(ref, hyp)])
 
 
@@ -226,7 +228,7 @@ def corpus_rate(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:
 def top_confusions(reports: Sequence[ErrorReport], n: int) -> list[tuple[tuple[str, str], int]]:
     """The ``n`` most frequent substitution pairs, ties in lexicographic order."""
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise DataError(f"n must be at least 1, got {n}")
     merged: Counter = Counter()
     for report in reports:
         merged.update(report.confusions)
@@ -240,20 +242,18 @@ def read_trn(path: str | Path) -> dict[str, str]:
 
     Raises:
         TrnFormatError: missing id marker or duplicate id (with line number).
+        DataError: the file is not UTF-8 text (naming the path).
     """
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if not line.endswith(")") or "(" not in line:
-                raise TrnFormatError(f"{path}: line {line_no} lacks a trailing (utt_id)")
-            text, _, utt_id = line[:-1].rpartition("(")
-            utt_id = utt_id.strip()
-            if not utt_id:
-                raise TrnFormatError(f"{path}: line {line_no} has an empty utt_id")
-            if utt_id in out:
-                raise TrnFormatError(f"{path}: line {line_no} repeats utt_id {utt_id!r}")
-            out[utt_id] = text.strip()
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line.endswith(")") or "(" not in line:
+            raise TrnFormatError(f"{path}: line {line_no} lacks a trailing (utt_id)")
+        text, _, utt_id = line[:-1].rpartition("(")
+        utt_id = utt_id.strip()
+        if not utt_id:
+            raise TrnFormatError(f"{path}: line {line_no} has an empty utt_id")
+        if utt_id in out:
+            raise TrnFormatError(f"{path}: line {line_no} repeats utt_id {utt_id!r}")
+        out[utt_id] = text.strip()
     return out

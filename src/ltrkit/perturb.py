@@ -10,12 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .errors import DataError, positive
 from .features import FeatureMatrix
 
 __all__ = ["DEFAULT_SPEED_FACTORS", "SpecAugmentPolicy", "spec_augment", "speed_perturb"]
 
 # The usual 3-fold recipe: one slowed, one unchanged, one sped-up copy.
 DEFAULT_SPEED_FACTORS: tuple[float, ...] = (0.9, 1.0, 1.1)
+# Slower would stretch audio over a hundredfold, past any perturbation.
+_MIN_SPEED_FACTOR = 0.01
 
 
 def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
@@ -24,16 +27,16 @@ def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     The sample rate stays as declared; the output has ``round(n / factor)``
     samples and output sample i is the linear interpolation of the input at
     position ``i * factor``, clamped at the signal edges. Factor 1.0 is the
-    identity.
+    identity. The factor must be finite and at least 0.01.
     """
-    if factor <= 0:
-        raise ValueError(f"speed factor must be positive, got {factor}")
+    if positive("speed factor", factor) < _MIN_SPEED_FACTOR:
+        raise DataError(f"speed factor must be at least {_MIN_SPEED_FACTOR}, got {factor}")
     if factor == 1.0:
         return AudioBuffer(buffer.samples, buffer.sample_rate_hz)
     n = len(buffer)
     out_len = int(math.floor(n / factor + 0.5))
     if out_len < 1:
-        raise ValueError(f"factor {factor} leaves no output samples for a {n}-sample buffer")
+        raise DataError(f"factor {factor} leaves no output samples for a {n}-sample buffer")
     positions = np.arange(out_len, dtype=np.float64) * factor
     out = np.interp(positions, np.arange(n, dtype=np.float64), buffer.samples)
     return AudioBuffer(out, buffer.sample_rate_hz)
@@ -56,11 +59,11 @@ class SpecAugmentPolicy:
 
     def __post_init__(self) -> None:
         if self.num_freq_masks < 0 or self.num_time_masks < 0:
-            raise ValueError("mask counts must be non-negative")
+            raise DataError("mask counts must be non-negative")
         if self.max_freq_mask_width < 0:
-            raise ValueError(f"max_freq_mask_width must be non-negative, got {self.max_freq_mask_width}")
+            raise DataError(f"max_freq_mask_width must be non-negative, got {self.max_freq_mask_width}")
         if not 0.0 <= self.max_time_mask_fraction <= 1.0:
-            raise ValueError(f"max_time_mask_fraction must be in [0, 1], got {self.max_time_mask_fraction}")
+            raise DataError(f"max_time_mask_fraction must be in [0, 1], got {self.max_time_mask_fraction}")
 
 
 def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureMatrix:
@@ -75,7 +78,7 @@ def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureM
     """
     frames, dims = features.values.shape
     if frames == 0 or dims == 0:
-        raise ValueError("features are empty")
+        raise DataError("features are empty")
     values = np.array(features.values)
     rng = np.random.default_rng(policy.seed)
 

@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import DataError, numbered_lines
 from .matrix_io import POSTERIORS_MAGIC, read_matrix, write_matrix
 
 __all__ = [
@@ -69,9 +70,9 @@ class Vocabulary:
         tokens = tuple(self.tokens)
         object.__setattr__(self, "tokens", tokens)
         if len(tokens) < 1:
-            raise ValueError("vocabulary needs at least one token")
+            raise DataError("vocabulary needs at least one token")
         if len(set(tokens)) != len(tokens):
-            raise ValueError("vocabulary labels must be distinct")
+            raise DataError("vocabulary labels must be distinct")
 
     @property
     def size(self) -> int:
@@ -88,7 +89,10 @@ class Vocabulary:
             raise KeyError(f"label {label!r} is not in the vocabulary") from None
 
     def encode(self, labels: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.index(label) for label in labels)
+        try:
+            return tuple(self.index(label) for label in labels)
+        except KeyError as exc:  # an unknown label is bad input here
+            raise DataError(exc.args[0]) from None
 
     def decode(self, indices: Sequence[int]) -> list[str]:
         return [self.tokens[i] for i in indices]
@@ -103,14 +107,8 @@ class PosteriorGrid:
     def __post_init__(self) -> None:
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 2:
-            raise ValueError(f"grid must be (frames, tokens+blank) with at least one of each, got shape {probs.shape}")
-        # Written so that NaN, for which every comparison is False, fails too.
-        if not np.all((probs >= 0.0) & (probs <= 1.0)):
-            raise ValueError("grid entries must be finite and lie in [0, 1]")
-        sums = probs.sum(axis=1)
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        if abs(sums[worst] - 1.0) > _ROW_SUM_TOL:
-            raise ValueError(f"grid row {worst} sums to {sums[worst]!r}, expected 1 within {_ROW_SUM_TOL}")
+            raise DataError(f"grid must be (frames, tokens+blank) with at least one of each, got shape {probs.shape}")
+        _check_distributions(probs, "grid")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -158,9 +156,20 @@ class FusionWeights:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ctc_weight <= 1.0:
-            raise ValueError(f"ctc_weight must be in [0, 1], got {self.ctc_weight}")
-        if self.lm_weight < 0.0:
-            raise ValueError(f"lm_weight must be non-negative, got {self.lm_weight}")
+            raise DataError(f"ctc_weight must be in [0, 1], got {self.ctc_weight}")
+        if not 0.0 <= self.lm_weight < math.inf:
+            raise DataError(f"lm_weight must be finite and non-negative, got {self.lm_weight}")
+
+
+def _check_distributions(probs: np.ndarray, what: str) -> None:
+    """Entries of the 2-D ``probs`` finite and in [0, 1], rows summing to 1."""
+    # Written so that NaN, for which every comparison is False, fails too.
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise DataError(f"{what} entries must be finite and lie in [0, 1]")
+    sums = probs.sum(axis=1)
+    worst = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[worst] - 1.0) > _ROW_SUM_TOL:
+        raise DataError(f"{what} row {worst} sums to {sums[worst]!r}, but each row must sum to 1 within {_ROW_SUM_TOL}")
 
 
 def _as_grid(grid: PosteriorGrid | np.ndarray) -> PosteriorGrid:
@@ -171,7 +180,7 @@ def _validated_target(target: Sequence[int], num_tokens: int) -> tuple[int, ...]
     target = tuple(int(t) for t in target)
     for t in target:
         if not 0 <= t < num_tokens:
-            raise ValueError(f"target token {t} is outside [0, {num_tokens})")
+            raise DataError(f"target token {t} is outside [0, {num_tokens})")
     return target
 
 
@@ -269,7 +278,7 @@ def ctc_loss_bruteforce(grid: PosteriorGrid | np.ndarray, target: Sequence[int])
     the path index, so memory stays bounded.
 
     Raises:
-        ValueError: if (K+1)^T exceeds 10^7.
+        DataError: if (K+1)^T exceeds 10^7.
     """
     grid = _as_grid(grid)
     probs = grid.probs
@@ -279,7 +288,7 @@ def ctc_loss_bruteforce(grid: PosteriorGrid | np.ndarray, target: Sequence[int])
 
     num_paths = width**frames
     if num_paths > _BRUTEFORCE_MAX_PATHS:
-        raise ValueError(f"{num_paths} paths exceed the brute-force budget of {_BRUTEFORCE_MAX_PATHS}")
+        raise DataError(f"{num_paths} paths exceed the brute-force budget of {_BRUTEFORCE_MAX_PATHS}")
 
     target_arr = np.asarray(target, dtype=np.int64)
     digits = width ** np.arange(frames - 1, -1, -1, dtype=np.int64)
@@ -318,13 +327,10 @@ def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, targe
     if len(target) == 0 and probs.size == 0:
         return 0.0
     if probs.ndim != 2:
-        raise ValueError(f"stepwise_probs must be 2-D, got shape {probs.shape}")
+        raise DataError(f"stepwise_probs must be 2-D, got shape {probs.shape}")
     if probs.shape[0] != len(target):
-        raise ValueError(f"{probs.shape[0]} steps for {len(target)} target tokens")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ValueError("stepwise probabilities must lie in [0, 1]")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
-        raise ValueError(f"every step distribution must sum to 1 within {_ROW_SUM_TOL}")
+        raise DataError(f"{probs.shape[0]} steps for {len(target)} target tokens")
+    _check_distributions(probs, "stepwise probability")
     _validated_target(target, probs.shape[1])
 
     picked = probs[np.arange(len(target)), np.asarray(target)]
@@ -340,7 +346,7 @@ def mtl_loss(ctc_loss_value: float, attention_loss_value: float, task_weight: fl
     partner loss cannot leak NaNs into a pure single-task score.
     """
     if not 0.0 <= task_weight <= 1.0:
-        raise ValueError(f"task_weight must be in [0, 1], got {task_weight}")
+        raise DataError(f"task_weight must be in [0, 1], got {task_weight}")
     if task_weight == 0.0:
         return attention_loss_value
     if task_weight == 1.0:
@@ -371,24 +377,24 @@ def rescore_hypotheses(hypotheses: Sequence[Hypothesis], weights: FusionWeights)
     ``fused_score``.
 
     Raises:
-        ValueError: if the list is empty, if a fused score is NaN (naming the
+        DataError: if the list is empty, if a fused score is NaN (naming the
             list position of the first such hypothesis), or if two hypotheses
             tie and their token sequences cannot be compared (say a string
             and an integer at the same place).
     """
     if not hypotheses:
-        raise ValueError("cannot rescore an empty hypothesis list")
+        raise DataError("cannot rescore an empty hypothesis list")
     best = None
     best_score = -math.inf
     for position, hypothesis in enumerate(hypotheses):
         score = fused_score(hypothesis, weights)
         if math.isnan(score):
-            raise ValueError(f"hypothesis at list position {position} has a NaN fused score")
+            raise DataError(f"hypothesis at list position {position} has a NaN fused score")
         if best is not None and score == best_score:
             try:
                 better = hypothesis.tokens < best.tokens
             except TypeError:
-                raise ValueError(
+                raise DataError(
                     f"hypotheses at list positions {best_position} and {position} tie on fused score, "
                     f"but their tokens {best.tokens!r} and {hypothesis.tokens!r} cannot be ordered"
                 ) from None
@@ -416,11 +422,11 @@ def tabular_lm_score(
     get ``log(floor)``.
 
     Raises:
-        ValueError: if the table's probabilities sum to more than 1.
+        DataError: if the table's probabilities sum to more than 1.
     """
     mass = sum(table.values())
     if mass > 1.0 + 1e-9:
-        raise ValueError(f"table probabilities sum to {mass}, more than 1")
+        raise DataError(f"table probabilities sum to {mass}, more than 1")
     p = table.get(tuple(tokens), 0.0)
     return math.log(p) if p > 0.0 else math.log(floor)
 
@@ -438,17 +444,15 @@ def load_grid(path: str | Path) -> PosteriorGrid:
 def load_hypotheses(path: str | Path) -> list[Hypothesis]:
     """Read a JSONL hypothesis list in file order, skipping blank lines. Each
     line holds ``tokens`` (a list), ``log_p_ctc``, ``log_p_att`` and
-    ``log_p_lm``; a bad line is a ``ValueError`` reading ``"<path>: line N: ..."``.
+    ``log_p_lm``; a bad line, or a file that is not UTF-8 text, is a
+    ``DataError`` naming the path (and the line: ``"<path>: line N: ..."``).
     """
     hypotheses = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                scores = (float(obj[key]) for key in ("log_p_ctc", "log_p_att", "log_p_lm"))
-                hypotheses.append(Hypothesis(tuple(obj["tokens"]), *scores))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    for line_no, line in numbered_lines(path):
+        try:
+            obj = json.loads(line)
+            scores = (float(obj[key]) for key in ("log_p_ctc", "log_p_att", "log_p_lm"))
+            hypotheses.append(Hypothesis(tuple(obj["tokens"]), *scores))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: line {line_no}: {exc}") from exc
     return hypotheses

@@ -1,9 +1,11 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from ltrkit.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
+from ltrkit.errors import DataError
 
 
 def make_wav_bytes(payload: bytes, tag: int, channels: int, rate: int, bits: int, extra_chunks: bytes = b"") -> bytes:
@@ -28,6 +30,12 @@ def test_float32_decode_is_identity(tmp_path):
     path.write_bytes(make_wav_bytes(values.tobytes(), 3, 1, 8000, 32))
     buf = read_wav(path)
     assert np.array_equal(buf.samples, values.astype(np.float64))
+
+
+def test_float32_infinity_decodes_clipped(tmp_path):
+    path = tmp_path / "inf.wav"
+    path.write_bytes(make_wav_bytes(np.array([np.inf, -np.inf, 0.5], dtype="<f4").tobytes(), 3, 1, 8000, 32))
+    assert read_wav(path).samples.tolist() == [1.0, -1.0, 0.5]
 
 
 def test_stereo_downmix_is_mean(tmp_path):
@@ -62,6 +70,8 @@ def test_read_length_equals_frame_count(tmp_path):
         (make_wav_bytes(b"\xfe" * 4, 85, 1, 16000, 16), "unsupported codec"),
         (make_wav_bytes(b"", 1, 1, 16000, 16), "zero-length data"),
         (make_wav_bytes(b"\x00\x00\x00", 1, 2, 16000, 16), "not a multiple"),
+        (make_wav_bytes(b"\x00\x00", 1, 1, 0, 16), "bad.wav: sample_rate_hz must be positive"),
+        (make_wav_bytes(np.array([0.5, np.nan], dtype="<f4").tobytes(), 3, 1, 16000, 32), "bad.wav: samples must be finite"),
     ],
 )
 def test_malformed_and_unsupported_files(tmp_path, blob, message):
@@ -140,6 +150,12 @@ def test_buffer_validation():
         AudioBuffer([0.0], 0)
     with pytest.raises(ValueError):
         AudioBuffer(np.zeros((2, 2)), 8000)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(DataError, match="sample_rate_hz"):
+            AudioBuffer([0.0], rate)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DataError, match="1 of 2 are not"):
+            AudioBuffer([0.0, bad], 8000)
 
 
 def test_buffer_is_immutable():

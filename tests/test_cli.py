@@ -8,6 +8,7 @@ from ltrkit import __version__
 from ltrkit.audio_io import AudioBuffer, read_wav, write_wav
 from ltrkit.cli import run
 from ltrkit.dataset import load_manifest, save_manifest, ManifestRecord
+from ltrkit.errors import DataError
 from ltrkit.features import load_features
 from ltrkit.ltr import LtrConfig, reverse_segments
 from ltrkit.matrix_io import POSTERIORS_MAGIC, write_matrix
@@ -39,8 +40,29 @@ def test_missing_required_flag_is_usage_error(tmp_path):
     assert run(["ltr", "--in", "a.wav", "--out", "b.wav"]) == 1
 
 
-def test_nonpositive_segment_is_usage_error():
-    assert run(["ltr", "--segment-ms", "0", "--in", "a.wav", "--out", "b.wav"]) == 1
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("ltr", "--segment-ms", "0"),
+        ("ltr", "--segment-ms", "nan"),
+        ("ltr", "--segment-ms", "inf"),
+        ("featurize", "--window-ms", "nan"),
+        ("featurize", "--window-ms", "inf"),
+        ("analyze", "--durations", "nan"),
+        ("build-speed-set", "--factors", "nan,0.9"),
+    ],
+)
+def test_nonpositive_segment_is_usage_error(tmp_path, capsys, command, option, value):
+    required = {
+        "ltr": ["--in", "a.wav", "--out", "b.wav"],
+        "featurize": ["--in", "a.wav", "--out", "b.fbk"],
+        "analyze": ["--metric", "boundary", "--in", "a.wav"],
+        "build-speed-set": ["--manifest", "m.jsonl", "--out-dir", str(tmp_path / "sp"), "--out-manifest", "o.jsonl"],
+    }
+    assert run([command, option, value, *required[command]]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and value in err
+    assert not (tmp_path / "sp").exists()
 
 
 def test_ltr_roundtrip(tmp_path, wav):
@@ -58,10 +80,20 @@ def test_ltr_missing_input_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_ltr_malformed_wav_is_data_error(tmp_path):
+def test_ltr_malformed_wav_is_data_error(tmp_path, wav, capsys):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"this is not audio")
     assert run(["ltr", "--segment-ms", "20", "--in", str(bad), "--out", str(tmp_path / "o.wav")]) == 2
+    raw = bytearray(wav.read_bytes())
+    raw[44:48] = np.float32(np.nan).tobytes()  # the first float32 sample
+    bad.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run(["ltr", "--segment-ms", "20", "--in", str(bad), "--out", str(tmp_path / "o.wav")]) == 2
+    assert f"{bad}: samples must be finite" in capsys.readouterr().err
+    # A finite duration whose sample count overflows is a data error, not a traceback.
+    assert run(["ltr", "--segment-ms", "1e308", "--in", str(wav), "--out", str(tmp_path / "o.wav")]) == 2
+    assert "1e+308 ms" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_speed_command(tmp_path, wav):
@@ -121,12 +153,20 @@ def test_build_set_pipeline(tmp_path, wav):
     assert [r.utt_id for r in records] == ["u0", "u0-ltr15", "u0-ltr20"]
 
 
-def test_build_set_bad_manifest_is_data_error(tmp_path, capsys):
+def test_build_set_bad_manifest_is_data_error(tmp_path, wav, capsys):
     manifest = tmp_path / "m.jsonl"
-    manifest.write_text("{broken\n", encoding="utf-8")
-    code = run(["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "a"), "--out-manifest", str(tmp_path / "o.jsonl")])
-    assert code == 2
-    assert "line 1" in capsys.readouterr().err
+    record = '{"utt_id": "u", "audio_path": "%s", "text": "t", "duration_s": %s}\n'
+    for content, message in [
+        (b"{broken\n", "line 1: invalid JSON"),
+        ((record % (wav, "NaN")).encode(), "line 1: duration_s of 'u' must be positive and finite, got nan"),
+        ((record % (wav, '1.0, "augment": {"type": "ltr", "param": NaN}')).encode(), "line 1: augment param must be finite"),
+        (b'{"utt_id": "\xff"}\n', "not UTF-8 text"),
+    ]:
+        manifest.write_bytes(content)
+        code = run(["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "a"), "--out-manifest", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert f"{manifest}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_build_speed_set_pipeline(tmp_path, wav):
@@ -257,10 +297,19 @@ def test_score_fuse_nan_score_is_data_error(tmp_path, capsys):
     assert captured.out == "" and "position 1 has a NaN" in captured.err
 
 
-def test_score_fuse_bad_line_is_data_error(tmp_path):
+def test_score_fuse_bad_line_is_data_error(tmp_path, capsys):
     hyps = tmp_path / "h.jsonl"
     hyps.write_text('{"tokens": [0]}\n', encoding="utf-8")
     assert run(["score", "fuse", "--alpha", "0.5", "--beta", "0.0", "--hyps", str(hyps)]) == 2
+    hyps.write_bytes(b'{"tokens": ["\xff"]}\n')
+    capsys.readouterr()
+    assert run(["score", "fuse", "--alpha", "0.5", "--beta", "0.0", "--hyps", str(hyps)]) == 2
+    assert f"{hyps}: not UTF-8 text" in capsys.readouterr().err
+    hyps.write_text('{"tokens": [0], "log_p_ctc": -1.0, "log_p_att": -2.0, "log_p_lm": -3.0}\n', encoding="utf-8")
+    for beta in ("nan", "inf"):  # before, inf printed "fused_score": -Infinity
+        assert run(["score", "fuse", "--alpha", "0.5", "--beta", beta, "--hyps", str(hyps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"lm_weight must be finite and non-negative, got {beta}" in captured.err
 
 
 def test_wer_command(tmp_path, capsys):
@@ -287,6 +336,25 @@ def test_wer_mismatched_ids_is_data_error(tmp_path, capsys):
     assert run(["wer", "--ref", str(ref), "--hyp", str(hyp)]) == 2
     err = capsys.readouterr().err
     assert "u1" in err and "u2" in err
+    hyp.write_bytes(b"\xff (u1)\n")
+    assert run(["wer", "--ref", str(ref), "--hyp", str(hyp)]) == 2
+    assert f"{hyp}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_bug_in_a_subcommand_is_not_a_data_error(tmp_path, monkeypatch):
+    import ltrkit.cli as cli
+
+    assert cli._DATA_ERRORS == (DataError, OSError)
+    trn = tmp_path / "r.trn"
+    trn.write_text("a (u1)\n", encoding="utf-8")
+    for bug in (KeyError("u1"), ValueError("plain ValueError")):
+        def broken(pairs, bug=bug):
+            raise bug
+
+        monkeypatch.setattr(cli, "corpus_report", broken)
+        with pytest.raises(type(bug)) as caught:
+            run(["wer", "--ref", str(trn), "--hyp", str(trn)])
+        assert caught.value is bug
 
 
 def test_wer_empty_reference_names_utterance(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from ltrkit.dataset import (
     load_manifest,
     save_manifest,
 )
+from ltrkit.errors import DataError
 
 
 def write_corpus(tmp_path, count=3, rate=16000, seed=0):
@@ -56,6 +59,11 @@ def test_manifest_round_trip_with_unicode(tmp_path):
     assert "你好" in path.read_text(encoding="utf-8")  # not ascii-escaped
     assert load_manifest(path) == records
 
+    # A record forced past validation is refused, not written as a bare NaN token.
+    object.__setattr__(records[1], "duration_s", math.nan)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save_manifest(records, path)
+
 
 def test_duplicate_id_error_names_the_id(tmp_path):
     path = tmp_path / "dup.jsonl"
@@ -89,12 +97,20 @@ def test_malformed_json_reports_line_number(tmp_path):
         ({"utt_id": "u", "audio_path": "a", "text": 5, "duration_s": 1.0}, "wrong type"),
         ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "echo", "param": 1}}, "augment type"),
         ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "ltr"}}, "param"),
+        # json.dumps writes the bare tokens NaN and Infinity, which json.loads accepts
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": math.nan}, "positive and finite"),
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": math.inf}, "positive and finite"),
+        ('{"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1e400}', "positive and finite"),
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 10**400}, "too large"),
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "ltr", "param": math.nan}}, "finite"),
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "ltr", "param": -math.inf}}, "finite"),
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "speed", "param": 10**400}}, "too large"),
     ],
 )
 def test_record_validation(tmp_path, obj, message):
     path = tmp_path / "v.jsonl"
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    with pytest.raises(ManifestError, match=message):
+    path.write_text((obj if isinstance(obj, str) else json.dumps(obj)) + "\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"{re.escape(str(path))}: line 1: .*{message}"):
         load_manifest(path)
 
 
@@ -208,6 +224,11 @@ def test_build_speed_set_validates_factors(tmp_path):
         build_speed_set([], factors=[], out_dir=tmp_path)
     with pytest.raises(ValueError):
         build_speed_set([], factors=[0.9, -1.0], out_dir=tmp_path)
+    records = write_corpus(tmp_path, count=1)
+    for factors, message in (([0.9, float("nan")], "positive and finite"), ([0.9, 0.001], "at least 0.01")):
+        with pytest.raises(DataError, match=message):
+            build_speed_set(records, factors=factors, out_dir=tmp_path / "sp")
+        assert not (tmp_path / "sp").exists()  # rejected before the first write
 
 
 def test_build_speed_set_rejects_repeated_factors(tmp_path):

@@ -38,7 +38,10 @@ def test_too_short_buffer_rejected():
         fbank(AudioBuffer(np.zeros(399), 16000))
 
 
-@pytest.mark.parametrize("window_ms, shift_ms", [(0.0, 10.0), (25.0, -5.0), (-25.0, 10.0), (25.0, 0.0)])
+@pytest.mark.parametrize(
+    "window_ms, shift_ms",
+    [(0.0, 10.0), (25.0, -5.0), (-25.0, 10.0), (25.0, 0.0), (float("nan"), 10.0), (25.0, float("inf"))],
+)
 def test_nonpositive_window_or_shift_rejected(window_ms, shift_ms):
     with pytest.raises(ValueError, match="must be positive"):
         fbank(AudioBuffer(np.zeros(800), 8000), 10, window_ms, shift_ms)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltrkit.audio_io import AudioBuffer
+from ltrkit.errors import DataError
 from ltrkit.features import distortion_curve
 from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
 
@@ -28,9 +31,13 @@ def test_segment_samples(ms, rate, expected):
     assert segment_samples(ms, rate) == expected
 
 
-@pytest.mark.parametrize("ms, rate", [(0, 16000), (-5, 16000), (5, 0), (5, -1)])
+@pytest.mark.parametrize(
+    "ms, rate",
+    [(0, 16000), (-5, 16000), (5, 0), (5, -1), (math.nan, 16000), (math.inf, 16000), (5, math.nan), (5, math.inf),
+     (1e308, 16000)],  # the last one overflows the sample count
+)
 def test_segment_samples_rejects_nonpositive(ms, rate):
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         segment_samples(ms, rate)
 
 
@@ -108,5 +115,6 @@ def test_render_family_empty_durations():
 
 
 def test_config_rejects_nonpositive_duration():
-    with pytest.raises(ValueError):
-        LtrConfig(0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DataError, match="segment_ms must be positive and finite"):
+            LtrConfig(bad)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ltrkit.audio_io import AudioBuffer
+from ltrkit.errors import DataError
 from ltrkit.features import FeatureMatrix
 from ltrkit.perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
 
@@ -36,6 +37,12 @@ def test_speed_rejects_nonpositive_and_empty_output():
         speed_perturb(AudioBuffer([0.0, 0.1], 8000), 0.0)
     with pytest.raises(ValueError, match="no output samples"):
         speed_perturb(AudioBuffer([0.0, 0.1], 8000), 100.0)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(DataError, match="positive and finite"):
+            speed_perturb(AudioBuffer([0.0, 0.1], 8000), bad)
+    for tiny in (5e-324, 1e-300, 0.0099):  # the output would not fit, or be a >100x stretch
+        with pytest.raises(DataError, match="at least 0.01"):
+            speed_perturb(AudioBuffer([0.0, 0.1], 8000), tiny)
 
 
 def test_speed_interpolates_linearly():

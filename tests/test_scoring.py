@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ltrkit import scoring
+from ltrkit.errors import DataError
 from ltrkit.matrix_io import MatrixFormatError
 from ltrkit.scoring import (
     FusionWeights,
@@ -246,6 +247,9 @@ def test_attention_validation():
         attention_loss(np.array([[0.5, 0.5]]), [0, 1])
     with pytest.raises(ValueError, match="sum to 1"):
         attention_loss(np.array([[0.8, 0.1]]), [0])
+    for bad in ([[math.nan, 1.0]], [[math.nan, math.nan]], [[math.inf, 0.0]]):
+        with pytest.raises(DataError, match="finite"):
+            attention_loss(bad, [1])
 
 
 # ---------------------------------------------------------------- fusion
@@ -279,6 +283,11 @@ def test_weights_validation():
         FusionWeights(ctc_weight=1.2, lm_weight=0.0)
     with pytest.raises(ValueError):
         FusionWeights(ctc_weight=0.5, lm_weight=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError, match="ctc_weight"):
+            FusionWeights(ctc_weight=bad, lm_weight=0.0)
+        with pytest.raises(DataError, match="lm_weight must be finite"):
+            FusionWeights(ctc_weight=0.5, lm_weight=bad)
 
 
 def test_fused_score_monotone_in_each_component():
@@ -452,6 +461,8 @@ def test_vocabulary():
     assert vocab.decode([2, 0]) == ["c", "a"]
     with pytest.raises(KeyError):
         vocab.index("z")
+    with pytest.raises(DataError, match="'z' is not in the vocabulary"):
+        vocab.encode(["a", "z"])
     with pytest.raises(ValueError):
         Vocabulary(())
     with pytest.raises(ValueError):
