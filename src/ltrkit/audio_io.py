@@ -3,7 +3,8 @@
 Supports the RIFF/WAVE subset this package needs: format tag 1 (integer PCM,
 16-bit) and format tag 3 (IEEE float, 32-bit), mono or multichannel, in
 little-endian byte order. Unknown chunks are skipped on read; writing always
-produces a canonical 44-byte header (RIFF, "fmt " of 16 bytes, "data").
+produces a canonical 44-byte header (RIFF, "fmt " of 16 bytes, "data"), and
+is atomic.
 
 Samples are normalized floats. A PCM-16 value ``v`` decodes to ``v / 32768.0``
 so the integer minimum lands exactly on -1.0. Multichannel audio is downmixed
@@ -19,12 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .errors import DataError, positive
 
 __all__ = ["AudioBuffer", "WavFormatError", "read_wav", "write_wav"]
 
 _TAG_PCM = 1
 _TAG_IEEE_FLOAT = 3
+_U32_MAX = 2**32 - 1
 
 
 class WavFormatError(DataError):
@@ -35,22 +38,37 @@ class WavFormatError(DataError):
 class AudioBuffer:
     """A mono audio signal: normalized samples plus a sample rate.
 
-    Buffers are immutable values: the sample array is copied on construction
-    and marked read-only, so they are safe to share between threads. Every
-    sample must be finite.
+    Buffers are immutable values, safe to share between threads: the public
+    constructor copies the samples it is given, and the fresh arrays the
+    library makes itself (decoded, reversed or resampled audio) are adopted
+    without a copy. Either way the array is marked read-only and every sample
+    must be finite.
     """
 
     samples: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.float64)
+        object.__setattr__(self, "samples", np.array(self.samples, dtype=np.float64))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, sample_rate_hz: int) -> AudioBuffer:
+        """A buffer that owns ``samples``, a fresh float64 array nothing else
+        holds, without copying it; checked like a constructed one."""
+        buffer = object.__new__(cls)
+        object.__setattr__(buffer, "samples", samples)
+        object.__setattr__(buffer, "sample_rate_hz", sample_rate_hz)
+        buffer._check()
+        return buffer
+
+    def _check(self) -> None:
+        samples = self.samples
         if samples.ndim != 1:
             raise DataError(f"samples must be one-dimensional, got shape {samples.shape}")
         if not np.isfinite(samples).all():
             raise DataError(f"samples must be finite, {np.count_nonzero(~np.isfinite(samples))} of {len(samples)} are not")
         samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
         positive("sample_rate_hz", self.sample_rate_hz)
 
     def __len__(self) -> int:
@@ -75,13 +93,14 @@ def read_wav(path: str | Path) -> AudioBuffer:
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
+    view = memoryview(raw)
     fmt_body = None
     data_body = None
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise WavFormatError(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
@@ -115,10 +134,21 @@ def read_wav(path: str | Path) -> AudioBuffer:
     values = np.frombuffer(data_body, dtype=dtype).astype(np.float64)
     if tag == _TAG_PCM:
         values /= 32768.0
-    if channels > 1:
+    if channels >= 8:
+        # numpy's mean sums 8 or more values pairwise; keep its exact order
         values = values.reshape(-1, channels).mean(axis=1)
+    elif channels > 1:
+        # mean(axis=1) below 8 channels, bit for bit (signed zeros too): the
+        # columns added in order to 0.0, then divided by the count
+        frames = values.reshape(-1, channels)
+        mixed = np.zeros(len(frames))
+        for column in frames.T:
+            mixed += column
+        mixed /= channels
+        values = mixed
+    np.clip(values, -1.0, 1.0, out=values)
     try:
-        return AudioBuffer(np.clip(values, -1.0, 1.0), int(rate))
+        return AudioBuffer._adopt(values, int(rate))
     except DataError as exc:  # a zero rate or a NaN sample
         raise WavFormatError(f"{path}: {exc}") from exc
 
@@ -129,31 +159,39 @@ def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> 
     ``codec`` is ``"pcm16"`` or ``"float32"``. Samples are hard-clipped to
     [-1.0, 1.0] before encoding; a float32 write followed by a read is the
     identity for in-range float32-representable samples, and a pcm16
-    round-trip is accurate to within 1/32768 per sample.
+    round-trip is accurate to within 1/32768 per sample. The write is atomic:
+    ``path`` holds its old content or the whole new file, never part of one.
+
+    Raises:
+        DataError: an empty buffer, an unknown codec, or a rate or length
+            that does not fit the header's 32-bit fields; nothing is written.
     """
     if len(buffer) == 0:
         raise DataError("cannot write an empty buffer")
-    clipped = np.clip(buffer.samples, -1.0, 1.0)
     if codec == "pcm16":
-        ints = np.clip(np.rint(clipped * 32768.0), -32768, 32767)
-        payload = ints.astype("<i2").tobytes()
         tag, bits = _TAG_PCM, 16
     elif codec == "float32":
-        payload = clipped.astype("<f4").tobytes()
         tag, bits = _TAG_IEEE_FLOAT, 32
     else:
         raise DataError(f"unknown codec {codec!r} (expected 'pcm16' or 'float32')")
-
     block_align = bits // 8
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, tag, 1, buffer.sample_rate_hz, buffer.sample_rate_hz * block_align, block_align, bits),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
+    rate = buffer.sample_rate_hz
+    data_size = len(buffer) * block_align
+    for name, value in (("sample rate", rate), ("byte rate", rate * block_align), ("RIFF chunk size", 36 + data_size)):
+        if value > _U32_MAX:
+            raise DataError(f"{name} {value} does not fit a WAV header (at most {_U32_MAX})")
+
+    if codec == "pcm16":
+        scaled = np.clip(buffer.samples, -1.0, 1.0)
+        scaled *= 32768.0
+        np.rint(scaled, out=scaled)
+        encoded = np.empty(len(buffer), dtype="<i2")
+        np.clip(scaled, -32768, 32767, out=encoded, casting="unsafe")
+    else:
+        encoded = np.empty(len(buffer), dtype="<f4")
+        np.clip(buffer.samples, -1.0, 1.0, out=encoded, casting="same_kind")
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + data_size, b"WAVE", b"fmt ", 16, tag, 1, rate, rate * block_align, block_align, bits, b"data", data_size,
     )
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header, encoded)

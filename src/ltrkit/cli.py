@@ -15,9 +15,9 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
+from ._atomic import write_atomic
 from .audio_io import read_wav, write_wav
 from .dataset import AugmentationSet, build_set, build_speed_set, load_manifest, save_manifest
 from .errors import DataError, positive
@@ -212,7 +212,7 @@ def _cmd_analyze(args) -> int:
     rows = distortion_curve(read_wav(args.in_path), args.metric, args.durations)
     csv = "segment_ms,value\n" + "".join(f"{duration_ms:g},{value:.9g}\n" for duration_ms, value in rows)
     if args.out_path:
-        Path(args.out_path).write_text(csv, encoding="utf-8")
+        write_atomic(args.out_path, csv.encode("utf-8"))
     else:
         sys.stdout.write(csv)
     return 0
@@ -275,7 +275,7 @@ def _cmd_wer(args) -> int:
             "confusions": [[ref_tok, hyp_tok, count] for (ref_tok, hyp_tok), count in
                            top_confusions([report], args.confusions or 10)],
         }
-        Path(args.json_out).write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+        write_atomic(args.json_out, (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8"))
     return 0
 
 

@@ -27,6 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._atomic import write_atomic
 from .audio_io import read_wav, write_wav
 from .errors import DataError, numbered_lines, positive
 from .ltr import LtrConfig, reverse_segments
@@ -152,11 +153,13 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
 
 def save_manifest(records: Iterable[ManifestRecord], path: str | Path) -> None:
     """Write records as JSONL in the given order: the fields in declaration
-    order, with ``augment`` left out when it is ``None``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            obj = {key: value for key, value in asdict(record).items() if value is not None}
-            handle.write(json.dumps(obj, ensure_ascii=False, allow_nan=False) + "\n")
+    order, with ``augment`` left out when it is ``None``. The write is atomic:
+    ``path`` holds its old content or the whole new manifest, never part of one."""
+    lines = []
+    for record in records:
+        obj = {key: value for key, value in asdict(record).items() if value is not None}
+        lines.append(json.dumps(obj, ensure_ascii=False, allow_nan=False) + "\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def _build(

@@ -24,7 +24,7 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .errors import DataError
 from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
-from .matrix_io import FEATURES_MAGIC, read_matrix, write_matrix
+from .matrix_io import FEATURES_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
     "DISTORTION_METRICS",
@@ -48,18 +48,35 @@ DISTORTION_METRICS = ("boundary", "spectral-distance")
 class FeatureMatrix:
     """A frames-by-coefficients real matrix.
 
-    Immutable like :class:`~ltrkit.audio_io.AudioBuffer`: values are copied
-    and marked read-only on construction.
+    Immutable like :class:`~ltrkit.audio_io.AudioBuffer`: the public
+    constructor copies the values it is given, and the fresh arrays the
+    library makes itself (features, normalized, masked or loaded matrices) are
+    adopted without a copy. Either way the array is marked read-only and every
+    value must be finite.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> FeatureMatrix:
+        """A matrix that owns ``values``, a fresh float64 array nothing else
+        holds, without copying it; checked like a constructed one."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", values)
+        matrix._check()
+        return matrix
+
+    def _check(self) -> None:
+        values = self.values
         if values.ndim != 2:
             raise DataError(f"feature values must be 2-D, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise DataError(f"feature values must be finite, {np.count_nonzero(~np.isfinite(values))} of {values.size} are not")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     @property
     def frames(self) -> int:
@@ -100,7 +117,9 @@ def fbank(
 
     Raises:
         DataError: if ``dims``, ``frame_length_ms`` or ``frame_shift_ms`` is
-            not positive, or if the buffer is shorter than one analysis window.
+            not positive, if the buffer is shorter than one analysis window,
+            or if samples so large that the spectrum overflows make a
+            feature that is not finite.
     """
     if dims < 1:
         raise DataError(f"dims must be positive, got {dims}")
@@ -120,7 +139,8 @@ def fbank(
     fft_size = 1 << (window - 1).bit_length()
     spectrum = np.abs(np.fft.rfft(emphasized * np.hamming(window), fft_size))
     energies = spectrum @ _mel_filterbank(dims, fft_size, buffer.sample_rate_hz).T
-    return FeatureMatrix(np.log(np.maximum(energies, _ENERGY_FLOOR)))
+    np.maximum(energies, _ENERGY_FLOOR, out=energies)
+    return FeatureMatrix._adopt(np.log(energies, out=energies))
 
 
 def mvn(features: FeatureMatrix) -> FeatureMatrix:
@@ -132,8 +152,8 @@ def mvn(features: FeatureMatrix) -> FeatureMatrix:
     """
     v = features.values
     centered = v - v.mean(axis=0)
-    scale = np.maximum(v.std(axis=0), 1e-8)
-    return FeatureMatrix(centered / scale)
+    centered /= np.maximum(v.std(axis=0), 1e-8)
+    return FeatureMatrix._adopt(centered)
 
 
 def boundary_discontinuity(buffer: AudioBuffer, config: LtrConfig) -> float:
@@ -189,5 +209,14 @@ def save_features(features: FeatureMatrix, path: str | Path) -> None:
 
 
 def load_features(path: str | Path) -> FeatureMatrix:
-    """Read an FBK1 container."""
-    return FeatureMatrix(read_matrix(path, FEATURES_MAGIC))
+    """Read an FBK1 container.
+
+    Raises:
+        MatrixFormatError: a wrong magic or size, or a value that is not
+            finite.
+    """
+    values = read_matrix(path, FEATURES_MAGIC)
+    try:
+        return FeatureMatrix._adopt(values)
+    except DataError as exc:  # a NaN or infinite value
+        raise MatrixFormatError(f"{path}: {exc}") from exc

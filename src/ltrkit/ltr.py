@@ -64,6 +64,6 @@ def reverse_segments(buffer: AudioBuffer, config: LtrConfig) -> AudioBuffer:
     x = buffer.samples
     out = np.empty(n, dtype=x.dtype)
     full = (n // seg) * seg
-    out[:full] = x[:full].reshape(-1, seg)[:, ::-1].reshape(-1)
+    out[:full].reshape(-1, seg)[...] = x[:full].reshape(-1, seg)[:, ::-1]
     out[full:] = x[full:][::-1]
-    return AudioBuffer(out, buffer.sample_rate_hz)
+    return AudioBuffer._adopt(out, buffer.sample_rate_hz)

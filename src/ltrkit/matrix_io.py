@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .errors import DataError
 
 __all__ = ["FEATURES_MAGIC", "POSTERIORS_MAGIC", "MatrixFormatError", "read_matrix", "write_matrix"]
@@ -24,12 +25,12 @@ class MatrixFormatError(DataError):
 
 
 def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
+    """Write a 2-D matrix as float32 under ``magic``. The write is atomic:
+    ``path`` holds its old content or the whole new file, never part of one."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DataError(f"expected a 2-D matrix, got shape {values.shape}")
-    rows, cols = values.shape
-    header = magic + struct.pack("<II", rows, cols)
-    Path(path).write_bytes(header + values.astype("<f4").tobytes())
+    write_atomic(path, magic + struct.pack("<II", *values.shape), values.astype("<f4"))
 
 
 def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:

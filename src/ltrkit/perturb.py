@@ -27,19 +27,20 @@ def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     The sample rate stays as declared; the output has ``round(n / factor)``
     samples and output sample i is the linear interpolation of the input at
     position ``i * factor``, clamped at the signal edges. Factor 1.0 is the
-    identity. The factor must be finite and at least 0.01.
+    identity: it returns ``buffer`` itself. The factor must be finite and at
+    least 0.01.
     """
     if positive("speed factor", factor) < _MIN_SPEED_FACTOR:
         raise DataError(f"speed factor must be at least {_MIN_SPEED_FACTOR}, got {factor}")
     if factor == 1.0:
-        return AudioBuffer(buffer.samples, buffer.sample_rate_hz)
+        return buffer
     n = len(buffer)
     out_len = int(math.floor(n / factor + 0.5))
     if out_len < 1:
         raise DataError(f"factor {factor} leaves no output samples for a {n}-sample buffer")
     positions = np.arange(out_len, dtype=np.float64) * factor
     out = np.interp(positions, np.arange(n, dtype=np.float64), buffer.samples)
-    return AudioBuffer(out, buffer.sample_rate_hz)
+    return AudioBuffer._adopt(out, buffer.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -94,4 +95,4 @@ def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureM
         start = int(rng.integers(0, frames - width + 1))
         values[start : start + width, :] = 0.0
 
-    return FeatureMatrix(values)
+    return FeatureMatrix._adopt(values)

@@ -11,7 +11,7 @@ from ltrkit.dataset import load_manifest, save_manifest, ManifestRecord
 from ltrkit.errors import DataError
 from ltrkit.features import load_features
 from ltrkit.ltr import LtrConfig, reverse_segments
-from ltrkit.matrix_io import POSTERIORS_MAGIC, write_matrix
+from ltrkit.matrix_io import FEATURES_MAGIC, POSTERIORS_MAGIC, write_matrix
 from ltrkit.metrics import align, top_confusions
 from ltrkit.scoring import PosteriorGrid, ctc_loss, save_grid
 
@@ -118,6 +118,15 @@ def test_featurize_and_specaug(tmp_path, wav):
     assert run(["specaug", "--seed", "7", "--in", str(feat), "--out", str(masked_a)]) == 0
     assert run(["specaug", "--seed", "7", "--in", str(feat), "--out", str(masked_b)]) == 0
     assert masked_a.read_bytes() == masked_b.read_bytes()
+
+
+def test_specaug_on_non_finite_features_is_data_error(tmp_path, capsys):
+    feat = tmp_path / "nan.fbk"
+    write_matrix(np.array([[0.5, np.nan], [1.0, 2.0]]), feat, FEATURES_MAGIC)
+    out = tmp_path / "out.fbk"
+    assert run(["specaug", "--seed", "0", "--freq-masks", "0", "--time-masks", "0", "--in", str(feat), "--out", str(out)]) == 2
+    assert f"{feat}: feature values must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_boundary_csv(tmp_path, wav, capsys):

@@ -10,6 +10,7 @@ import ltrkit
 from ltrkit.audio_io import AudioBuffer, WavFormatError
 from ltrkit.dataset import AugmentTag, ManifestError, ManifestRecord, load_manifest
 from ltrkit.errors import DataError, numbered_lines, positive
+from ltrkit.features import FeatureMatrix
 from ltrkit.ltr import LtrConfig, segment_samples
 from ltrkit.matrix_io import MatrixFormatError
 from ltrkit.metrics import TrnFormatError, read_trn
@@ -38,6 +39,7 @@ def test_every_value_is_finite_or_a_data_error(x, y, samples):
     buffer = AudioBuffer([0.25, -0.5, 0.75], 8000)
     calls = [
         lambda: AudioBuffer(samples, 8000),
+        lambda: FeatureMatrix([samples, samples]),
         lambda: AudioBuffer([0.0], x),
         lambda: LtrConfig(x),
         lambda: ManifestRecord("u", "a.wav", "t", x),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ltrkit.audio_io import AudioBuffer
+from ltrkit.errors import DataError
 from ltrkit.features import (
     FeatureMatrix,
     boundary_discontinuity,
@@ -13,7 +14,7 @@ from ltrkit.features import (
     spectral_distance,
 )
 from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
-from ltrkit.matrix_io import MatrixFormatError
+from ltrkit.matrix_io import FEATURES_MAGIC, MatrixFormatError, write_matrix
 
 
 def tone(freq, seconds=1.0, rate=16000, amp=0.5):
@@ -185,3 +186,18 @@ def test_feature_file_rejects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(MatrixFormatError, match="expected"):
         load_features(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_matrix_rejects_non_finite_values(tmp_path, bad):
+    with pytest.raises(DataError, match="1 of 6 are not"):
+        FeatureMatrix([[0.0, 1.0, 2.0], [3.0, bad, 5.0]])
+    path = tmp_path / "nan.fbk"
+    write_matrix(np.array([[0.0, bad], [1.0, 2.0]]), path, FEATURES_MAGIC)
+    with pytest.raises(MatrixFormatError, match=f"{path.name}: feature values must be finite"):
+        load_features(path)
+
+
+def test_fbank_of_overflowing_samples_is_a_data_error():
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataError, match="feature values must be finite"):
+        fbank(AudioBuffer(np.full(800, 1e306) * (-1.0) ** np.arange(800), 16000))
