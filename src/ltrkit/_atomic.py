@@ -1,8 +1,10 @@
-"""The one way ltrkit writes a file: whole or not at all."""
+"""The one way ltrkit writes a file whose truncation a reader could miss
+(WAV, manifest, CSV): whole or not at all."""
 
 from __future__ import annotations
 
 import os
+import stat
 import threading
 from pathlib import Path
 
@@ -13,12 +15,37 @@ def write_atomic(path: str | Path, *chunks) -> None:
     They go to a temp file beside ``path`` (named by ``path``, the process and
     the thread), which then replaces ``path`` with ``os.replace``, so a reader
     sees the old file or the whole new one, never a truncated one. The temp
-    file is created with mode 0o666 less the umask, as ``open(path, "wb")``
-    creates a file, and is removed if anything fails. A temp file of the same
-    name can only be left over from a killed process (a live one would be
-    this thread), so it is removed first.
+    file is removed if anything fails. A temp file of the same name can only
+    be left over from a killed process (a live one would be this thread), so
+    it is removed first.
+
+    As with ``open(path, "wb")``: a new file gets mode 0o666 less the umask,
+    an existing file keeps its mode, a symlink is followed and the file it
+    names is replaced, and a target that is not a regular file (a pipe, a
+    terminal, ``/dev/stdout``) is written through in place. Unlike it, the
+    replaced file's other hard links keep the old content, and the new file
+    belongs to the writing user.
     """
     path = os.fspath(path)
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and stat.S_ISLNK(old.st_mode):
+        try:
+            old = os.stat(path)
+        except FileNotFoundError:  # a dangling link: create the file it names
+            old = None
+        if old is None or stat.S_ISREG(old.st_mode):
+            path = os.path.realpath(path)
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        fd = os.open(path, os.O_WRONLY | os.O_TRUNC)
+        try:
+            _write_all(fd, chunks)
+        finally:
+            os.close(fd)
+        return
+
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
@@ -28,13 +55,19 @@ def write_atomic(path: str | Path, *chunks) -> None:
         fd = os.open(tmp, flags, 0o666)
     try:
         try:
-            for chunk in chunks:
-                view = memoryview(chunk).cast("B")
-                while view:
-                    view = view[os.write(fd, view) :]
+            if old is not None:
+                os.chmod(fd, stat.S_IMODE(old.st_mode))
+            _write_all(fd, chunks)
         finally:
             os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_all(fd: int, chunks) -> None:
+    for chunk in chunks:
+        view = memoryview(chunk).cast("B")
+        while view:
+            view = view[os.write(fd, view) :]

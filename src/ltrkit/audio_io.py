@@ -135,7 +135,10 @@ def read_wav(path: str | Path) -> AudioBuffer:
     if tag == _TAG_PCM:
         values /= 32768.0
     if channels >= 8:
-        # numpy's mean sums 8 or more values pairwise; keep its exact order
+        # numpy's reduction sums 8 or more values per row in its own unrolled
+        # order, not column by column; the 8 is that unroll width, kept here
+        # only for bit parity with mean(axis=1), which tests/test_wav_bytes.py
+        # pins at 8, 9 and 16 channels
         values = values.reshape(-1, channels).mean(axis=1)
     elif channels > 1:
         # mean(axis=1) below 8 channels, bit for bit (signed zeros too): the

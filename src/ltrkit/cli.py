@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
 from ._atomic import write_atomic
@@ -275,7 +276,8 @@ def _cmd_wer(args) -> int:
             "confusions": [[ref_tok, hyp_tok, count] for (ref_tok, hyp_tok), count in
                            top_confusions([report], args.confusions or 10)],
         }
-        write_atomic(args.json_out, (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8"))
+        # in place, not atomic: a cut JSON document does not parse
+        Path(args.json_out).write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

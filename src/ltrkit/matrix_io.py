@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_atomic
 from .errors import DataError
 
 __all__ = ["FEATURES_MAGIC", "POSTERIORS_MAGIC", "MatrixFormatError", "read_matrix", "write_matrix"]
@@ -25,12 +24,18 @@ class MatrixFormatError(DataError):
 
 
 def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
-    """Write a 2-D matrix as float32 under ``magic``. The write is atomic:
-    ``path`` holds its old content or the whole new file, never part of one."""
+    """Write a 2-D matrix as row-major float32 under ``magic``.
+
+    The write is in place, not atomic: one that fails midway leaves a short
+    file, which ``read_matrix`` rejects because its size no longer matches
+    its header. (WAV files, manifests and CSVs, whose short files a reader
+    could take for whole ones, are replaced atomically instead.)"""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DataError(f"expected a 2-D matrix, got shape {values.shape}")
-    write_atomic(path, magic + struct.pack("<II", *values.shape), values.astype("<f4"))
+    with open(path, "wb") as handle:
+        handle.write(magic + struct.pack("<II", *values.shape))
+        handle.write(np.ascontiguousarray(values, dtype="<f4"))
 
 
 def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:

@@ -1,7 +1,10 @@
-"""Every file ltrkit writes goes through one atomic writer: a failure leaves
-the old file or none, and no temp file; a new file gets the mode a plain
-``open(path, "wb")`` would give it; arrays are adopted, never shared."""
+"""WAV files, manifests and ``analyze`` CSVs go through one atomic writer: a
+failure leaves the old file or none, and no temp file; the writer keeps what
+``open(path, "wb")`` does with modes, symlinks and pipes. FBK1/PST1 files and
+``wer`` JSON are written in place, and a cut one is rejected on read. Arrays
+are adopted, never shared."""
 
+import json
 import os
 import stat
 import struct
@@ -17,8 +20,9 @@ from ltrkit.dataset import ManifestRecord, save_manifest
 from ltrkit.errors import DataError
 from ltrkit.features import FeatureMatrix, fbank, load_features, mvn, save_features
 from ltrkit.ltr import LtrConfig, reverse_segments
-from ltrkit.matrix_io import POSTERIORS_MAGIC, write_matrix
+from ltrkit.matrix_io import FEATURES_MAGIC, POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 from ltrkit.perturb import SpecAugmentPolicy, spec_augment, speed_perturb
+from ltrkit.scoring import PosteriorGrid, load_grid, save_grid
 
 
 class _DiskFullAfter:
@@ -40,20 +44,18 @@ def _trn(path, lines):
 def _writers(tmp_path):
     wav = tmp_path / "in.wav"
     write_wav(AudioBuffer(np.linspace(-0.5, 0.5, 4000), 8000), wav)
-    _trn(tmp_path / "ref.trn", [("u1", "a b c"), ("u2", "d e")])
-    _trn(tmp_path / "hyp.trn", [("u1", "a x c"), ("u2", "d")])
     record = ManifestRecord("u1", "a.wav", "a b c", 1.5)
     return {
         "write_wav": lambda out: write_wav(AudioBuffer([0.25] * 50, 8000), out, "pcm16"),
-        "write_matrix": lambda out: write_matrix(np.ones((3, 4)), out, POSTERIORS_MAGIC),
         "save_manifest": lambda out: save_manifest([record], out),
         "analyze --out": lambda out: run(["analyze", "--metric", "boundary", "--in", str(wav), "--out", str(out)]),
-        "wer --json-out": lambda out: run(["wer", "--ref", str(tmp_path / "ref.trn"), "--hyp", str(tmp_path / "hyp.trn"),
-                                           "--json-out", str(out)]),
     }
 
 
-@pytest.mark.parametrize("writer", ["write_wav", "write_matrix", "save_manifest", "analyze --out", "wer --json-out"])
+ATOMIC_WRITERS = ["write_wav", "save_manifest", "analyze --out"]
+
+
+@pytest.mark.parametrize("writer", ATOMIC_WRITERS)
 @pytest.mark.parametrize("old", [None, b"the old content"])
 def test_a_writer_failing_midway_leaves_the_old_file_or_none(tmp_path, monkeypatch, capsys, writer, old):
     write = _writers(tmp_path)[writer]
@@ -63,7 +65,7 @@ def test_a_writer_failing_midway_leaves_the_old_file_or_none(tmp_path, monkeypat
     if old is not None:
         target.write_bytes(old)
     monkeypatch.setattr(_atomic, "os", _DiskFullAfter())
-    if writer.startswith(("analyze", "wer")):
+    if writer.startswith("analyze"):
         assert write(target) == 2  # an OSError is a data error
         assert "No space left on device" in capsys.readouterr().err
     else:
@@ -72,6 +74,42 @@ def test_a_writer_failing_midway_leaves_the_old_file_or_none(tmp_path, monkeypat
     assert os.listdir(out_dir) == ([] if old is None else ["target"])
     if old is not None:
         assert target.read_bytes() == old
+
+
+def test_a_cut_matrix_file_is_rejected_on_read(tmp_path):
+    path = tmp_path / "m.pst"
+    write_matrix(np.full((3, 4), 0.25), path, POSTERIORS_MAGIC)
+    whole = path.read_bytes()
+    for size in range(len(whole)):
+        path.write_bytes(whole[:size])
+        with pytest.raises(MatrixFormatError):
+            read_matrix(path, POSTERIORS_MAGIC)
+
+
+def test_a_cut_wer_json_does_not_parse(tmp_path):
+    _trn(tmp_path / "ref.trn", [("u1", "a b c"), ("u2", "d e")])
+    _trn(tmp_path / "hyp.trn", [("u1", "a x c"), ("u2", "d")])
+    out = tmp_path / "wer.json"
+    assert run(["wer", "--ref", str(tmp_path / "ref.trn"), "--hyp", str(tmp_path / "hyp.trn"), "--json-out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.endswith("}\n")
+    for size in range(len(text) - 1):  # all but the final newline
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text[:size])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matrix_files_are_row_major_whatever_the_memory_order(tmp_path, order):
+    values = np.asarray(np.arange(6.0).reshape(2, 3).T, order=order)
+    expected = FEATURES_MAGIC + struct.pack("<II", 3, 2) + np.ascontiguousarray(values, dtype="<f4").tobytes()
+    write_matrix(values, tmp_path / "m.fbk", FEATURES_MAGIC)
+    save_features(FeatureMatrix(values), tmp_path / "f.fbk")
+    assert (tmp_path / "m.fbk").read_bytes() == expected
+    assert (tmp_path / "f.fbk").read_bytes() == expected
+    assert load_features(tmp_path / "f.fbk").values.tolist() == values.tolist()
+    probs = np.asarray(np.array([[0.25, 0.5], [0.75, 0.5]]).T, order=order)
+    save_grid(PosteriorGrid(probs), tmp_path / "g.pst")
+    assert load_grid(tmp_path / "g.pst").probs.tolist() == probs.tolist()
 
 
 def test_a_failing_replace_removes_the_temp_file(tmp_path, monkeypatch):
@@ -83,7 +121,7 @@ def test_a_failing_replace_removes_the_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_atomic, "os", _NoReplace())
     with pytest.raises(PermissionError):
-        write_matrix(np.ones((2, 2)), tmp_path / "m.pst", POSTERIORS_MAGIC)
+        save_manifest([ManifestRecord("u", "a.wav", "t", 1.0)], tmp_path / "m.jsonl")
     assert os.listdir(tmp_path) == []
 
 
@@ -103,6 +141,56 @@ def test_a_temp_file_left_by_a_killed_writer_is_replaced(tmp_path):
     save_manifest([ManifestRecord("u", "a.wav", "t", 1.0)], target)
     assert os.listdir(tmp_path) == ["m.jsonl"]
     assert target.read_bytes().startswith(b'{"utt_id": "u"')
+
+
+def test_an_existing_file_keeps_its_mode(tmp_path):
+    for mode in (0o600, 0o640, 0o755):
+        plain, replaced = tmp_path / f"plain{mode:o}", tmp_path / f"replaced{mode:o}"
+        for path in (plain, replaced):
+            path.write_bytes(b"old")
+            os.chmod(path, mode)
+        with open(plain, "wb") as handle:
+            handle.write(b"new")
+        _atomic.write_atomic(replaced, b"new")
+        assert stat.S_IMODE(os.stat(replaced).st_mode) == stat.S_IMODE(os.stat(plain).st_mode) == mode
+        assert replaced.read_bytes() == b"new"
+
+
+def test_a_symlinked_target_keeps_its_link_and_the_file_it_names_is_replaced(tmp_path):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    (shared / "m.jsonl").write_bytes(b"old")
+    link = tmp_path / "m.jsonl"
+    link.symlink_to(shared / "m.jsonl")
+    save_manifest([ManifestRecord("u", "a.wav", "t", 1.0)], link)
+    assert link.is_symlink()
+    assert (shared / "m.jsonl").read_bytes().startswith(b'{"utt_id": "u"')
+    assert sorted(os.listdir(tmp_path)) == ["m.jsonl", "shared"]
+    assert os.listdir(shared) == ["m.jsonl"]
+
+    dangling = tmp_path / "new.wav"
+    dangling.symlink_to(shared / "new.wav")
+    write_wav(AudioBuffer([0.5], 8000), dangling, "pcm16")  # created where the link points, as open("wb") does
+    assert dangling.is_symlink()
+    assert read_wav(shared / "new.wav").samples.tolist() == [0.5]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_target_is_written_through(tmp_path):
+    wav = tmp_path / "in.wav"
+    write_wav(AudioBuffer(np.linspace(-0.5, 0.5, 4000), 8000), wav)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        code = run(["analyze", "--metric", "boundary", "--durations", "5,10", "--in", str(wav), "--out", str(fifo)])
+        received = os.read(read_end, 1 << 16)
+    finally:
+        os.close(read_end)
+    assert code == 0
+    assert received.decode().startswith("segment_ms,value\n5,")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.fifo"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
