@@ -134,21 +134,24 @@ def read_wav(path: str | Path) -> AudioBuffer:
     values = np.frombuffer(data_body, dtype=dtype).astype(np.float64)
     if tag == _TAG_PCM:
         values /= 32768.0
-    if channels >= 8:
-        # numpy's reduction sums 8 or more values per row in its own unrolled
-        # order, not column by column; the 8 is that unroll width, kept here
-        # only for bit parity with mean(axis=1), which tests/test_wav_bytes.py
-        # pins at 8, 9 and 16 channels
-        values = values.reshape(-1, channels).mean(axis=1)
-    elif channels > 1:
-        # mean(axis=1) below 8 channels, bit for bit (signed zeros too): the
-        # columns added in order to 0.0, then divided by the count
-        frames = values.reshape(-1, channels)
-        mixed = np.zeros(len(frames))
-        for column in frames.T:
-            mixed += column
-        mixed /= channels
-        values = mixed
+    # +inf and -inf in one frame mix to NaN, which _adopt reports; numpy's
+    # warning about it would only repeat the error
+    with np.errstate(invalid="ignore"):
+        if channels >= 8:
+            # numpy's reduction sums 8 or more values per row in its own
+            # unrolled order, not column by column; the 8 is that unroll
+            # width, kept here only for bit parity with mean(axis=1), which
+            # tests/test_wav_bytes.py pins at 8, 9 and 16 channels
+            values = values.reshape(-1, channels).mean(axis=1)
+        elif channels > 1:
+            # mean(axis=1) below 8 channels, bit for bit (signed zeros too):
+            # the columns added in order to 0.0, then divided by the count
+            frames = values.reshape(-1, channels)
+            mixed = np.zeros(len(frames))
+            for column in frames.T:
+                mixed += column
+            mixed /= channels
+            values = mixed
     np.clip(values, -1.0, 1.0, out=values)
     try:
         return AudioBuffer._adopt(values, int(rate))

@@ -6,6 +6,8 @@ power-of-two FFT size, and a triangular mel filterbank spanning 0 Hz to
 Nyquist on the ``2595 * log10(1 + f/700)`` scale. Filterbank energies are
 floored at 1e-10 before the natural log, so silence maps to ``log(1e-10)``
 everywhere. Mean-variance normalization is per utterance and per coefficient.
+The spectra are computed in blocks of a fixed number of frames, so no
+temporary grows with the utterance beyond the spectrum itself.
 
 Two analysis helpers quantify what local time reversal does to a signal:
 :func:`boundary_discontinuity` measures the average sample jump at segment
@@ -15,6 +17,7 @@ equally-shaped feature matrices; :func:`distortion_curve` sweeps either.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -40,6 +43,9 @@ __all__ = [
 
 _PREEMPHASIS = 0.97
 _ENERGY_FLOOR = 1e-10
+# Frames per FFT block: one zero-padded input of this many rows is reused for
+# the whole utterance, and each block's complex spectrum is this many rows.
+_BLOCK_FRAMES = 256
 
 DISTORTION_METRICS = ("boundary", "spectral-distance")
 
@@ -106,6 +112,42 @@ def _mel_filterbank(dims: int, fft_size: int, sample_rate_hz: int) -> np.ndarray
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
+@functools.lru_cache(maxsize=16)
+def _tables(dims: int, window: int, fft_size: int, sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Hamming window and the mel filterbank of one configuration,
+    read-only because every call with it shares them."""
+    hamming = np.hamming(window)
+    mel = _mel_filterbank(dims, fft_size, sample_rate_hz)
+    hamming.setflags(write=False)
+    mel.setflags(write=False)
+    return hamming, mel
+
+
+def _magnitude_spectrum(
+    x: np.ndarray, window: int, hop: int, n_frames: int, fft_size: int, hamming: np.ndarray
+) -> np.ndarray:
+    """``abs(rfft(emphasized_frames * hamming, fft_size))``, one block of
+    frames at a time."""
+    # Pre-emphasis within a frame is the whole signal's pre-emphasis: frame
+    # f's samples 1..window-1 are emphasized[f*hop : f*hop + window - 1], and
+    # only its first sample, which has no predecessor in the frame, is scaled
+    # on its own.
+    emphasized = np.multiply(x[:-1], _PREEMPHASIS)
+    np.subtract(x[1:], emphasized, out=emphasized)
+    tails = np.lib.stride_tricks.sliding_window_view(emphasized, window - 1)[::hop]
+    heads = x[: (n_frames - 1) * hop + 1 : hop] * (1.0 - _PREEMPHASIS)
+
+    spectrum = np.empty((n_frames, fft_size // 2 + 1))
+    padded = np.zeros((min(n_frames, _BLOCK_FRAMES), fft_size))
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, n_frames)
+        block = padded[: stop - start]
+        np.multiply(heads[start:stop], hamming[0], out=block[:, 0])
+        np.multiply(tails[start:stop], hamming[1:], out=block[:, 1:window])
+        np.abs(np.fft.rfft(block), out=spectrum[start:stop])
+    return spectrum
+
+
 def fbank(
     buffer: AudioBuffer,
     dims: int = 80,
@@ -114,6 +156,11 @@ def fbank(
 ) -> FeatureMatrix:
     """Log-mel filterbank features, one row per frame. No normalization.
     Window and hop are rounded to samples by :func:`~ltrkit.ltr.segment_samples`.
+
+    The frames go through the FFT in blocks of a fixed size, reusing one
+    zero-padded block and writing magnitudes straight into the spectrum; the
+    result equals the all-frames-at-once formula (pre-emphasize each frame,
+    window it, ``abs(rfft(..., fft_size)) @ mel.T``) bit for bit.
 
     Raises:
         DataError: if ``dims``, ``frame_length_ms`` or ``frame_shift_ms`` is
@@ -130,15 +177,13 @@ def fbank(
         raise DataError(f"buffer of {n} samples is shorter than one {window}-sample window")
 
     n_frames = 1 + (n - window) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(buffer.samples, window)[::hop][:n_frames]
-
-    emphasized = np.empty((n_frames, window), dtype=np.float64)
-    emphasized[:, 1:] = frames[:, 1:] - _PREEMPHASIS * frames[:, :-1]
-    emphasized[:, 0] = frames[:, 0] * (1.0 - _PREEMPHASIS)
-
     fft_size = 1 << (window - 1).bit_length()
-    spectrum = np.abs(np.fft.rfft(emphasized * np.hamming(window), fft_size))
-    energies = spectrum @ _mel_filterbank(dims, fft_size, buffer.sample_rate_hz).T
+    hamming, mel = _tables(dims, window, fft_size, buffer.sample_rate_hz)
+
+    spectrum = _magnitude_spectrum(buffer.samples, window, hop, n_frames, fft_size, hamming)
+    # one product over all frames, with the filterbank as its transposed
+    # view: a blocked product or a contiguous copy can change the last bits
+    energies = spectrum @ mel.T
     np.maximum(energies, _ENERGY_FLOOR, out=energies)
     return FeatureMatrix._adopt(np.log(energies, out=energies))
 

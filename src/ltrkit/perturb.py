@@ -19,6 +19,9 @@ __all__ = ["DEFAULT_SPEED_FACTORS", "SpecAugmentPolicy", "spec_augment", "speed_
 DEFAULT_SPEED_FACTORS: tuple[float, ...] = (0.9, 1.0, 1.1)
 # Slower would stretch audio over a hundredfold, past any perturbation.
 _MIN_SPEED_FACTOR = 0.01
+# Output samples interpolated per block: the block's positions, index ramp
+# and slopes stay a few hundred KiB whatever the buffer's length.
+_BLOCK_SAMPLES = 1 << 15
 
 
 def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
@@ -29,6 +32,11 @@ def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     position ``i * factor``, clamped at the signal edges. Factor 1.0 is the
     identity: it returns ``buffer`` itself. The factor must be finite and at
     least 0.01.
+
+    The output is filled in blocks of a fixed size, each interpolated from
+    only the input samples its positions fall between, at their own indices;
+    it equals ``np.interp(np.arange(out_len) * factor, np.arange(n), samples)``
+    over the whole buffer bit for bit.
     """
     if positive("speed factor", factor) < _MIN_SPEED_FACTOR:
         raise DataError(f"speed factor must be at least {_MIN_SPEED_FACTOR}, got {factor}")
@@ -38,8 +46,14 @@ def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     out_len = int(math.floor(n / factor + 0.5))
     if out_len < 1:
         raise DataError(f"factor {factor} leaves no output samples for a {n}-sample buffer")
-    positions = np.arange(out_len, dtype=np.float64) * factor
-    out = np.interp(positions, np.arange(n, dtype=np.float64), buffer.samples)
+    samples = buffer.samples
+    out = np.empty(out_len)
+    for start in range(0, out_len, _BLOCK_SAMPLES):
+        stop = min(start + _BLOCK_SAMPLES, out_len)
+        positions = np.arange(start, stop, dtype=np.float64) * factor
+        lo = min(int(positions[0]), n - 1)
+        hi = min(int(positions[-1]) + 2, n)
+        out[start:stop] = np.interp(positions, np.arange(lo, hi, dtype=np.float64), samples[lo:hi])
     return AudioBuffer._adopt(out, buffer.sample_rate_hz)
 
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, numbered_lines
+from .errors import DataError, numbered_lines, positive
 from .matrix_io import POSTERIORS_MAGIC, read_matrix, write_matrix
 
 __all__ = [
@@ -422,9 +422,14 @@ def tabular_lm_score(
     get ``log(floor)``.
 
     Raises:
-        DataError: if the table's probabilities sum to more than 1.
+        DataError: if a table probability is NaN or infinite, if the table's
+            probabilities sum to more than 1, or if ``floor`` is not positive
+            and finite.
     """
+    positive("floor", floor)
     mass = sum(table.values())
+    if not math.isfinite(mass):  # a NaN or infinite entry makes the sum one too
+        raise DataError(f"table probabilities must be finite, they sum to {mass}")
     if mass > 1.0 + 1e-9:
         raise DataError(f"table probabilities sum to {mass}, more than 1")
     p = table.get(tuple(tokens), 0.0)

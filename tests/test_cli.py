@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +99,23 @@ def test_ltr_malformed_wav_is_data_error(tmp_path, wav, capsys):
     assert run(["ltr", "--segment-ms", "1e308", "--in", str(wav), "--out", str(tmp_path / "o.wav")]) == 2
     assert "1e+308 ms" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("channels", [2, 9])
+def test_ltr_opposite_infinities_print_only_the_error(tmp_path, channels):
+    frames = np.zeros((4, channels), dtype="<f4")
+    frames[1, 0], frames[1, 1] = np.inf, -np.inf  # they mix to NaN
+    payload = frames.tobytes()
+    fmt = struct.pack("<IHHIIHH", 16, 3, channels, 8000, 8000 * channels * 4, channels * 4, 32)
+    body = b"fmt " + fmt + b"data" + struct.pack("<I", len(payload)) + payload
+    bad = tmp_path / "inf.wav"
+    bad.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    # a child process, so a numpy warning would print to stderr as it does for a user
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [sys.executable, "-m", "ltrkit.cli", "ltr", "--segment-ms", "20", "--in", str(bad), "--out", str(tmp_path / "o.wav")]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: {bad}: samples must be finite, 1 of 4 are not"]
 
 
 def test_speed_command(tmp_path, wav):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from ltrkit.audio_io import AudioBuffer
 from ltrkit.errors import DataError
 from ltrkit.features import (
     FeatureMatrix,
+    _mel_filterbank,
+    _tables,
     boundary_discontinuity,
     distortion_curve,
     fbank,
@@ -13,7 +17,7 @@ from ltrkit.features import (
     save_features,
     spectral_distance,
 )
-from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
+from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
 from ltrkit.matrix_io import FEATURES_MAGIC, MatrixFormatError, write_matrix
 
 
@@ -201,3 +205,86 @@ def test_feature_matrix_rejects_non_finite_values(tmp_path, bad):
 def test_fbank_of_overflowing_samples_is_a_data_error():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataError, match="feature values must be finite"):
         fbank(AudioBuffer(np.full(800, 1e306) * (-1.0) ** np.arange(800), 16000))
+
+
+def _seed_fbank(buffer, dims=80, frame_length_ms=25.0, frame_shift_ms=10.0):
+    """The all-frames-at-once fbank that the blocked one replaced, kept as
+    the reference it must equal bit for bit."""
+    window = segment_samples(frame_length_ms, buffer.sample_rate_hz)
+    hop = segment_samples(frame_shift_ms, buffer.sample_rate_hz)
+    n_frames = 1 + (len(buffer) - window) // hop
+    frames = np.lib.stride_tricks.sliding_window_view(buffer.samples, window)[::hop][:n_frames]
+
+    emphasized = np.empty((n_frames, window), dtype=np.float64)
+    emphasized[:, 1:] = frames[:, 1:] - 0.97 * frames[:, :-1]
+    emphasized[:, 0] = frames[:, 0] * (1.0 - 0.97)
+
+    fft_size = 1 << (window - 1).bit_length()
+    spectrum = np.abs(np.fft.rfft(emphasized * np.hamming(window), fft_size))
+    energies = spectrum @ _mel_filterbank(dims, fft_size, buffer.sample_rate_hz).T
+    np.maximum(energies, 1e-10, out=energies)
+    return np.log(energies, out=energies)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+_FRAME_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 511, 513)
+
+
+@pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 44100])
+@pytest.mark.parametrize("window_ms, shift_ms", [(25.0, 10.0), (20.0, 7.5), (10.0, 10.0), (64.0, 32.0), (0.1, 0.1)])
+def test_fbank_matches_seed_bit_for_bit(rate, window_ms, shift_ms):
+    rng = np.random.default_rng(rate + int(window_ms * 10))
+    window = segment_samples(window_ms, rate)
+    hop = segment_samples(shift_ms, rate)
+    for frames in _FRAME_COUNTS:
+        # a length that leaves a random remainder short of the next frame
+        buffer = AudioBuffer(rng.uniform(-1.0, 1.0, window + (frames - 1) * hop + int(rng.integers(0, hop))), rate)
+        for dims in (1, 13, 40, 80, 128):
+            got = fbank(buffer, dims, window_ms, shift_ms).values
+            assert got.shape[0] == frames
+            assert _same_bits(got, _seed_fbank(buffer, dims, window_ms, shift_ms)), (frames, dims)
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+def test_fbank_matches_seed_on_negative_zeros_and_ltr_renderings(rate):
+    rng = np.random.default_rng(rate)
+    n = rate * 3 + 123
+    zeros = np.zeros(n)
+    zeros[rng.uniform(size=n) < 0.5] = -0.0
+    sparse = rng.normal(0.0, 0.3, n)
+    sparse[rng.uniform(size=n) < 0.3] = -0.0
+    t = np.arange(n) / rate
+    speech_like = AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t) * np.sin(2 * np.pi * 3 * t) + 0.05 * rng.normal(size=n), rate)
+    buffers = [AudioBuffer(zeros, rate), AudioBuffer(sparse, rate), speech_like]
+    buffers += [reverse_segments(speech_like, LtrConfig(ms)) for ms in DEFAULT_DURATIONS_MS]
+    for buffer in buffers:
+        for dims in (13, 80):
+            assert _same_bits(fbank(buffer, dims).values, _seed_fbank(buffer, dims))
+
+
+def test_fbank_memory_stays_bounded():
+    buffer = AudioBuffer(np.random.default_rng(0).uniform(-1.0, 1.0, 640_000), 16000)
+    fbank(buffer)  # the tables are cached by then
+    tracemalloc.start()
+    try:
+        features = fbank(buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the all-frames-at-once form peaked at 40.1 MiB on this input
+    assert peak <= 20 * 2**20, peak / 2**20
+    assert _same_bits(features.values, _seed_fbank(buffer))
+
+
+def test_cached_tables_are_read_only():
+    buffer = AudioBuffer(np.zeros(1000), 8000)
+    fbank(buffer, 13)
+    hamming, mel = _tables(13, 200, 256, 8000)
+    assert _tables(13, 200, 256, 8000)[1] is mel
+    for table in (hamming, mel):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0

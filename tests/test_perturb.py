@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,3 +115,59 @@ def test_policy_validation():
         SpecAugmentPolicy(max_time_mask_fraction=1.5)
     with pytest.raises(ValueError):
         SpecAugmentPolicy(max_freq_mask_width=-2)
+
+
+def _seed_speed_perturb(buffer, factor):
+    """The whole-buffer interpolation that the blocked one replaced, kept as
+    the reference it must equal bit for bit (factor 1.0 aside)."""
+    n = len(buffer)
+    out_len = int(math.floor(n / factor + 0.5))
+    positions = np.arange(out_len, dtype=np.float64) * factor
+    return np.interp(positions, np.arange(n, dtype=np.float64), buffer.samples)
+
+
+_FACTORS = (0.01, 0.37, 0.9, 1.1, 1.3, 2, 7.5, 1e4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 2**15 - 1, 2**15 + 1])
+def test_speed_perturb_matches_seed_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    signed_zeros = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0)
+    with_zeros = rng.uniform(-1.0, 1.0, n)
+    with_zeros[rng.uniform(size=n) < 0.3] = -0.0
+    for samples in (rng.uniform(-1.0, 1.0, n), signed_zeros, with_zeros):
+        buffer = AudioBuffer(samples, 16000)
+        for factor in _FACTORS:
+            want = _seed_speed_perturb(buffer, factor)
+            if len(want) == 0:
+                with pytest.raises(DataError, match="no output samples"):
+                    speed_perturb(buffer, factor)
+                continue
+            got = speed_perturb(buffer, factor).samples
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), factor
+
+
+def test_speed_perturb_matches_seed_on_ltr_renderings():
+    from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
+
+    rng = np.random.default_rng(7)
+    t = np.arange(3 * 16000 + 5) / 16000
+    buffer = AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t) + 0.05 * rng.normal(size=len(t)), 16000)
+    for ms in DEFAULT_DURATIONS_MS:
+        rendered = reverse_segments(buffer, LtrConfig(ms))
+        for factor in (0.9, 1.1, 1.3):
+            got = speed_perturb(rendered, factor).samples
+            want = _seed_speed_perturb(rendered, factor)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (ms, factor)
+
+
+def test_speed_perturb_memory_stays_bounded():
+    buffer = AudioBuffer(np.random.default_rng(0).uniform(-1.0, 1.0, 640_000), 16000)
+    tracemalloc.start()
+    try:
+        out = speed_perturb(buffer, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-buffer form peaked at 25.5 MiB for this 5.4 MiB output
+    assert peak <= out.samples.nbytes + 2 * 2**20, peak / 2**20

@@ -440,6 +440,23 @@ def test_tabular_lm():
         tabular_lm_score({(0,): 0.8, (1,): 0.5}, [0])
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(math.nan,), (-math.inf,), (math.inf,), (0.2, math.inf, -math.inf), (0.2, math.nan, -0.5)],
+)
+def test_tabular_lm_rejects_non_finite_mass(entries):
+    table = {(i,): p for i, p in enumerate(entries)}
+    for tokens in ([0], [len(entries)]):  # in the table's support or not
+        with pytest.raises(DataError, match="must be finite"):
+            tabular_lm_score(table, tokens)
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-3, math.nan, math.inf])
+def test_tabular_lm_rejects_bad_floor(floor):
+    with pytest.raises(DataError, match="floor must be positive and finite"):
+        tabular_lm_score({(0,): 0.5}, [1], floor=floor)
+
+
 def test_uniform_lm_never_changes_argmax():
     weights = FusionWeights(ctc_weight=0.5, lm_weight=0.9)
     no_lm = FusionWeights(ctc_weight=0.5, lm_weight=0.0)
