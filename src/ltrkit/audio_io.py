@@ -36,7 +36,8 @@ class WavFormatError(DataError):
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """A mono audio signal: normalized samples plus a sample rate.
+    """A mono audio signal: normalized samples plus a whole-number sample
+    rate in Hz (an integral float such as ``16000.0`` is stored as an int).
 
     Buffers are immutable values, safe to share between threads: the public
     constructor copies the samples it is given, and the fresh arrays the
@@ -69,7 +70,10 @@ class AudioBuffer:
         if not np.isfinite(samples).all():
             raise DataError(f"samples must be finite, {np.count_nonzero(~np.isfinite(samples))} of {len(samples)} are not")
         samples.setflags(write=False)
-        positive("sample_rate_hz", self.sample_rate_hz)
+        rate = positive("sample_rate_hz", self.sample_rate_hz)
+        if rate != int(rate):
+            raise DataError(f"sample_rate_hz must be a whole number, got {rate}")
+        object.__setattr__(self, "sample_rate_hz", int(rate))
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -22,11 +22,11 @@ from ._atomic import write_atomic
 from .audio_io import read_wav, write_wav
 from .dataset import AugmentationSet, build_set, build_speed_set, load_manifest, save_manifest
 from .errors import DataError, positive
-from .features import DISTORTION_METRICS, distortion_curve, fbank, load_features, mvn, save_features
+from .features import DISTORTION_METRICS, distortion_csv, fbank, load_features, mvn, save_features
 from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
-from .metrics import corpus_report, read_trn, tokenize, top_confusions
+from .metrics import trn_report
 from .perturb import SpecAugmentPolicy, spec_augment, speed_perturb
-from .scoring import FusionWeights, Vocabulary, ctc_loss, load_grid, load_hypotheses, rescore_hypotheses
+from .scoring import FusionWeights, Vocabulary, ctc_loss_labels, load_grid, load_hypotheses, rescore_hypotheses
 
 __all__ = ["main", "run"]
 
@@ -81,19 +81,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="per-file progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("ltr", parents=[], help="render locally time-reversed audio")
-    p.add_argument("--segment-ms", type=_positive_float, required=True, help="reversed segment duration in ms")
-    p.add_argument("--in", dest="in_path", required=True, metavar="WAV")
-    p.add_argument("--out", dest="out_path", required=True, metavar="WAV")
-    p.add_argument("--codec", choices=("pcm16", "float32"), default="float32")
-    p.set_defaults(func=_cmd_ltr)
+    # option groups shared by ltr/speed and by build-set/build-speed-set
+    audio = _Parser(add_help=False)
+    audio.add_argument("--in", dest="in_path", required=True, metavar="WAV")
+    audio.add_argument("--out", dest="out_path", required=True, metavar="WAV")
+    audio.add_argument("--codec", choices=("pcm16", "float32"), default="float32")
+    build = _Parser(add_help=False)
+    build.add_argument("--manifest", required=True, metavar="JSONL")
+    build.add_argument("--out-dir", required=True)
+    build.add_argument("--out-manifest", required=True, metavar="JSONL")
+    build.add_argument("--parallelism", type=_positive_int, default=_default_parallelism())
 
-    p = sub.add_parser("speed", help="speed-perturb audio by a playback factor")
+    # the lambdas look up their library call when run, so a patched global is the one used
+    p = sub.add_parser("ltr", parents=[audio], help="render locally time-reversed audio")
+    p.add_argument("--segment-ms", type=_positive_float, required=True, help="reversed segment duration in ms")
+    p.set_defaults(func=_cmd_audio, transform=lambda buffer, args: reverse_segments(buffer, LtrConfig(args.segment_ms)))
+
+    p = sub.add_parser("speed", parents=[audio], help="speed-perturb audio by a playback factor")
     p.add_argument("--factor", type=_positive_float, required=True)
-    p.add_argument("--in", dest="in_path", required=True, metavar="WAV")
-    p.add_argument("--out", dest="out_path", required=True, metavar="WAV")
-    p.add_argument("--codec", choices=("pcm16", "float32"), default="float32")
-    p.set_defaults(func=_cmd_speed)
+    p.set_defaults(func=_cmd_audio, transform=lambda buffer, args: speed_perturb(buffer, args.factor))
 
     p = sub.add_parser("specaug", help="mask time and frequency regions of a feature file")
     p.add_argument("--seed", type=int, required=True)
@@ -114,21 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-mvn", action="store_true", help="skip mean-variance normalization")
     p.set_defaults(func=_cmd_featurize)
 
-    p = sub.add_parser("build-set", help="build a 3-fold training set from a manifest (originals + one LTR pair)")
+    p = sub.add_parser("build-set", parents=[build],
+                       help="build a 3-fold training set from a manifest (originals + one LTR pair)")
     p.add_argument("--set", dest="set_id", type=int, choices=range(1, 6), required=True, metavar="{1..5}")
-    p.add_argument("--manifest", required=True, metavar="JSONL")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--out-manifest", required=True, metavar="JSONL")
-    p.add_argument("--parallelism", type=_positive_int, default=_default_parallelism())
-    p.set_defaults(func=_cmd_build_set)
+    p.set_defaults(func=_cmd_build, build=lambda records, args: build_set(
+        records, AugmentationSet(args.set_id), args.out_dir, parallelism=args.parallelism))
 
-    p = sub.add_parser("build-speed-set", help="build a speed-perturbed training set from a manifest")
+    p = sub.add_parser("build-speed-set", parents=[build], help="build a speed-perturbed training set from a manifest")
     p.add_argument("--factors", type=_float_list, default=(0.9, 1.0, 1.1), metavar="F,F,...")
-    p.add_argument("--manifest", required=True, metavar="JSONL")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--out-manifest", required=True, metavar="JSONL")
-    p.add_argument("--parallelism", type=_positive_int, default=_default_parallelism())
-    p.set_defaults(func=_cmd_build_speed_set)
+    p.set_defaults(func=_cmd_build, build=lambda records, args: build_speed_set(
+        records, args.factors, args.out_dir, parallelism=args.parallelism))
 
     p = sub.add_parser("analyze", help="per-duration LTR distortion metrics as CSV (segment_ms,value)")
     p.add_argument("--metric", choices=DISTORTION_METRICS, required=True)
@@ -161,57 +162,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_ltr(args) -> int:
-    buffer = read_wav(args.in_path)
-    write_wav(reverse_segments(buffer, LtrConfig(args.segment_ms)), args.out_path, args.codec)
-    return 0
-
-
-def _cmd_speed(args) -> int:
-    buffer = read_wav(args.in_path)
-    write_wav(speed_perturb(buffer, args.factor), args.out_path, args.codec)
+def _cmd_audio(args) -> int:
+    write_wav(args.transform(read_wav(args.in_path), args), args.out_path, args.codec)
     return 0
 
 
 def _cmd_specaug(args) -> int:
-    policy = SpecAugmentPolicy(
-        num_freq_masks=args.freq_masks,
-        max_freq_mask_width=args.freq_width,
-        num_time_masks=args.time_masks,
-        max_time_mask_fraction=args.time_fraction,
-        seed=args.seed,
-    )
+    policy = SpecAugmentPolicy(args.freq_masks, args.freq_width, args.time_masks, args.time_fraction, args.seed)
     save_features(spec_augment(load_features(args.in_path), policy), args.out_path)
     return 0
 
 
 def _cmd_featurize(args) -> int:
     features = fbank(read_wav(args.in_path), args.dims, args.window_ms, args.shift_ms)
-    if not args.no_mvn:
-        features = mvn(features)
-    save_features(features, args.out_path)
+    save_features(features if args.no_mvn else mvn(features), args.out_path)
     return 0
 
 
-def _cmd_build_set(args) -> int:
-    records = load_manifest(args.manifest)
-    out = build_set(records, AugmentationSet(args.set_id), args.out_dir, parallelism=args.parallelism)
-    save_manifest(out, args.out_manifest)
-    print(f"wrote {len(out)} records to {args.out_manifest}", file=sys.stderr)
-    return 0
-
-
-def _cmd_build_speed_set(args) -> int:
-    records = load_manifest(args.manifest)
-    out = build_speed_set(records, args.factors, args.out_dir, parallelism=args.parallelism)
+def _cmd_build(args) -> int:
+    out = args.build(load_manifest(args.manifest), args)
     save_manifest(out, args.out_manifest)
     print(f"wrote {len(out)} records to {args.out_manifest}", file=sys.stderr)
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    rows = distortion_curve(read_wav(args.in_path), args.metric, args.durations)
-    csv = "segment_ms,value\n" + "".join(f"{duration_ms:g},{value:.9g}\n" for duration_ms, value in rows)
+    csv = distortion_csv(read_wav(args.in_path), args.metric, args.durations)
     if args.out_path:
         write_atomic(args.out_path, csv.encode("utf-8"))
     else:
@@ -221,11 +197,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_score_ctc(args) -> int:
     vocab = Vocabulary(tuple(args.vocab.split()))
-    grid = load_grid(args.grid)
-    if grid.num_tokens != vocab.size:
-        raise DataError(f"grid has {grid.num_tokens} token columns but the vocabulary has {vocab.size}")
-    loss = ctc_loss(grid, vocab.encode(args.tokens.split()))
-    print(f"{loss:.12g}")
+    print(f"{ctc_loss_labels(load_grid(args.grid), vocab, args.tokens.split()):.12g}")
     return 0
 
 
@@ -239,45 +211,18 @@ def _cmd_score_fuse(args) -> int:
 
 
 def _cmd_wer(args) -> int:
-    refs = read_trn(args.ref)
-    hyps = read_trn(args.hyp)
-    if not refs:
-        raise DataError(f"{args.ref}: no utterances")
-    missing = sorted(set(refs) ^ set(hyps))
-    if missing:
-        raise DataError(f"utt_ids not present in both files: {', '.join(missing[:5])}")
-
-    pairs = []
-    for utt_id, ref_text in refs.items():
-        ref = tokenize(ref_text, args.unit)
-        if not ref:
-            raise DataError(f"{args.ref}: utterance {utt_id!r} has an empty reference; error rate is undefined")
-        pairs.append((ref, tokenize(hyps[utt_id], args.unit)))
-    report = corpus_report(pairs)
-
-    print(f"{args.unit} error rate: {100.0 * report.rate:.2f}%  "
-          f"({report.total_errors} errors / {report.ref_len} ref tokens, {len(pairs)} utterances)")
-    print(f"S={report.substitutions} I={report.insertions} D={report.deletions} H={report.hits}")
-    confusions = top_confusions([report], args.confusions) if args.confusions else []
-    if confusions:
+    report = trn_report(args.ref, args.hyp, args.unit, args.confusions or 10)
+    errors = report["substitutions"] + report["insertions"] + report["deletions"]
+    print(f"{args.unit} error rate: {100.0 * report['error_rate']:.2f}%  "
+          f"({errors} errors / {report['ref_len']} ref tokens, {report['utterances']} utterances)")
+    print(f"S={report['substitutions']} I={report['insertions']} D={report['deletions']} H={report['hits']}")
+    if args.confusions and report["confusions"]:
         print("top substitutions:")
-        for (ref_tok, hyp_tok), count in confusions:
+        for ref_tok, hyp_tok, count in report["confusions"]:
             print(f"  {ref_tok} -> {hyp_tok}  {count}")
     if args.json_out:
-        payload = {
-            "unit": args.unit,
-            "error_rate": report.rate,
-            "ref_len": report.ref_len,
-            "utterances": len(pairs),
-            "substitutions": report.substitutions,
-            "insertions": report.insertions,
-            "deletions": report.deletions,
-            "hits": report.hits,
-            "confusions": [[ref_tok, hyp_tok, count] for (ref_tok, hyp_tok), count in
-                           top_confusions([report], args.confusions or 10)],
-        }
         # in place, not atomic: a cut JSON document does not parse
-        Path(args.json_out).write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+        Path(args.json_out).write_text(json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "fbank",
     "mvn",
     "boundary_discontinuity",
+    "distortion_csv",
     "distortion_curve",
     "spectral_distance",
     "save_features",
@@ -57,8 +58,8 @@ class FeatureMatrix:
     Immutable like :class:`~ltrkit.audio_io.AudioBuffer`: the public
     constructor copies the values it is given, and the fresh arrays the
     library makes itself (features, normalized, masked or loaded matrices) are
-    adopted without a copy. Either way the array is marked read-only and every
-    value must be finite.
+    adopted without a copy. Either way the array is marked read-only, it has
+    at least one frame and one dim, and every value must be finite.
     """
 
     values: np.ndarray
@@ -78,8 +79,8 @@ class FeatureMatrix:
 
     def _check(self) -> None:
         values = self.values
-        if values.ndim != 2:
-            raise DataError(f"feature values must be 2-D, got shape {values.shape}")
+        if values.ndim != 2 or 0 in values.shape:
+            raise DataError(f"feature values must be 2-D with at least one frame and one dim, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise DataError(f"feature values must be finite, {np.count_nonzero(~np.isfinite(values))} of {values.size} are not")
         values.setflags(write=False)
@@ -246,6 +247,13 @@ def distortion_curve(
         value = boundary_discontinuity(rendered, config) if reference is None else spectral_distance(reference, fbank(rendered))
         curve.append((duration_ms, value))
     return curve
+
+
+def distortion_csv(buffer: AudioBuffer, metric: str, durations_ms: Iterable[float] = DEFAULT_DURATIONS_MS) -> str:
+    """:func:`distortion_curve` as CSV text: a ``segment_ms,value`` header,
+    then a ``%g,%.9g`` row per duration."""
+    rows = distortion_curve(buffer, metric, durations_ms)
+    return "segment_ms,value\n" + "".join(f"{duration_ms:g},{value:.9g}\n" for duration_ms, value in rows)
 
 
 def save_features(features: FeatureMatrix, path: str | Path) -> None:

@@ -29,13 +29,20 @@ def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
     The write is in place, not atomic: one that fails midway leaves a short
     file, which ``read_matrix`` rejects because its size no longer matches
     its header. (WAV files, manifests and CSVs, whose short files a reader
-    could take for whole ones, are replaced atomically instead.)"""
+    could take for whole ones, are replaced atomically instead.) A finite
+    value too large for float32 is a :class:`DataError`, raised before the
+    file is opened; NaN and infinities are written as they are."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DataError(f"expected a 2-D matrix, got shape {values.shape}")
+    try:
+        with np.errstate(over="raise"):  # set only by a finite value that becomes inf
+            encoded = np.ascontiguousarray(values, dtype="<f4")
+    except FloatingPointError:
+        raise DataError(f"{path}: a finite value is too large for float32 (magnitude above {np.finfo(np.float32).max:g})") from None
     with open(path, "wb") as handle:
         handle.write(magic + struct.pack("<II", *values.shape))
-        handle.write(np.ascontiguousarray(values, dtype="<f4"))
+        handle.write(encoded)
 
 
 def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:

@@ -30,6 +30,7 @@ __all__ = [
     "read_trn",
     "tokenize",
     "top_confusions",
+    "trn_report",
 ]
 
 _UNITS = ("word", "char", "phone")
@@ -257,3 +258,35 @@ def read_trn(path: str | Path) -> dict[str, str]:
             raise TrnFormatError(f"{path}: line {line_no} repeats utt_id {utt_id!r}")
         out[utt_id] = text.strip()
     return out
+
+
+def trn_report(ref_path: str | Path, hyp_path: str | Path, unit: str, confusions: int = 10) -> dict:
+    """The pooled error report of a hypothesis TRN file against a reference
+    one, as the JSON object ``ltrkit wer --json-out`` writes, with the top
+    ``confusions`` substitution pairs. A reference file without utterances,
+    an utt_id in only one file, or an empty reference is a :class:`DataError`."""
+    refs = read_trn(ref_path)
+    hyps = read_trn(hyp_path)
+    if not refs:
+        raise DataError(f"{ref_path}: no utterances")
+    missing = sorted(set(refs) ^ set(hyps))
+    if missing:
+        raise DataError(f"utt_ids not present in both files: {', '.join(missing[:5])}")
+    pairs = []
+    for utt_id, ref_text in refs.items():
+        ref = tokenize(ref_text, unit)
+        if not ref:
+            raise DataError(f"{ref_path}: utterance {utt_id!r} has an empty reference; error rate is undefined")
+        pairs.append((ref, tokenize(hyps[utt_id], unit)))
+    report = corpus_report(pairs)
+    return {
+        "unit": unit,
+        "error_rate": report.rate,
+        "ref_len": report.ref_len,
+        "utterances": len(pairs),
+        "substitutions": report.substitutions,
+        "insertions": report.insertions,
+        "deletions": report.deletions,
+        "hits": report.hits,
+        "confusions": [[ref_tok, hyp_tok, count] for (ref_tok, hyp_tok), count in top_confusions([report], confusions)],
+    }

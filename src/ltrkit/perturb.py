@@ -92,8 +92,6 @@ def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureM
     always equals the input shape.
     """
     frames, dims = features.values.shape
-    if frames == 0 or dims == 0:
-        raise DataError("features are empty")
     values = np.array(features.values)
     rng = np.random.default_rng(policy.seed)
 

@@ -41,6 +41,7 @@ __all__ = [
     "collapse",
     "ctc_loss",
     "ctc_loss_bruteforce",
+    "ctc_loss_labels",
     "ctc_min_frames",
     "fused_score",
     "greedy_ctc_decode",
@@ -130,7 +131,9 @@ class Hypothesis:
     """A candidate token sequence with its component log-probabilities.
 
     ``fused_score`` is filled in by :func:`rescore_hypotheses`; it is always
-    recomputable from the components and the weights used.
+    recomputable from the components and the weights used. A component that
+    is NaN or ``+inf`` is a :class:`DataError`; ``-inf`` (probability zero)
+    is valid.
     """
 
     tokens: tuple
@@ -141,6 +144,10 @@ class Hypothesis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
+        for name in ("log_p_ctc", "log_p_att", "log_p_lm"):
+            value = getattr(self, name)
+            if not value < math.inf:  # NaN fails too
+                raise DataError(f"{name} must be a log-probability below +inf, got {value}")
 
 
 @dataclass(frozen=True)
@@ -267,6 +274,15 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
 
     log_total = prev[-1] if num_states == 1 else np.logaddexp(prev[-1], prev[-2])
     return math.inf if log_total == -np.inf else float(-log_total)
+
+
+def ctc_loss_labels(grid: PosteriorGrid, vocab: Vocabulary, labels: Sequence[str]) -> float:
+    """:func:`ctc_loss` of a target given by its labels, ``vocab`` naming the
+    grid's token columns in order. A vocabulary of another width than the
+    grid, or an unknown label, is a :class:`DataError`."""
+    if grid.num_tokens != vocab.size:
+        raise DataError(f"grid has {grid.num_tokens} token columns but the vocabulary has {vocab.size}")
+    return ctc_loss(grid, vocab.encode(labels))
 
 
 def ctc_loss_bruteforce(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:

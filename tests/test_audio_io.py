@@ -158,6 +158,16 @@ def test_buffer_validation():
             AudioBuffer([0.0, bad], 8000)
 
 
+def test_sample_rate_must_be_a_whole_number(tmp_path):
+    with pytest.raises(DataError, match="sample_rate_hz must be a whole number, got 16000.5"):
+        AudioBuffer([0.0], 16000.5)
+    buf = AudioBuffer([0.25, -0.5], 16000.0)
+    assert buf.sample_rate_hz == 16000 and type(buf.sample_rate_hz) is int
+    write_wav(buf, tmp_path / "f.wav", "pcm16")
+    write_wav(AudioBuffer([0.25, -0.5], 16000), tmp_path / "i.wav", "pcm16")
+    assert (tmp_path / "f.wav").read_bytes() == (tmp_path / "i.wav").read_bytes()
+
+
 def test_buffer_is_immutable():
     buf = AudioBuffer([0.0, 0.5], 8000)
     with pytest.raises(ValueError):

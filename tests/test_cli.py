@@ -46,6 +46,14 @@ def test_missing_required_flag_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command", ["ltr", "speed", "specaug", "featurize", "build-set", "build-speed-set", "analyze", "score", "wer"]
+)
+def test_help_of_every_subcommand(capsys, command):
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: ltrkit {command} ")
+
+
+@pytest.mark.parametrize(
     "command, option, value",
     [
         ("ltr", "--segment-ms", "0"),
@@ -286,6 +294,15 @@ def test_score_ctc_unknown_label_is_data_error(tmp_path, capsys):
     assert run(["score", "ctc", "--grid", str(path), "--vocab", "a b", "--tokens", "z"]) == 2
 
 
+def test_score_ctc_vocabulary_width_mismatch_is_data_error(tmp_path, capsys):
+    path = tmp_path / "g.pst"
+    save_grid(PosteriorGrid(np.full((2, 3), 1 / 3)), path)
+    assert run(["score", "ctc", "--grid", str(path), "--vocab", "a b c", "--tokens", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid has 2 token columns but the vocabulary has 3\n"
+
+
 def test_score_ctc_nan_grid_is_data_error(tmp_path, capsys):
     path = tmp_path / "g.pst"
     write_matrix(np.array([[0.5, 0.25, 0.25], [np.nan, 0.5, 0.5]]), path, POSTERIORS_MAGIC)
@@ -325,7 +342,7 @@ def test_score_fuse_nan_score_is_data_error(tmp_path, capsys):
     hyps.write_text("\n".join(json.dumps(o) for o in lines) + "\n", encoding="utf-8")
     assert run(["score", "fuse", "--alpha", "0.5", "--beta", "0.3", "--hyps", str(hyps)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "position 1 has a NaN" in captured.err
+    assert captured.out == "" and f"{hyps}: line 2: log_p_ctc must be a log-probability below +inf, got nan" in captured.err
 
 
 def test_score_fuse_bad_line_is_data_error(tmp_path, capsys):
@@ -359,6 +376,29 @@ def test_wer_command(tmp_path, capsys):
     assert ["the", "that", 1] in report["confusions"]
 
 
+def test_wer_stdout_is_pinned(tmp_path, capsys):
+    ref = tmp_path / "ref.trn"
+    hyp = tmp_path / "hyp.trn"
+    ref.write_text("the cat sat on the mat (u1)\nhello world (u2)\n", encoding="utf-8")
+    hyp.write_text("the cat sat on that mat (u1)\nhello word (u2)\n", encoding="utf-8")
+    assert run(["wer", "--ref", str(ref), "--hyp", str(hyp), "--confusions", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "word error rate: 25.00%  (2 errors / 8 ref tokens, 2 utterances)",
+        "S=2 I=0 D=0 H=6",
+        "top substitutions:",
+        "  the -> that  1",
+        "  world -> word  1",
+    ]
+
+
+def test_wer_empty_reference_file_is_data_error(tmp_path, capsys):
+    ref = tmp_path / "ref.trn"
+    ref.write_text("\n", encoding="utf-8")
+    assert run(["wer", "--ref", str(ref), "--hyp", str(ref)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {ref}: no utterances\n"
+
+
 def test_wer_mismatched_ids_is_data_error(tmp_path, capsys):
     ref = tmp_path / "ref.trn"
     hyp = tmp_path / "hyp.trn"
@@ -374,6 +414,7 @@ def test_wer_mismatched_ids_is_data_error(tmp_path, capsys):
 
 def test_bug_in_a_subcommand_is_not_a_data_error(tmp_path, monkeypatch):
     import ltrkit.cli as cli
+    import ltrkit.metrics as metrics
 
     assert cli._DATA_ERRORS == (DataError, OSError)
     trn = tmp_path / "r.trn"
@@ -382,7 +423,7 @@ def test_bug_in_a_subcommand_is_not_a_data_error(tmp_path, monkeypatch):
         def broken(pairs, bug=bug):
             raise bug
 
-        monkeypatch.setattr(cli, "corpus_report", broken)
+        monkeypatch.setattr(metrics, "corpus_report", broken)
         with pytest.raises(type(bug)) as caught:
             run(["wer", "--ref", str(trn), "--hyp", str(trn)])
         assert caught.value is bug

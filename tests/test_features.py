@@ -10,6 +10,7 @@ from ltrkit.features import (
     _mel_filterbank,
     _tables,
     boundary_discontinuity,
+    distortion_csv,
     distortion_curve,
     fbank,
     load_features,
@@ -160,6 +161,12 @@ def test_distortion_curve_matches_each_rendering():
     assert spectral == [(ms, spectral_distance(reference, fbank(reverse_segments(buf, LtrConfig(ms))))) for ms in (30.0, 10.0)]
 
 
+def test_distortion_csv_formats_the_curve():
+    buf = tone(300, seconds=0.5)
+    (_, a), (_, b) = distortion_curve(buf, "boundary", [7.5, 20.0])
+    assert distortion_csv(buf, "boundary", [7.5, 20.0]) == f"segment_ms,value\n7.5,{a:.9g}\n20,{b:.9g}\n"
+
+
 def test_distortion_curve_rejects_unknown_metric():
     with pytest.raises(ValueError, match="metric"):
         distortion_curve(tone(300), "energy")
@@ -200,6 +207,28 @@ def test_feature_matrix_rejects_non_finite_values(tmp_path, bad):
     write_matrix(np.array([[0.0, bad], [1.0, 2.0]]), path, FEATURES_MAGIC)
     with pytest.raises(MatrixFormatError, match=f"{path.name}: feature values must be finite"):
         load_features(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_feature_matrix_rejects_empty_shapes(tmp_path, shape):
+    with pytest.raises(DataError, match=rf"at least one frame and one dim, got shape \({shape[0]}, {shape[1]}\)"):
+        FeatureMatrix(np.zeros(shape))
+    path = tmp_path / "empty.fbk"
+    write_matrix(np.zeros(shape), path, FEATURES_MAGIC)
+    with pytest.raises(MatrixFormatError, match=f"{path.name}: feature values must be 2-D with at least one frame"):
+        load_features(path)
+
+
+def test_write_matrix_rejects_values_beyond_float32(tmp_path):
+    path = tmp_path / "big.fbk"
+    # filterwarnings = error makes a numpy overflow warning fail this test
+    for save in (lambda: save_features(FeatureMatrix([[1e300, 1.0], [-1e39, 0.0]]), path),
+                 lambda: write_matrix(np.array([[np.inf, np.nan], [-1e39, 0.0]]), path, FEATURES_MAGIC)):
+        with pytest.raises(DataError, match=rf"{path.name}: a finite value is too large for float32 \(magnitude above 3.40282e\+38\)"):
+            save()
+        assert not path.exists()
+    write_matrix(np.array([[np.nan, np.inf], [-np.inf, 3.4e38]]), path, FEATURES_MAGIC)  # written as given
+    assert np.isinf(np.frombuffer(path.read_bytes(), "<f4", offset=12)[1:3]).all()
 
 
 def test_fbank_of_overflowing_samples_is_a_data_error():

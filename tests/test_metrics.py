@@ -16,6 +16,7 @@ from ltrkit.metrics import (
     read_trn,
     tokenize,
     top_confusions,
+    trn_report,
 )
 
 tokens_st = st.lists(st.sampled_from("abcd"), max_size=6)
@@ -383,3 +384,20 @@ def test_read_trn_rejects_duplicate_ids(tmp_path):
     path.write_text("a (u1)\nb (u1)\n", encoding="utf-8")
     with pytest.raises(TrnFormatError, match="u1"):
         read_trn(path)
+
+
+def test_trn_report_is_the_wer_json_object(tmp_path):
+    ref = tmp_path / "ref.trn"
+    hyp = tmp_path / "hyp.trn"
+    ref.write_text("a b c (u1)\nd e (u2)\n", encoding="utf-8")
+    hyp.write_text("a x y (u1)\nd (u2)\n", encoding="utf-8")
+    report = trn_report(ref, hyp, "word", confusions=1)
+    assert report == {
+        "unit": "word", "error_rate": 0.6, "ref_len": 5, "utterances": 2,
+        "substitutions": 2, "insertions": 0, "deletions": 1, "hits": 2, "confusions": [["b", "x", 1]],
+    }
+    assert list(report) == ["unit", "error_rate", "ref_len", "utterances", "substitutions", "insertions",
+                            "deletions", "hits", "confusions"]
+    assert len(trn_report(ref, hyp, "word")["confusions"]) == 2  # ten by default, two exist
+    assert trn_report(ref, hyp, "char")["ref_len"] == 5
+

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -324,6 +325,19 @@ def test_load_hypotheses_skips_blank_lines_and_names_bad_line(tmp_path):
         load_hypotheses(path)
 
 
+@pytest.mark.parametrize("field", ["log_p_ctc", "log_p_att", "log_p_lm"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hypothesis_rejects_nan_and_plus_inf(tmp_path, field, bad):
+    scores = {"log_p_ctc": -1.0, "log_p_att": -2.0, "log_p_lm": -3.0}
+    with pytest.raises(DataError, match=f"{field} must be a log-probability below \\+inf, got {bad}"):
+        Hypothesis((0,), **{**scores, field: bad})
+    assert getattr(Hypothesis((0,), **{**scores, field: -math.inf}), field) == -math.inf  # probability zero
+    path = tmp_path / "h.jsonl"
+    path.write_text(json.dumps({"tokens": [0], **scores}) + "\n" + json.dumps({"tokens": [1], **scores, field: bad}) + "\n")
+    with pytest.raises(DataError, match=rf"h\.jsonl: line 2: {field} must be"):
+        load_hypotheses(path)
+
+
 def test_rescore_tie_breaks_lexicographically_then_position():
     w = FusionWeights(ctc_weight=0.5, lm_weight=0.0)
     a = Hypothesis((1, 1), -1.0, -1.0, 0.0)
@@ -344,8 +358,9 @@ def test_rescore_unorderable_tie_is_value_error():
 
 @pytest.mark.parametrize("nan_first", [True, False])
 def test_rescore_nan_fused_score_is_value_error_in_either_order(nan_first):
-    w = FusionWeights(ctc_weight=0.5, lm_weight=0.3)
-    nan_hyp = Hypothesis((0,), math.nan, -2.0, -3.0)
+    # each component is valid, but -inf plus an overflow to +inf fuses to NaN
+    w = FusionWeights(ctc_weight=0.5, lm_weight=10.0)
+    nan_hyp = Hypothesis((0,), -math.inf, -2.0, 1e308)
     ok_hyp = Hypothesis((1,), -1.0, -2.0, -3.0)
     hyps = [nan_hyp, ok_hyp, nan_hyp] if nan_first else [ok_hyp, nan_hyp, ok_hyp]
     with pytest.raises(ValueError, match=f"position {0 if nan_first else 1} has a NaN"):
