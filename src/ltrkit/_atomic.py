@@ -1,5 +1,8 @@
-"""The one way ltrkit writes a file whose truncation a reader could miss
-(WAV, manifest, CSV): whole or not at all."""
+"""The one place ltrkit opens a file for writing. WAV files, manifests and
+CSVs, whose truncation a reader could miss, are written whole or not at all
+(:func:`write_atomic`). FBK1/PST1 files and JSON reports are rewritten in
+place (:func:`write_in_place`): a cut one fails its size check or does not
+parse, and a truncate costs less than a new inode on repeated rewrites."""
 
 from __future__ import annotations
 
@@ -39,12 +42,7 @@ def write_atomic(path: str | Path, *chunks) -> None:
         if old is None or stat.S_ISREG(old.st_mode):
             path = os.path.realpath(path)
     if old is not None and not stat.S_ISREG(old.st_mode):
-        fd = os.open(path, os.O_WRONLY | os.O_TRUNC)
-        try:
-            _write_all(fd, chunks)
-        finally:
-            os.close(fd)
-        return
+        return write_in_place(path, *chunks)
 
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
@@ -64,6 +62,16 @@ def write_atomic(path: str | Path, *chunks) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_in_place(path: str | Path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` in order to ``path`` as ``open(path, "wb")``
+    does: truncate or create (mode 0o666 less the umask), follow a symlink."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        _write_all(fd, chunks)
+    finally:
+        os.close(fd)
 
 
 def _write_all(fd: int, chunks) -> None:

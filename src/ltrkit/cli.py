@@ -15,10 +15,9 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
-from ._atomic import write_atomic
+from ._atomic import write_atomic, write_in_place
 from .audio_io import read_wav, write_wav
 from .dataset import AugmentationSet, build_set, build_speed_set, load_manifest, save_manifest
 from .errors import DataError, positive
@@ -212,6 +211,8 @@ def _cmd_score_fuse(args) -> int:
 
 def _cmd_wer(args) -> int:
     report = trn_report(args.ref, args.hyp, args.unit, args.confusions or 10)
+    if args.json_out:
+        write_in_place(args.json_out, (json.dumps(report, ensure_ascii=False, indent=2) + "\n").encode("utf-8"))
     errors = report["substitutions"] + report["insertions"] + report["deletions"]
     print(f"{args.unit} error rate: {100.0 * report['error_rate']:.2f}%  "
           f"({errors} errors / {report['ref_len']} ref tokens, {report['utterances']} utterances)")
@@ -220,10 +221,21 @@ def _cmd_wer(args) -> int:
         print("top substitutions:")
         for ref_tok, hyp_tok, count in report["confusions"]:
             print(f"  {ref_tok} -> {hyp_tok}  {count}")
-    if args.json_out:
-        # in place, not atomic: a cut JSON document does not parse
-        Path(args.json_out).write_text(json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
     return 0
+
+
+class _Stderr(logging.Handler):
+    """Prints each log message to the ``sys.stderr`` of the ``run`` call in
+    progress; one shared instance is cheaper per call than a new handler."""
+
+    def emit(self, record):
+        try:
+            print(record.getMessage(), file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+_STDERR = _Stderr()
 
 
 @functools.lru_cache(maxsize=8)
@@ -244,14 +256,22 @@ def run(argv) -> int:
         return 1
     except SystemExit as exc:  # --version / --help
         return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING, stream=sys.stderr, format="%(message)s"
-    )
+    # For this call only, the library's log lines go to _STDERR and no other
+    # handler; the logging setup is put back afterwards.
+    logger = logging.getLogger("ltrkit")
+    level, propagate = logger.level, logger.propagate
+    logger.addHandler(_STDERR)
+    logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    logger.propagate = False
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(_STDERR)
+        logger.setLevel(level)
+        logger.propagate = propagate
 
 
 def main() -> int:

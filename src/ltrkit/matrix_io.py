@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_in_place
 from .errors import DataError
 
 __all__ = ["FEATURES_MAGIC", "POSTERIORS_MAGIC", "MatrixFormatError", "read_matrix", "write_matrix"]
@@ -24,14 +25,11 @@ class MatrixFormatError(DataError):
 
 
 def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
-    """Write a 2-D matrix as row-major float32 under ``magic``.
-
-    The write is in place, not atomic: one that fails midway leaves a short
-    file, which ``read_matrix`` rejects because its size no longer matches
-    its header. (WAV files, manifests and CSVs, whose short files a reader
-    could take for whole ones, are replaced atomically instead.) A finite
-    value too large for float32 is a :class:`DataError`, raised before the
-    file is opened; NaN and infinities are written as they are."""
+    """Write a 2-D matrix as row-major float32 under ``magic``, in place: a
+    write cut midway leaves a file whose size does not match its header, which
+    ``read_matrix`` rejects. A finite value too large for float32 is a
+    :class:`DataError`, raised before the file is opened; NaN and infinities
+    are written as they are."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DataError(f"expected a 2-D matrix, got shape {values.shape}")
@@ -40,9 +38,7 @@ def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
             encoded = np.ascontiguousarray(values, dtype="<f4")
     except FloatingPointError:
         raise DataError(f"{path}: a finite value is too large for float32 (magnitude above {np.finfo(np.float32).max:g})") from None
-    with open(path, "wb") as handle:
-        handle.write(magic + struct.pack("<II", *values.shape))
-        handle.write(encoded)
+    write_in_place(path, magic + struct.pack("<II", *values.shape), encoded.reshape(-1))
 
 
 def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, numbered_lines, positive
-from .matrix_io import POSTERIORS_MAGIC, read_matrix, write_matrix
+from .matrix_io import POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
     "FusionWeights",
@@ -176,7 +176,7 @@ def _check_distributions(probs: np.ndarray, what: str) -> None:
     sums = probs.sum(axis=1)
     worst = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums[worst] - 1.0) > _ROW_SUM_TOL:
-        raise DataError(f"{what} row {worst} sums to {sums[worst]!r}, but each row must sum to 1 within {_ROW_SUM_TOL}")
+        raise DataError(f"{what} row {worst} sums to {float(sums[worst])!r}, but each row must sum to 1 within {_ROW_SUM_TOL}")
 
 
 def _as_grid(grid: PosteriorGrid | np.ndarray) -> PosteriorGrid:
@@ -458,8 +458,17 @@ def save_grid(grid: PosteriorGrid, path: str | Path) -> None:
 
 
 def load_grid(path: str | Path) -> PosteriorGrid:
-    """Read a PST1 container; row distributions are re-validated on load."""
-    return PosteriorGrid(read_matrix(path, POSTERIORS_MAGIC))
+    """Read a PST1 container; row distributions are re-validated on load.
+
+    Raises:
+        MatrixFormatError: a wrong magic or size, or a grid that is not a
+            valid :class:`PosteriorGrid`; the message names ``path``.
+    """
+    probs = read_matrix(path, POSTERIORS_MAGIC)
+    try:
+        return PosteriorGrid(probs)
+    except DataError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
 
 
 def load_hypotheses(path: str | Path) -> list[Hypothesis]:

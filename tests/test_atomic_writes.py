@@ -1,8 +1,8 @@
 """WAV files, manifests and ``analyze`` CSVs go through one atomic writer: a
 failure leaves the old file or none, and no temp file; the writer keeps what
 ``open(path, "wb")`` does with modes, symlinks and pipes. FBK1/PST1 files and
-``wer`` JSON are written in place, and a cut one is rejected on read. Arrays
-are adopted, never shared."""
+``wer`` JSON are written in place by the same module, and a cut one is
+rejected on read. Arrays are adopted, never shared."""
 
 import json
 import os
@@ -74,6 +74,43 @@ def test_a_writer_failing_midway_leaves_the_old_file_or_none(tmp_path, monkeypat
     assert os.listdir(out_dir) == ([] if old is None else ["target"])
     if old is not None:
         assert target.read_bytes() == old
+
+
+IN_PLACE_WRITERS = ["write_matrix", "save_features", "save_grid", "wer --json-out"]
+
+
+@pytest.mark.parametrize("writer", IN_PLACE_WRITERS)
+def test_an_in_place_writer_failing_midway_leaves_a_cut_file_a_reader_rejects(tmp_path, monkeypatch, capsys, writer):
+    _trn(tmp_path / "ref.trn", [("u1", "a b c")])
+    _trn(tmp_path / "hyp.trn", [("u1", "a x c")])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "target"
+    target.write_bytes(b"the old content")
+    write = {
+        "write_matrix": lambda: write_matrix(np.full((3, 4), 0.25), target, POSTERIORS_MAGIC),
+        "save_features": lambda: save_features(FeatureMatrix(np.ones((3, 4))), target),
+        "save_grid": lambda: save_grid(PosteriorGrid(np.full((3, 4), 0.25)), target),
+        "wer --json-out": lambda: run(["wer", "--ref", str(tmp_path / "ref.trn"), "--hyp", str(tmp_path / "hyp.trn"),
+                                       "--json-out", str(target)]),
+    }[writer]
+    monkeypatch.setattr(_atomic, "os", _DiskFullAfter())
+    if writer.startswith("wer"):
+        assert write() == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "No space left on device" in captured.err
+    else:
+        with pytest.raises(OSError, match="No space left"):
+            write()
+    assert os.listdir(out_dir) == ["target"]
+    cut = target.read_bytes()
+    assert len(cut) == 5
+    if writer.startswith("wer"):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(cut.decode("utf-8"))
+    else:
+        with pytest.raises(MatrixFormatError):
+            read_matrix(target, FEATURES_MAGIC if writer == "save_features" else POSTERIORS_MAGIC)
 
 
 def test_a_cut_matrix_file_is_rejected_on_read(tmp_path):

@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import math
 import os
 import struct
@@ -159,6 +161,16 @@ def test_specaug_on_non_finite_features_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_specaug_with_too_many_masks_is_data_error(tmp_path, capsys):
+    feat = tmp_path / "x.fbk"
+    write_matrix(np.ones((4, 3)), feat, FEATURES_MAGIC)
+    out = tmp_path / "out.fbk"
+    argv = ["specaug", "--seed", "1", "--freq-masks", "100000000000000000000", "--in", str(feat), "--out", str(out)]
+    assert run(argv) == 2
+    assert "mask counts must be at most 65536 per axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_boundary_csv(tmp_path, wav, capsys):
     assert run(["analyze", "--metric", "boundary", "--in", str(wav)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -265,6 +277,27 @@ def test_run_reads_parallelism_env_on_every_call(tmp_path, wav, monkeypatch):
     assert seen == [2, 5, 2, 1]
 
 
+def test_verbose_applies_to_its_own_call_only(tmp_path, wav, monkeypatch):
+    manifest = tmp_path / "m.jsonl"
+    save_manifest([ManifestRecord("u0", str(wav), "hi", 1.0)], manifest)
+    root, package = logging.getLogger(), logging.getLogger("ltrkit")
+    elsewhere = io.StringIO()  # a handler the caller set up: it sees no per-file line
+    monkeypatch.setattr(root, "handlers", [*root.handlers, logging.StreamHandler(elsewhere)])
+    before = root.level, list(root.handlers), package.level, package.propagate
+    for call, verbose in enumerate([True, False, True]):
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", err)
+        out_dir, out_manifest = tmp_path / f"d{call}", tmp_path / f"o{call}.jsonl"
+        argv = ["--verbose"] * verbose + ["build-set", "--set", "1", "--manifest", str(manifest),
+                                          "--out-dir", str(out_dir), "--out-manifest", str(out_manifest)]
+        assert run(argv) == 0
+        rendered = [f"rendered {out_dir / name}" for name in ("u0-ltr5.wav", "u0-ltr10.wav")]
+        assert err.getvalue().splitlines() == rendered * verbose + [f"wrote 3 records to {out_manifest}"]
+        assert (root.level, list(root.handlers), package.level, package.propagate) == before
+        assert package.handlers == []
+    assert elsewhere.getvalue() == ""
+
+
 def test_list_defaults_are_immutable():
     from ltrkit.cli import build_parser
 
@@ -308,7 +341,7 @@ def test_score_ctc_nan_grid_is_data_error(tmp_path, capsys):
     write_matrix(np.array([[0.5, 0.25, 0.25], [np.nan, 0.5, 0.5]]), path, POSTERIORS_MAGIC)
     assert run(["score", "ctc", "--grid", str(path), "--vocab", "a b", "--tokens", "a"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "finite" in captured.err
+    assert captured.out == "" and captured.err == f"error: {path}: grid entries must be finite and lie in [0, 1]\n"
 
 
 def test_score_fuse(tmp_path, capsys):
@@ -389,6 +422,18 @@ def test_wer_stdout_is_pinned(tmp_path, capsys):
         "  the -> that  1",
         "  world -> word  1",
     ]
+
+
+def test_wer_writes_its_json_before_printing(tmp_path, capsys):
+    ref = tmp_path / "ref.trn"
+    hyp = tmp_path / "hyp.trn"
+    ref.write_text("a b (u1)\n", encoding="utf-8")
+    hyp.write_text("a c (u1)\n", encoding="utf-8")
+    json_out = tmp_path / "nodir" / "r.json"
+    assert run(["wer", "--ref", str(ref), "--hyp", str(hyp), "--json-out", str(json_out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(json_out) in captured.err
 
 
 def test_wer_empty_reference_file_is_data_error(tmp_path, capsys):

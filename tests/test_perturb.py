@@ -115,6 +115,10 @@ def test_policy_validation():
         SpecAugmentPolicy(max_time_mask_fraction=1.5)
     with pytest.raises(ValueError):
         SpecAugmentPolicy(max_freq_mask_width=-2)
+    SpecAugmentPolicy(num_freq_masks=2**16, num_time_masks=2**16)  # the most masks accepted
+    for freq, time in ((2**16 + 1, 0), (0, 2**16 + 1), (10**20, 2)):
+        with pytest.raises(DataError, match="at most 65536 per axis"):
+            SpecAugmentPolicy(num_freq_masks=freq, num_time_masks=time)
 
 
 def _seed_speed_perturb(buffer, factor):

@@ -517,8 +517,14 @@ def test_grid_file_revalidates_rows(tmp_path):
 
     path = tmp_path / "bad.pst"
     write_matrix(np.array([[0.9, 0.9]]), path, POSTERIORS_MAGIC)
-    with pytest.raises(ValueError, match="sums to"):
+    with pytest.raises(MatrixFormatError) as info:
         load_grid(path)
+    # the path first, then the float32 row sum as a plain number, not np.float64(...)
+    assert str(info.value) == f"{path}: grid row 0 sums to 1.7999999523162842, but each row must sum to 1 within 1e-06"
+    write_matrix(np.array([[0.5, 0.5], [np.nan, 0.5]]), path, POSTERIORS_MAGIC)
+    with pytest.raises(MatrixFormatError) as info:
+        load_grid(path)
+    assert str(info.value) == f"{path}: grid entries must be finite and lie in [0, 1]"
 
 
 def test_grid_file_wrong_magic(tmp_path):
