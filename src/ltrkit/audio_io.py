@@ -176,6 +176,12 @@ def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> 
         DataError: an empty buffer, an unknown codec, or a rate or length
             that does not fit the header's 32-bit fields; nothing is written.
     """
+    write_atomic(path, *_encode_wav(buffer, codec))
+
+
+def _encode_wav(buffer: AudioBuffer, codec: str) -> tuple[bytes, np.ndarray]:
+    """The header and the ``<i2`` or ``<f4`` payload of :func:`write_wav`;
+    each payload value depends on its own sample alone."""
     if len(buffer) == 0:
         raise DataError("cannot write an empty buffer")
     if codec == "pcm16":
@@ -204,4 +210,4 @@ def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> 
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + data_size, b"WAVE", b"fmt ", 16, tag, 1, rate, rate * block_align, block_align, bits, b"data", data_size,
     )
-    write_atomic(path, header, encoded)
+    return header, encoded

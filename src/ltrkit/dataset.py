@@ -28,9 +28,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._atomic import write_atomic
-from .audio_io import read_wav, write_wav
+from .audio_io import _encode_wav, read_wav
 from .errors import DataError, numbered_lines, positive
-from .ltr import LtrConfig, reverse_segments
+from .ltr import LtrConfig, _reverse
 from .perturb import _MIN_SPEED_FACTOR, DEFAULT_SPEED_FACTORS, speed_perturb
 
 __all__ = [
@@ -170,8 +170,10 @@ def _build(
     A variant is (id suffix, transform, tag, playback speed). A suffix of
     ``None`` keeps the source record, retagged unless the tag is ``None``;
     otherwise the transformed audio is written as float32 WAV under the id
-    ``<utt_id>-<suffix>``, with the duration divided by the speed. Source
-    audio is read only if some variant renders it.
+    ``<utt_id>-<suffix>``, with the duration divided by the speed. An
+    :class:`LtrConfig` transform reverses the segments of the source's float32
+    payload, encoded once per utterance. Source audio is read only if some
+    variant renders it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,7 +185,7 @@ def _build(
 
     def render(record: ManifestRecord) -> list[ManifestRecord]:
         group = []
-        buffer = None
+        buffer = header = payload = None
         for suffix, transform, tag, speed in variants:
             if suffix is None:
                 group.append(record if tag is None else replace(record, augment=tag))
@@ -192,7 +194,12 @@ def _build(
                 buffer = read_wav(record.audio_path)
             derived_id = f"{record.utt_id}-{suffix}"
             out_path = out_dir / f"{derived_id}.wav"
-            write_wav(transform(buffer), out_path, "float32")
+            if isinstance(transform, LtrConfig):
+                if payload is None:
+                    header, payload = _encode_wav(buffer, "float32")
+                write_atomic(out_path, header, _reverse(payload, transform.segment_samples(buffer.sample_rate_hz)))
+            else:
+                write_atomic(out_path, *_encode_wav(transform(buffer), "float32"))
             logger.info("rendered %s", out_path)
             group.append(ManifestRecord(derived_id, str(out_path), record.text, record.duration_s / speed, tag))
         return group
@@ -218,10 +225,11 @@ def build_set(
     Every input record is followed by one rendering per duration in the set,
     written under ``out_dir`` as float32 WAV. Renderings keep the source
     length and transcript; their records carry an ``ltr`` lineage tag and the
-    derived id ``<utt_id>-ltr<ms>``.
+    derived id ``<utt_id>-ltr<ms>``. They are reversed on the source's encoded
+    float32 samples, byte-identical to ``write_wav(reverse_segments(...))``.
     """
     variants = [(None, None, None, 1.0)] + [
-        (f"ltr{ms:g}", partial(reverse_segments, config=LtrConfig(ms)), AugmentTag("ltr", ms), 1.0)
+        (f"ltr{ms:g}", LtrConfig(ms), AugmentTag("ltr", ms), 1.0)
         for ms in augmentation_set.durations_ms
     ]
     return _build(manifest, variants, out_dir, parallelism)

@@ -47,6 +47,9 @@ _ENERGY_FLOOR = 1e-10
 # Frames per FFT block: one zero-padded input of this many rows is reused for
 # the whole utterance, and each block's complex spectrum is this many rows.
 _BLOCK_FRAMES = 256
+# Cells of one mel filterbank, dims x FFT bins: 2^22 float64 cells are 32 MiB,
+# and building the table holds about three arrays of that size at once.
+_MAX_FILTERBANK_CELLS = 1 << 22
 
 DISTORTION_METRICS = ("boundary", "spectral-distance")
 
@@ -165,9 +168,11 @@ def fbank(
 
     Raises:
         DataError: if ``dims``, ``frame_length_ms`` or ``frame_shift_ms`` is
-            not positive, if the buffer is shorter than one analysis window,
-            or if samples so large that the spectrum overflows make a
-            feature that is not finite.
+            not positive, if the filterbank of ``dims`` x FFT bins would have
+            more than ``_MAX_FILTERBANK_CELLS`` (2^22, 32 MiB) cells, if the
+            buffer is shorter than one analysis window, or if samples so
+            large that the spectrum overflows make a feature that is not
+            finite.
     """
     if dims < 1:
         raise DataError(f"dims must be positive, got {dims}")
@@ -179,6 +184,10 @@ def fbank(
 
     n_frames = 1 + (n - window) // hop
     fft_size = 1 << (window - 1).bit_length()
+    if dims * (fft_size // 2 + 1) > _MAX_FILTERBANK_CELLS:
+        raise DataError(
+            f"{dims} dims over {fft_size // 2 + 1} FFT bins need more than {_MAX_FILTERBANK_CELLS} filterbank cells"
+        )
     hamming, mel = _tables(dims, window, fft_size, buffer.sample_rate_hz)
 
     spectrum = _magnitude_spectrum(buffer.samples, window, hop, n_frames, fft_size, hamming)

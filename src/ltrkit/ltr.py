@@ -57,13 +57,19 @@ def reverse_segments(buffer: AudioBuffer, config: LtrConfig) -> AudioBuffer:
     A buffer shorter than one segment is a single tail segment, i.e. it is
     reversed whole.
     """
-    n = len(buffer)
-    if n == 0:
+    if len(buffer) == 0:
         raise DataError("buffer is empty")
-    seg = config.segment_samples(buffer.sample_rate_hz)
-    x = buffer.samples
+    out = _reverse(buffer.samples, config.segment_samples(buffer.sample_rate_hz))
+    return AudioBuffer._adopt(out, buffer.sample_rate_hz)
+
+
+def _reverse(x: np.ndarray, seg: int) -> np.ndarray:
+    """A new array: non-empty 1-D ``x`` with each consecutive ``seg``-sample
+    segment reversed, as :func:`reverse_segments` describes."""
+    n = len(x)
+    seg = min(seg, n)
     out = np.empty(n, dtype=x.dtype)
     full = (n // seg) * seg
     out[:full].reshape(-1, seg)[...] = x[:full].reshape(-1, seg)[:, ::-1]
     out[full:] = x[full:][::-1]
-    return AudioBuffer._adopt(out, buffer.sample_rate_hz)
+    return out

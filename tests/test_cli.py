@@ -111,6 +111,25 @@ def test_ltr_malformed_wav_is_data_error(tmp_path, wav, capsys):
     assert not (tmp_path / "o.wav").exists()
 
 
+def test_ltr_and_analyze_with_a_segment_beyond_any_array_size(tmp_path, wav, capsys):
+    for codec in ("pcm16", "float32"):
+        out = tmp_path / f"{codec}.wav"
+        assert run(["ltr", "--segment-ms", "1e300", "--codec", codec, "--in", str(wav), "--out", str(out)]) == 0
+        write_wav(AudioBuffer(read_wav(wav).samples[::-1], 16000), tmp_path / "whole.wav", codec)
+        assert out.read_bytes() == (tmp_path / "whole.wav").read_bytes()
+    assert run(["analyze", "--metric", "spectral-distance", "--durations", "1e300", "--in", str(wav)]) == 0
+    assert capsys.readouterr().out.startswith("segment_ms,value\n1e+300,")
+    # one whole-buffer segment has no interior boundary
+    assert run(["analyze", "--metric", "boundary", "--durations", "1e300", "--in", str(wav)]) == 2
+    assert "fewer than two" in capsys.readouterr().err
+
+
+def test_featurize_with_a_filterbank_over_the_cap_is_data_error(tmp_path, wav, capsys):
+    assert run(["featurize", "--dims", "1000000000", "--in", str(wav), "--out", str(tmp_path / "f.fbk")]) == 2
+    assert "filterbank cells" in capsys.readouterr().err
+    assert not (tmp_path / "f.fbk").exists()
+
+
 @pytest.mark.parametrize("channels", [2, 9])
 def test_ltr_opposite_infinities_print_only_the_error(tmp_path, channels):
     frames = np.zeros((4, channels), dtype="<f4")

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +183,36 @@ def test_build_set_deterministic_and_parallel_invariant(tmp_path):
     for ra, rb in zip(out_a, out_b):
         if ra.augment is not None:
             assert Path(ra.audio_path).read_bytes() == Path(rb.audio_path).read_bytes()
+
+
+def test_build_set_frees_each_utterance_before_the_next(tmp_path):
+    # With the cyclic collector off, audio kept alive by a reference cycle
+    # would pile up across utterances; each must be freed by refcount alone.
+    rng = np.random.default_rng(1)
+    records = []
+    for i in range(10):
+        path = tmp_path / f"utt{i}.wav"
+        write_wav(AudioBuffer(rng.uniform(-0.9, 0.9, 32000), 16000), path, "float32")  # 2 s
+        records.append(ManifestRecord(f"utt{i}", str(path), "t", 2.0))
+
+    def peak(manifest, out_dir):
+        tracemalloc.start()
+        try:
+            build_set(manifest, AugmentationSet(2), out_dir)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        one = peak(records[:1], tmp_path / "one")
+        ten = peak(records, tmp_path / "ten")
+    finally:
+        if enabled:
+            gc.enable()
+    assert one >= 32000 * 8  # the decoded source at least
+    assert ten <= 1.5 * one, (one, ten)
 
 
 # ---------------------------------------------------------------- speed set

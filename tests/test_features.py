@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ltrkit import features as features_module
 from ltrkit.audio_io import AudioBuffer
 from ltrkit.errors import DataError
 from ltrkit.features import (
+    _MAX_FILTERBANK_CELLS,
     FeatureMatrix,
     _mel_filterbank,
     _tables,
@@ -317,3 +319,21 @@ def test_cached_tables_are_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
+
+
+def test_filterbank_cap_is_checked_before_the_tables_are_built(monkeypatch):
+    buffer = tone(440.0)  # a 400-sample window, a 512-point FFT: 257 bins
+    built = []
+
+    def tables(*args):
+        built.append(args)
+        raise RuntimeError("building the tables")
+
+    monkeypatch.setattr(features_module, "_tables", tables)
+    for dims in (_MAX_FILTERBANK_CELLS // 257 + 1, 10**9, 10**30):
+        with pytest.raises(DataError, match="filterbank cells"):
+            fbank(buffer, dims)
+    assert built == []
+    with pytest.raises(RuntimeError, match="building"):  # at the cap the tables are built
+        fbank(buffer, _MAX_FILTERBANK_CELLS // 257)
+    assert built == [(_MAX_FILTERBANK_CELLS // 257, 400, 512, 16000)]

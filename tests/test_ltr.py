@@ -57,6 +57,8 @@ def test_reverse_segment_longer_than_signal_reverses_whole():
     buf = make_buffer([1, 2, 3, 4])
     out = reverse_segments(buf, LtrConfig(1000.0))
     assert out.samples.tolist() == [4, 3, 2, 1]
+    # 1e300 ms is about 2^1000 samples, more than numpy can shape
+    assert reverse_segments(buf, LtrConfig(1e300)).samples.tolist() == [4, 3, 2, 1]
 
 
 def test_reverse_rejects_empty_buffer():

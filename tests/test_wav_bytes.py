@@ -4,7 +4,9 @@
 earlier implementations, kept verbatim apart from their names: they slice the
 data chunk into new bytes, downmix with ``mean(axis=1)``, reverse through a
 temporary and encode with ``tobytes`` and ``header + payload``. The library
-must give the same samples, sign bits included, and the same file bytes.
+must give the same samples, sign bits included, and the same file bytes;
+``build_set``, which reverses the encoded payload, must write the files and
+manifest of these three composed.
 """
 
 import struct
@@ -13,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltrkit.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
+from ltrkit.audio_io import AudioBuffer, WavFormatError, _encode_wav, read_wav, write_wav
+from ltrkit.dataset import SET_DURATIONS_MS, AugmentationSet, AugmentTag, ManifestRecord, build_set, save_manifest
 from ltrkit.errors import DataError
-from ltrkit.ltr import LtrConfig, reverse_segments
+from ltrkit.ltr import LtrConfig, _reverse, reverse_segments
 
 _TAG_PCM = 1
 _TAG_IEEE_FLOAT = 3
@@ -228,3 +231,80 @@ def test_reverse_segments_matches_seed():
             assert _same_samples(got.samples, want.samples), (n, segment_ms)
             assert got.sample_rate_hz == want.sample_rate_hz
             assert not got.samples.flags.writeable
+
+
+@pytest.mark.parametrize("codec", ["pcm16", "float32"])
+def test_reverse_on_the_payload_matches_encoding_the_rendering(codec):
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 7, 160, 1001):
+        samples = rng.normal(0.0, 0.8, n)
+        samples[rng.random(n) < 0.2] = -0.0
+        samples[rng.random(n) < 0.1] *= 40.0  # clipped by the encode
+        buffer = AudioBuffer(samples, 1000)  # 1 sample per ms
+        header, payload = _encode_wav(buffer, codec)
+        assert payload.dtype == np.dtype("<i2" if codec == "pcm16" else "<f4")
+        for seg in (1, 2, 3, 7, 20, n - 1 or 1, n, n + 1, 3 * n + 2):
+            got = _reverse(payload, seg)
+            assert got.dtype == payload.dtype
+            # reverse_segments is _reverse too, so the seed body is the independent reference
+            for rendering in (reverse_segments, _seed_reverse_segments):
+                want_header, want = _encode_wav(rendering(buffer, LtrConfig(seg)), codec)
+                assert want_header == header
+                assert got.tobytes() == want.tobytes(), (n, seg, rendering.__name__)
+        assert not np.shares_memory(got, payload)
+
+
+def _build_sources(src_dir):
+    """Sources at 8 and 16 kHz, of 1-3 channels, PCM-16 and float32 (with -0.0
+    and out-of-range samples), from 1 sample to several segments long."""
+    src_dir.mkdir()
+    rng = np.random.default_rng(15)
+    manifest = []
+    for rate in (8000, 16000):
+        for codec, tag in (("pcm16", _TAG_PCM), ("float32", _TAG_IEEE_FLOAT)):
+            for frames, channels in ((1, 1), (1, 3), (30, 2), (401, 1), (2917, 3), (4000, 2)):
+                if codec == "pcm16":
+                    values = rng.integers(-32768, 32768, (frames, channels)).astype("<i2")
+                else:
+                    values = rng.normal(0.0, 0.6, (frames, channels))
+                    values[rng.random((frames, channels)) < 0.1] *= 40.0
+                    values[rng.random((frames, channels)) < 0.1] = -0.0
+                    values[0] = -0.0
+                    values = values.astype("<f4")
+                utt_id = f"{codec}-{rate}-{frames}x{channels}"
+                path = src_dir / f"{utt_id}.wav"
+                path.write_bytes(_wav_bytes(values.tobytes(), tag, channels, rate))
+                manifest.append(ManifestRecord(utt_id, str(path), f"text of {utt_id}", frames / rate))
+    return manifest
+
+
+def _seed_build(manifest, durations_ms, wav_dir, out_dir):
+    """The records of ``build_set`` to ``out_dir``; the renderings go to
+    ``wav_dir``, reversed and encoded by the seed bodies."""
+    wav_dir.mkdir(exist_ok=True)
+    records = []
+    for record in manifest:
+        records.append(record)
+        source = _seed_read_wav(record.audio_path)
+        for ms in durations_ms:
+            derived_id = f"{record.utt_id}-ltr{ms:g}"
+            _seed_write_wav(_seed_reverse_segments(source, LtrConfig(ms)), wav_dir / f"{derived_id}.wav")
+            path = out_dir / f"{derived_id}.wav"
+            records.append(ManifestRecord(derived_id, str(path), record.text, record.duration_s, AugmentTag("ltr", ms)))
+    return records
+
+
+@pytest.mark.parametrize("set_id", sorted(SET_DURATIONS_MS))
+def test_build_set_matches_seed_build_byte_for_byte(tmp_path, set_id):
+    manifest = _build_sources(tmp_path / "src")
+    for parallelism in (1, 2):
+        out_dir = tmp_path / f"p{parallelism}"
+        want = _seed_build(manifest, SET_DURATIONS_MS[set_id], tmp_path / "seed", out_dir)
+        save_manifest(want, tmp_path / "want.jsonl")
+        save_manifest(build_set(manifest, AugmentationSet(set_id), out_dir, parallelism), tmp_path / "got.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        names = sorted(path.name for path in out_dir.iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "seed").iterdir())
+        assert len(names) == 2 * len(manifest)
+        for name in names:
+            assert (out_dir / name).read_bytes() == (tmp_path / "seed" / name).read_bytes(), (parallelism, name)
