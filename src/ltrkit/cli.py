@@ -3,28 +3,27 @@
 Exit codes: 0 success, 1 usage error, 2 data error: a ``DataError`` (bad
 input, as the library decides it) or an ``OSError``. Any other exception is a
 bug and propagates. Diagnostics go to stderr; data goes to files or stdout.
-Every source of randomness takes an explicit seed, so identical arguments over
-identical inputs give bit-identical outputs, at any ``--parallelism``.
+Every source of randomness takes an explicit seed, and a call reads nothing
+but its arguments and input files, so identical arguments over identical
+inputs give bit-identical outputs, at any ``--parallelism`` (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
-import os
 import sys
 
 from . import __version__
 from ._atomic import write_atomic, write_in_place
 from .audio_io import read_wav, write_wav
-from .dataset import AugmentationSet, build_set, build_speed_set, load_manifest, save_manifest
+from .dataset import SET_DURATIONS_MS, AugmentationSet, build_set, build_speed_set, load_manifest, save_manifest
 from .errors import DataError, positive
 from .features import DISTORTION_METRICS, distortion_csv, fbank, load_features, mvn, save_features
 from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
 from .metrics import trn_report
-from .perturb import SpecAugmentPolicy, spec_augment, speed_perturb
+from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
 from .scoring import FusionWeights, Vocabulary, ctc_loss_labels, load_grid, load_hypotheses, rescore_hypotheses
 
 __all__ = ["main", "run"]
@@ -66,14 +65,6 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _default_parallelism() -> int:
-    raw = os.environ.get("LTRKIT_PARALLELISM", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ltrkit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -89,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--manifest", required=True, metavar="JSONL")
     build.add_argument("--out-dir", required=True)
     build.add_argument("--out-manifest", required=True, metavar="JSONL")
-    build.add_argument("--parallelism", type=_positive_int, default=_default_parallelism())
+    build.add_argument("--parallelism", type=_positive_int, default=1)
 
     # the lambdas look up their library call when run, so a patched global is the one used
     p = sub.add_parser("ltr", parents=[audio], help="render locally time-reversed audio")
@@ -102,10 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("specaug", help="mask time and frequency regions of a feature file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--freq-masks", type=int, default=2)
-    p.add_argument("--freq-width", type=int, default=27, help="max frequency-mask width in bins")
-    p.add_argument("--time-masks", type=int, default=2)
-    p.add_argument("--time-fraction", type=float, default=0.05, help="max time-mask width as a fraction of frames")
+    p.add_argument("--freq-masks", type=int, default=SpecAugmentPolicy.num_freq_masks)
+    p.add_argument("--freq-width", type=int, default=SpecAugmentPolicy.max_freq_mask_width,
+                   help="max frequency-mask width in bins")
+    p.add_argument("--time-masks", type=int, default=SpecAugmentPolicy.num_time_masks)
+    p.add_argument("--time-fraction", type=float, default=SpecAugmentPolicy.max_time_mask_fraction,
+                   help="max time-mask width as a fraction of frames")
     p.add_argument("--in", dest="in_path", required=True, metavar="FEAT")
     p.add_argument("--out", dest="out_path", required=True, metavar="FEAT")
     p.set_defaults(func=_cmd_specaug)
@@ -121,12 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-set", parents=[build],
                        help="build a 3-fold training set from a manifest (originals + one LTR pair)")
-    p.add_argument("--set", dest="set_id", type=int, choices=range(1, 6), required=True, metavar="{1..5}")
+    p.add_argument("--set", dest="set_id", type=int, choices=SET_DURATIONS_MS, required=True,
+                   metavar=f"{{1..{len(SET_DURATIONS_MS)}}}")
     p.set_defaults(func=_cmd_build, build=lambda records, args: build_set(
         records, AugmentationSet(args.set_id), args.out_dir, parallelism=args.parallelism))
 
     p = sub.add_parser("build-speed-set", parents=[build], help="build a speed-perturbed training set from a manifest")
-    p.add_argument("--factors", type=_float_list, default=(0.9, 1.0, 1.1), metavar="F,F,...")
+    p.add_argument("--factors", type=_float_list, default=DEFAULT_SPEED_FACTORS, metavar="F,F,...")
     p.set_defaults(func=_cmd_build, build=lambda records, args: build_speed_set(
         records, args.factors, args.out_dir, parallelism=args.parallelism))
 
@@ -224,43 +218,26 @@ def _cmd_wer(args) -> int:
     return 0
 
 
-class _Stderr(logging.Handler):
-    """Prints each log message to the ``sys.stderr`` of the ``run`` call in
-    progress; one shared instance is cheaper per call than a new handler."""
-
-    def emit(self, record):
-        try:
-            print(record.getMessage(), file=sys.stderr)
-        except Exception:
-            self.handleError(record)
-
-
-_STDERR = _Stderr()
-
-
-@functools.lru_cache(maxsize=8)
-def _parser_for(parallelism_env: str | None) -> argparse.ArgumentParser:
-    # Building the nine subparsers costs about a millisecond, so in-process
-    # callers of run() share one parser. The key is the environment value
-    # that build_parser() reads for the --parallelism default.
-    return build_parser()
+# Building the nine subparsers costs about two milliseconds, so in-process
+# callers of run() share one parser.
+_PARSER = build_parser()
 
 
 def run(argv) -> int:
     """Parse and dispatch; returns the process exit code instead of exiting."""
-    parser = _parser_for(os.environ.get("LTRKIT_PARALLELISM"))
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --version / --help
         return int(exc.code or 0)
-    # For this call only, the library's log lines go to _STDERR and no other
-    # handler; the logging setup is put back afterwards.
+    # For this call only, the library's log lines go to this call's stderr and
+    # no other handler; the logging setup is put back afterwards.
     logger = logging.getLogger("ltrkit")
     level, propagate = logger.level, logger.propagate
-    logger.addHandler(_STDERR)
+    handler = logging.StreamHandler(sys.stderr)
+    logger.addHandler(handler)
     logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
     logger.propagate = False
     try:
@@ -269,7 +246,7 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        logger.removeHandler(_STDERR)
+        logger.removeHandler(handler)
         logger.setLevel(level)
         logger.propagate = propagate
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from ._atomic import write_atomic
 from .audio_io import _encode_wav, read_wav
 from .errors import DataError, numbered_lines, positive
-from .ltr import LtrConfig, _reverse
+from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, _reverse
 from .perturb import _MIN_SPEED_FACTOR, DEFAULT_SPEED_FACTORS, speed_perturb
 
 __all__ = [
@@ -45,13 +45,9 @@ __all__ = [
     "save_manifest",
 ]
 
-# Fixed mapping from set number to the pair of reversal durations it adds.
+# Set k adds the k-th consecutive pair of the standard sweep's durations.
 SET_DURATIONS_MS: dict[int, tuple[float, float]] = {
-    1: (5.0, 10.0),
-    2: (15.0, 20.0),
-    3: (25.0, 30.0),
-    4: (35.0, 40.0),
-    5: (45.0, 50.0),
+    k // 2 + 1: DEFAULT_DURATIONS_MS[k : k + 2] for k in range(0, len(DEFAULT_DURATIONS_MS), 2)
 }
 
 _AUGMENT_TYPES = ("ltr", "speed", "original")
@@ -97,7 +93,7 @@ class AugmentationSet:
 
     def __post_init__(self) -> None:
         if self.set_id not in SET_DURATIONS_MS:
-            raise DataError(f"set_id must be in 1..5, got {self.set_id}")
+            raise DataError(f"set_id must be in 1..{len(SET_DURATIONS_MS)}, got {self.set_id}")
 
     @property
     def durations_ms(self) -> tuple[float, float]:

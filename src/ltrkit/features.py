@@ -50,6 +50,10 @@ _BLOCK_FRAMES = 256
 # Cells of one mel filterbank, dims x FFT bins: 2^22 float64 cells are 32 MiB,
 # and building the table holds about three arrays of that size at once.
 _MAX_FILTERBANK_CELLS = 1 << 22
+# Cells of the spectrum (frames x FFT bins) and of the output (frames x dims):
+# 2^28 float64 cells are 2 GiB; an hour at a 10 ms shift and 257 bins needs
+# about 92.5M.
+_MAX_FRAME_CELLS = 1 << 28
 
 DISTORTION_METRICS = ("boundary", "spectral-distance")
 
@@ -170,7 +174,9 @@ def fbank(
         DataError: if ``dims``, ``frame_length_ms`` or ``frame_shift_ms`` is
             not positive, if the filterbank of ``dims`` x FFT bins would have
             more than ``_MAX_FILTERBANK_CELLS`` (2^22, 32 MiB) cells, if the
-            buffer is shorter than one analysis window, or if samples so
+            spectrum (frames x FFT bins) or the output (frames x ``dims``)
+            would have more than ``_MAX_FRAME_CELLS`` (2^28, 2 GiB) cells, if
+            the buffer is shorter than one analysis window, or if samples so
             large that the spectrum overflows make a feature that is not
             finite.
     """
@@ -180,13 +186,16 @@ def fbank(
     hop = segment_samples(frame_shift_ms, buffer.sample_rate_hz)
     n = len(buffer)
     if n < window:
-        raise DataError(f"buffer of {n} samples is shorter than one {window}-sample window")
+        raise DataError(f"buffer of {n} samples is shorter than one {frame_length_ms:g} ms window")
 
     n_frames = 1 + (n - window) // hop
     fft_size = 1 << (window - 1).bit_length()
-    if dims * (fft_size // 2 + 1) > _MAX_FILTERBANK_CELLS:
+    bins = fft_size // 2 + 1
+    if dims * bins > _MAX_FILTERBANK_CELLS:
+        raise DataError(f"{dims} dims over {bins} FFT bins need more than {_MAX_FILTERBANK_CELLS} filterbank cells")
+    if n_frames * max(bins, dims) > _MAX_FRAME_CELLS:
         raise DataError(
-            f"{dims} dims over {fft_size // 2 + 1} FFT bins need more than {_MAX_FILTERBANK_CELLS} filterbank cells"
+            f"{n_frames} frames of {bins} FFT bins and {dims} dims need more than {_MAX_FRAME_CELLS} cells"
         )
     hamming, mel = _tables(dims, window, fft_size, buffer.sample_rate_hz)
 
@@ -224,7 +233,7 @@ def boundary_discontinuity(buffer: AudioBuffer, config: LtrConfig) -> float:
     seg = config.segment_samples(buffer.sample_rate_hz)
     n = len(buffer)
     if n <= seg:
-        raise DataError(f"buffer of {n} samples has fewer than two {seg}-sample segments")
+        raise DataError(f"buffer of {n} samples has fewer than two {config.segment_ms:g} ms segments")
     x = buffer.samples
     starts = np.arange(seg, n, seg)
     return float(np.mean(np.abs(x[starts] - x[starts - 1])))

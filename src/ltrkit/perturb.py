@@ -5,6 +5,7 @@ and time/frequency masking of feature matrices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,8 @@ class SpecAugmentPolicy:
     Defaults follow common masking practice (two frequency masks of up to 27
     mel bins, two time masks of up to 5% of the frames). Masks write 0.0,
     which equals the per-utterance mean when applied after normalization.
-    Each mask count must lie in [0, 2^16].
+    Each mask count must lie in [0, 2^16], and the seed is an integer >= 0
+    (a Python or numpy integer).
     """
 
     num_freq_masks: int = 2
@@ -87,6 +89,12 @@ class SpecAugmentPolicy:
             raise DataError(f"max_freq_mask_width must be non-negative, got {self.max_freq_mask_width}")
         if not 0.0 <= self.max_time_mask_fraction <= 1.0:
             raise DataError(f"max_time_mask_fraction must be in [0, 1], got {self.max_time_mask_fraction}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if seed < 0:
+            raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureMatrix:

@@ -58,6 +58,8 @@ _ROW_SUM_TOL = 1e-6
 _BRUTEFORCE_MAX_PATHS = 10_000_000
 _LM_FLOOR = 1e-12
 _EMISSION_CHUNK_FRAMES = 128
+# The log-probability fields of a Hypothesis, as JSONL hypothesis lists name them.
+_SCORE_KEYS = ("log_p_ctc", "log_p_att", "log_p_lm")
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ class Hypothesis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        for name in ("log_p_ctc", "log_p_att", "log_p_lm"):
+        for name in _SCORE_KEYS:
             value = getattr(self, name)
             if not value < math.inf:  # NaN fails too
                 raise DataError(f"{name} must be a log-probability below +inf, got {value}")
@@ -473,16 +475,22 @@ def load_grid(path: str | Path) -> PosteriorGrid:
 
 def load_hypotheses(path: str | Path) -> list[Hypothesis]:
     """Read a JSONL hypothesis list in file order, skipping blank lines. Each
-    line holds ``tokens`` (a list), ``log_p_ctc``, ``log_p_att`` and
-    ``log_p_lm``; a bad line, or a file that is not UTF-8 text, is a
-    ``DataError`` naming the path (and the line: ``"<path>: line N: ..."``).
+    line holds ``tokens`` (a JSON list of any values), and ``log_p_ctc``,
+    ``log_p_att`` and ``log_p_lm`` (JSON numbers, not strings or booleans);
+    a bad line, or a file that is not UTF-8 text, is a ``DataError`` naming
+    the path (and the line: ``"<path>: line N: ..."``).
     """
     hypotheses = []
     for line_no, line in numbered_lines(path):
         try:
             obj = json.loads(line)
-            scores = (float(obj[key]) for key in ("log_p_ctc", "log_p_att", "log_p_lm"))
-            hypotheses.append(Hypothesis(tuple(obj["tokens"]), *scores))
+            tokens, *scores = (obj[key] for key in ("tokens", *_SCORE_KEYS))
+            if not isinstance(tokens, list):
+                raise TypeError(f"tokens must be a JSON list, got {type(tokens).__name__}")
+            for key, score in zip(_SCORE_KEYS, scores):
+                if isinstance(score, bool) or not isinstance(score, (int, float)):
+                    raise TypeError(f"{key} must be a JSON number, got {type(score).__name__}")
+            hypotheses.append(Hypothesis(tuple(tokens), *map(float, scores)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: line {line_no}: {exc}") from exc
     return hypotheses

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import logging
@@ -190,6 +191,50 @@ def test_specaug_with_too_many_masks_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_specaug_negative_seed_is_data_error(tmp_path, capsys):
+    feat = tmp_path / "x.fbk"
+    write_matrix(np.ones((4, 3)), feat, FEATURES_MAGIC)
+    out = tmp_path / "out.fbk"
+    assert run(["specaug", "--seed", "-1", "--in", str(feat), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_constants(tmp_path, capsys):
+    from ltrkit.cli import build_parser
+    from ltrkit.dataset import SET_DURATIONS_MS
+    from ltrkit.perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy
+
+    parser = build_parser()
+    specaug = parser.parse_args(["specaug", "--seed", "0", "--in", "a", "--out", "b"])
+    assert (specaug.freq_masks, specaug.freq_width, specaug.time_masks, specaug.time_fraction, specaug.seed) == (
+        dataclasses.astuple(SpecAugmentPolicy())
+    )
+    speed = parser.parse_args(["build-speed-set", "--manifest", "m", "--out-dir", "d", "--out-manifest", "o"])
+    assert speed.factors is DEFAULT_SPEED_FACTORS
+    required = ["--manifest", "m", "--out-dir", str(tmp_path / "d"), "--out-manifest", "o"]
+    for set_id in SET_DURATIONS_MS:
+        assert parser.parse_args(["build-set", "--set", str(set_id), *required]).set_id == set_id
+    assert run(["build-set", "--set", "6", *required]) == 1
+    assert "argument --set: invalid choice: 6 (choose from 1, 2, 3, 4, 5)" in capsys.readouterr().err
+    assert run(["build-set", "--help"]) == 0
+    assert "--set {1..5}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--metric", "boundary", "--durations", "1e300"], "has fewer than two 1e+300 ms segments"),
+        (["featurize", "--window-ms", "1e300", "--out", "x.fbk"], "is shorter than one 1e+300 ms window"),
+    ],
+)
+def test_huge_durations_are_named_in_ms(tmp_path, wav, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--in", str(wav)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: buffer of 16000 samples {message}\n" and len(err) < 200
+
+
 def test_analyze_boundary_csv(tmp_path, wav, capsys):
     assert run(["analyze", "--metric", "boundary", "--in", str(wav)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -271,29 +316,18 @@ def test_parallelism_gives_identical_manifests(tmp_path, wav):
     assert outs[0] == outs[1]
 
 
-def test_parallelism_env_default(tmp_path, wav, monkeypatch):
-    monkeypatch.setenv("LTRKIT_PARALLELISM", "3")
-    from ltrkit.cli import build_parser
-
-    args = build_parser().parse_args(["build-set", "--set", "1", "--manifest", "m", "--out-dir", "d", "--out-manifest", "o"])
-    assert args.parallelism == 3
-
-
-def test_run_reads_parallelism_env_on_every_call(tmp_path, wav, monkeypatch):
+def test_parallelism_defaults_to_one_whatever_the_environment(tmp_path, wav, monkeypatch):
     import ltrkit.cli as cli
 
-    manifest = tmp_path / "m.jsonl"
-    save_manifest([ManifestRecord("u0", str(wav), "hi", 1.0)], manifest)
+    monkeypatch.setenv("LTRKIT_PARALLELISM", "3")
+    argv = ["build-set", "--set", "1", "--manifest", str(tmp_path / "m.jsonl"), "--out-dir", str(tmp_path / "d"),
+            "--out-manifest", str(tmp_path / "o.jsonl")]
+    assert cli.build_parser().parse_args(argv).parallelism == 1
+    save_manifest([ManifestRecord("u0", str(wav), "hi", 1.0)], tmp_path / "m.jsonl")
     seen = []
     monkeypatch.setattr(cli, "build_set", lambda records, aug, out_dir, parallelism: seen.append(parallelism) or [])
-    argv = ["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "d"),
-            "--out-manifest", str(tmp_path / "o.jsonl")]
-    for value in ("2", "5", "2"):
-        monkeypatch.setenv("LTRKIT_PARALLELISM", value)
-        assert run(argv) == 0
-    monkeypatch.delenv("LTRKIT_PARALLELISM")
     assert run(argv) == 0
-    assert seen == [2, 5, 2, 1]
+    assert seen == [1]
 
 
 def test_verbose_applies_to_its_own_call_only(tmp_path, wav, monkeypatch):
@@ -410,6 +444,25 @@ def test_score_fuse_bad_line_is_data_error(tmp_path, capsys):
         assert run(["score", "fuse", "--alpha", "0.5", "--beta", beta, "--hyps", str(hyps)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"lm_weight must be finite and non-negative, got {beta}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tokens", "abc", "tokens must be a JSON list, got str"),
+        ("tokens", {"x": 1}, "tokens must be a JSON list, got dict"),
+        ("log_p_ctc", "1.5", "log_p_ctc must be a JSON number, got str"),
+        ("log_p_att", True, "log_p_att must be a JSON number, got bool"),
+        ("log_p_lm", None, "log_p_lm must be a JSON number, got NoneType"),
+    ],
+)
+def test_score_fuse_mistyped_field_is_data_error(tmp_path, capsys, field, value, message):
+    good = {"tokens": ["a"], "log_p_ctc": -1.0, "log_p_att": -2, "log_p_lm": -math.inf}
+    hyps = tmp_path / "h.jsonl"
+    hyps.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n", encoding="utf-8")
+    assert run(["score", "fuse", "--alpha", "0.5", "--beta", "0.3", "--hyps", str(hyps)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {hyps}: line 2: {message}\n"
 
 
 def test_wer_command(tmp_path, capsys):

@@ -8,6 +8,7 @@ from ltrkit.audio_io import AudioBuffer
 from ltrkit.errors import DataError
 from ltrkit.features import (
     _MAX_FILTERBANK_CELLS,
+    _MAX_FRAME_CELLS,
     FeatureMatrix,
     _mel_filterbank,
     _tables,
@@ -337,3 +338,24 @@ def test_filterbank_cap_is_checked_before_the_tables_are_built(monkeypatch):
     with pytest.raises(RuntimeError, match="building"):  # at the cap the tables are built
         fbank(buffer, _MAX_FILTERBANK_CELLS // 257)
     assert built == [(_MAX_FILTERBANK_CELLS // 257, 400, 512, 16000)]
+
+
+@pytest.mark.parametrize(
+    "seconds, dims, window_ms, shift_ms",
+    [
+        (1, 2_000_000, 0.1, 0.1),  # 8000 frames x 2,000,000 dims: 119 GiB of energies
+        (10, 40, 5000.0, 0.0625),  # 80,001 frames x 65,537 FFT bins: 39 GiB of spectrum
+    ],
+)
+def test_spectrum_and_output_cap_is_checked_before_anything_is_built(monkeypatch, seconds, dims, window_ms, shift_ms):
+    buffer = AudioBuffer(np.zeros(16000 * seconds), 16000)
+    monkeypatch.setattr(features_module, "_tables", lambda *args: pytest.fail("tables built"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"need more than {_MAX_FRAME_CELLS} cells"):
+            fbank(buffer, dims, window_ms, shift_ms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+

@@ -121,6 +121,17 @@ def test_policy_validation():
             SpecAugmentPolicy(num_freq_masks=freq, num_time_masks=time)
 
 
+def test_policy_seed_must_be_a_non_negative_integer():
+    for seed in (-1, 1.5, "3", None, np.int64(-2)):
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            SpecAugmentPolicy(seed=seed)
+    feats = FeatureMatrix(np.ones((20, 8)))
+    for seed in (0, 2**100, np.int64(3), np.uint64(5)):
+        assert spec_augment(feats, SpecAugmentPolicy(seed=seed)).values.shape == (20, 8)
+    masked = [spec_augment(feats, SpecAugmentPolicy(seed=seed)).values for seed in (np.int64(3), 3)]
+    assert np.array_equal(*masked)
+
+
 def _seed_speed_perturb(buffer, factor):
     """The whole-buffer interpolation that the blocked one replaced, kept as
     the reference it must equal bit for bit (factor 1.0 aside)."""
