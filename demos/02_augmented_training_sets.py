@@ -14,7 +14,6 @@ import numpy as np
 
 from ltrkit import (
     AudioBuffer,
-    AugmentationSet,
     ManifestRecord,
     build_set,
     build_speed_set,
@@ -39,7 +38,7 @@ save_manifest(records, manifest_path)
 print(f"wrote a {len(records)}-utterance corpus manifest")
 
 print("\nSet 2 adds 15 ms and 20 ms reversals of every utterance (3x the data):")
-augmented = build_set(load_manifest(manifest_path), AugmentationSet(2), work / "set2")
+augmented = build_set(load_manifest(manifest_path), 2, work / "set2")
 for record in augmented:
     tag = f"{record.augment.type}@{record.augment.param:g}" if record.augment else "original"
     print(f"  {record.utt_id:14s} {tag:10s} {record.duration_s:6.3f}s  '{record.text}'")

@@ -6,7 +6,6 @@ experiments.
 from .audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
 from .dataset import (
     SET_DURATIONS_MS,
-    AugmentationSet,
     AugmentTag,
     ManifestError,
     ManifestRecord,
@@ -26,7 +25,7 @@ from .features import (
     save_features,
     spectral_distance,
 )
-from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
+from .ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
 from .metrics import ErrorReport, TrnFormatError, align, corpus_rate, corpus_report, read_trn, tokenize, top_confusions
 from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
 from .scoring import (

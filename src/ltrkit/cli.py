@@ -18,10 +18,10 @@ import sys
 from . import __version__
 from ._atomic import write_atomic, write_in_place
 from .audio_io import read_wav, write_wav
-from .dataset import SET_DURATIONS_MS, AugmentationSet, build_set, build_speed_set, load_manifest, save_manifest
+from .dataset import SET_DURATIONS_MS, build_set, build_speed_set, load_manifest, save_manifest
 from .errors import DataError, positive
 from .features import DISTORTION_METRICS, distortion_csv, fbank, load_features, mvn, save_features
-from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
+from .ltr import DEFAULT_DURATIONS_MS, reverse_segments
 from .metrics import trn_report
 from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
 from .scoring import FusionWeights, Vocabulary, ctc_loss_labels, load_grid, load_hypotheses, rescore_hypotheses
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the lambdas look up their library call when run, so a patched global is the one used
     p = sub.add_parser("ltr", parents=[audio], help="render locally time-reversed audio")
     p.add_argument("--segment-ms", type=_positive_float, required=True, help="reversed segment duration in ms")
-    p.set_defaults(func=_cmd_audio, transform=lambda buffer, args: reverse_segments(buffer, LtrConfig(args.segment_ms)))
+    p.set_defaults(func=_cmd_audio, transform=lambda buffer, args: reverse_segments(buffer, args.segment_ms))
 
     p = sub.add_parser("speed", parents=[audio], help="speed-perturb audio by a playback factor")
     p.add_argument("--factor", type=_positive_float, required=True)
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="set_id", type=int, choices=SET_DURATIONS_MS, required=True,
                    metavar=f"{{1..{len(SET_DURATIONS_MS)}}}")
     p.set_defaults(func=_cmd_build, build=lambda records, args: build_set(
-        records, AugmentationSet(args.set_id), args.out_dir, parallelism=args.parallelism))
+        records, args.set_id, args.out_dir, parallelism=args.parallelism))
 
     p = sub.add_parser("build-speed-set", parents=[build], help="build a speed-perturbed training set from a manifest")
     p.add_argument("--factors", type=_float_list, default=DEFAULT_SPEED_FACTORS, metavar="F,F,...")

@@ -9,11 +9,11 @@ A manifest is JSON-lines, one utterance per line:
 records lineage, so downstream tooling can group or filter derived utterances.
 
 Two builders triple a corpus. :func:`build_set` adds two locally time-reversed
-copies of every utterance (the pair of segment durations comes from one of
-five fixed duration sets). :func:`build_speed_set` adds one copy per speed
-factor; factor 1.0 aliases the original file rather than rewriting it.
-Transcripts are never altered: both augmentations are label-preserving.
-Derived ids are ``<utt_id>-ltr<ms>`` and ``<utt_id>-sp<factor>``.
+copies of every utterance, :func:`build_speed_set` one copy per speed factor;
+factor 1.0 aliases the original file rather than rewriting it. Transcripts are
+never altered. A copy is described by its tag alone: the tags ``ltr ms`` and
+``speed f`` name the WAV files ``<utt_id>-ltr<ms>`` and ``<utt_id>-sp<f>``, so
+an ``utt_id`` with a path separator or NUL is rejected.
 """
 
 from __future__ import annotations
@@ -21,22 +21,21 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._atomic import write_atomic
-from .audio_io import _encode_wav, read_wav
-from .errors import DataError, numbered_lines, positive
-from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, _reverse
+from .audio_io import _encode_wav, read_wav, write_wav
+from .errors import DataError, json_objects, positive
+from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
 from .perturb import _MIN_SPEED_FACTOR, DEFAULT_SPEED_FACTORS, speed_perturb
 
 __all__ = [
     "SET_DURATIONS_MS",
     "AugmentTag",
-    "AugmentationSet",
     "ManifestError",
     "ManifestRecord",
     "build_set",
@@ -83,40 +82,23 @@ class ManifestRecord:
         if not self.utt_id:
             raise DataError("utt_id must be non-empty")
         positive(f"duration_s of {self.utt_id!r}", self.duration_s)
-
-
-@dataclass(frozen=True)
-class AugmentationSet:
-    """One of the five fixed duration sets; set k adds the k-th duration pair."""
-
-    set_id: int
-
-    def __post_init__(self) -> None:
-        if self.set_id not in SET_DURATIONS_MS:
-            raise DataError(f"set_id must be in 1..{len(SET_DURATIONS_MS)}, got {self.set_id}")
-
-    @property
-    def durations_ms(self) -> tuple[float, float]:
-        return SET_DURATIONS_MS[self.set_id]
+        if "\0" in self.audio_path:
+            raise DataError(f"audio_path of {self.utt_id!r} holds a NUL character")
 
 
 def _record_from_json(obj: dict, where: str) -> ManifestRecord:
-    fields = {}
     for name, kind in (("utt_id", str), ("audio_path", str), ("text", str), ("duration_s", (int, float))):
         if name not in obj:
             raise ManifestError(f"{where}: missing required field {name!r}")
         value = obj[name]
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ManifestError(f"{where}: field {name!r} has wrong type {type(value).__name__}")
-        fields[name] = value
     tag = obj.get("augment")
     if tag is not None and (not isinstance(tag, dict) or "type" not in tag or "param" not in tag):
         raise ManifestError(f"{where}: augment tag must carry 'type' and 'param'")
     try:
         augment = None if tag is None else AugmentTag(tag["type"], float(tag["param"]))
-        return ManifestRecord(
-            fields["utt_id"], fields["audio_path"], fields["text"], float(fields["duration_s"]), augment
-        )
+        return ManifestRecord(obj["utt_id"], obj["audio_path"], obj["text"], float(obj["duration_s"]), augment)
     except (TypeError, ValueError, OverflowError) as exc:  # a rejected field, or float() of a bad JSON value
         raise ManifestError(f"{where}: {exc}") from exc
 
@@ -131,14 +113,7 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
     """
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    for line_no, line in numbered_lines(path):
-        where = f"{path}: line {line_no}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{where}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise ManifestError(f"{where}: expected a JSON object")
+    for where, obj in json_objects(path, ManifestError):
         record = _record_from_json(obj, where)
         if record.utt_id in seen:
             raise ManifestError(f"{where}: duplicate utt_id {record.utt_id!r}")
@@ -158,77 +133,82 @@ def save_manifest(records: Iterable[ManifestRecord], path: str | Path) -> None:
     write_atomic(path, "".join(lines).encode("utf-8"))
 
 
-def _build(
-    manifest: Sequence[ManifestRecord], variants: Sequence[tuple], out_dir: str | Path, parallelism: int
-) -> list[ManifestRecord]:
-    """One record per (source record, variant), grouped by source in input order.
+def _derived_id(record: ManifestRecord, tag: AugmentTag) -> str:
+    return f"{record.utt_id}-{'ltr' if tag.type == 'ltr' else 'sp'}{tag.param:g}"
 
-    A variant is (id suffix, transform, tag, playback speed). A suffix of
-    ``None`` keeps the source record, retagged unless the tag is ``None``;
-    otherwise the transformed audio is written as float32 WAV under the id
-    ``<utt_id>-<suffix>``, with the duration divided by the speed. An
-    :class:`LtrConfig` transform reverses the segments of the source's float32
-    payload, encoded once per utterance. Source audio is read only if some
-    variant renders it.
+
+def _build(
+    manifest: Sequence[ManifestRecord], tags: Sequence[AugmentTag | None], out_dir: str | Path, parallelism: int
+) -> list[ManifestRecord]:
+    """One record per (source record, tag), grouped by source in input order.
+
+    ``None`` keeps the source record and ``AugmentTag("speed", 1.0)`` retags
+    it. Any other tag is read from the source and written as a float32 WAV
+    named by its derived id: ``ltr ms`` reverses the segments of the float32
+    payload, encoded once per utterance; ``speed f`` resamples and divides the
+    duration by ``f``. Ids are checked before ``out_dir`` is made.
     """
+    unit_speed = AugmentTag("speed", 1.0)
+    rendered = [tag for tag in tags if tag is not None and tag != unit_speed]
+    ids = {record.utt_id for record in manifest}
+    for record in manifest:
+        for derived_id in (_derived_id(record, tag) for tag in rendered):
+            if any(c and c in derived_id for c in (os.sep, os.altsep, "\0")):
+                raise DataError(f"utt_id {record.utt_id!r} holds a path separator or NUL, so it cannot name a file")
+            if derived_id in ids:
+                raise DataError(f"derived utt_id {derived_id!r} collides with an existing id")
+            ids.add(derived_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ids = {record.utt_id for record in manifest}
-    for derived_id in (f"{r.utt_id}-{v[0]}" for r in manifest for v in variants if v[0] is not None):
-        if derived_id in ids:
-            raise DataError(f"derived utt_id {derived_id!r} collides with an existing id")
-        ids.add(derived_id)
 
     def render(record: ManifestRecord) -> list[ManifestRecord]:
         group = []
         buffer = header = payload = None
-        for suffix, transform, tag, speed in variants:
-            if suffix is None:
-                group.append(record if tag is None else replace(record, augment=tag))
+        for tag in tags:
+            if tag not in rendered:
+                group.append(record if tag is None else replace(record, augment=unit_speed))
                 continue
             if buffer is None:
                 buffer = read_wav(record.audio_path)
-            derived_id = f"{record.utt_id}-{suffix}"
+            derived_id = _derived_id(record, tag)
             out_path = out_dir / f"{derived_id}.wav"
-            if isinstance(transform, LtrConfig):
+            duration_s = record.duration_s
+            if tag.type == "ltr":
                 if payload is None:
                     header, payload = _encode_wav(buffer, "float32")
-                write_atomic(out_path, header, _reverse(payload, transform.segment_samples(buffer.sample_rate_hz)))
+                write_atomic(out_path, header, _reverse(payload, segment_samples(tag.param, buffer.sample_rate_hz)))
             else:
-                write_atomic(out_path, *_encode_wav(transform(buffer), "float32"))
-            logger.info("rendered %s", out_path)
-            group.append(ManifestRecord(derived_id, str(out_path), record.text, record.duration_s / speed, tag))
+                write_wav(speed_perturb(buffer, tag.param), out_path)
+                duration_s /= tag.param
+            group.append(ManifestRecord(derived_id, str(out_path), record.text, duration_s, tag))
         return group
 
-    # Groups are collected in input order whatever the completion order, so
-    # the output is identical for any worker count.
-    if parallelism <= 1:
-        groups = [render(record) for record in manifest]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            groups = list(pool.map(render, manifest))
-    return [record for group in groups for record in group]
+    # Groups are taken in input order, so the records and log lines are the
+    # same for any worker count; below parallelism 2 the pool starts no thread.
+    out = []
+    with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
+        for record, group in zip(manifest, (pool.map if parallelism > 1 else map)(render, manifest)):
+            for derived in (r for r in group if r.utt_id != record.utt_id):
+                logger.info("rendered %s", derived.audio_path)
+            out += group
+    return out
 
 
 def build_set(
-    manifest: Sequence[ManifestRecord],
-    augmentation_set: AugmentationSet,
-    out_dir: str | Path,
-    parallelism: int = 1,
+    manifest: Sequence[ManifestRecord], set_id: int, out_dir: str | Path, parallelism: int = 1
 ) -> list[ManifestRecord]:
     """Triple a corpus with two locally time-reversed copies per utterance.
 
-    Every input record is followed by one rendering per duration in the set,
-    written under ``out_dir`` as float32 WAV. Renderings keep the source
-    length and transcript; their records carry an ``ltr`` lineage tag and the
-    derived id ``<utt_id>-ltr<ms>``. They are reversed on the source's encoded
-    float32 samples, byte-identical to ``write_wav(reverse_segments(...))``.
+    Every input record is followed by one rendering per duration of
+    ``SET_DURATIONS_MS[set_id]``, written under ``out_dir`` as float32 WAV.
+    Renderings keep the source length and transcript; their records carry an
+    ``ltr`` lineage tag and the derived id ``<utt_id>-ltr<ms>``. They are
+    reversed on the source's encoded float32 samples, byte-identical to
+    ``write_wav(reverse_segments(...))``.
     """
-    variants = [(None, None, None, 1.0)] + [
-        (f"ltr{ms:g}", LtrConfig(ms), AugmentTag("ltr", ms), 1.0)
-        for ms in augmentation_set.durations_ms
-    ]
-    return _build(manifest, variants, out_dir, parallelism)
+    if set_id not in SET_DURATIONS_MS:
+        raise DataError(f"set_id must be in 1..{len(SET_DURATIONS_MS)}, got {set_id}")
+    return _build(manifest, [None] + [AugmentTag("ltr", ms) for ms in SET_DURATIONS_MS[set_id]], out_dir, parallelism)
 
 
 def build_speed_set(
@@ -251,9 +231,4 @@ def build_speed_set(
         raise DataError(f"speed factors must be at least {_MIN_SPEED_FACTOR}, got {list(factors)}")
     if len(set(factors)) != len(factors):
         raise DataError(f"speed factors must be distinct, got {list(factors)}")
-    variants = [
-        (None, None, AugmentTag("speed", 1.0), 1.0) if f == 1.0
-        else (f"sp{f:g}", partial(speed_perturb, factor=f), AugmentTag("speed", f), f)
-        for f in factors
-    ]
-    return _build(manifest, variants, out_dir, parallelism)
+    return _build(manifest, [AugmentTag("speed", f) for f in factors], out_dir, parallelism)

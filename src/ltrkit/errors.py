@@ -1,9 +1,10 @@
 """What counts as bad input: :class:`DataError`, the one finite-and-positive
-check, and the one reader of the numbered lines of a text file.
+check, and the one reader of the lines of a text file and of a JSON-lines file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 from typing import Iterator
@@ -32,3 +33,17 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                     yield line_no, line
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def json_objects(path: str | Path, error: type[DataError] = DataError) -> Iterator[tuple[str, dict]]:
+    """``("<path>: line N", object)`` for each non-blank line of a JSON-lines
+    file; a line that is not a JSON object is an ``error`` naming the line."""
+    for line_no, line in numbered_lines(path):
+        where = f"{path}: line {line_no}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise error(f"{where}: expected a JSON object")
+        yield where, obj

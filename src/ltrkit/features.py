@@ -26,7 +26,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .errors import DataError
-from .ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
+from .ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
 from .matrix_io import FEATURES_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
@@ -220,7 +220,7 @@ def mvn(features: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix._adopt(centered)
 
 
-def boundary_discontinuity(buffer: AudioBuffer, config: LtrConfig) -> float:
+def boundary_discontinuity(buffer: AudioBuffer, segment_ms: float) -> float:
     """Mean absolute sample jump across interior segment boundaries.
 
     For segment length L, this is the average of ``|s[kL] - s[kL-1]|`` over
@@ -230,10 +230,10 @@ def boundary_discontinuity(buffer: AudioBuffer, config: LtrConfig) -> float:
     Raises:
         DataError: if the buffer does not span at least two segments.
     """
-    seg = config.segment_samples(buffer.sample_rate_hz)
+    seg = segment_samples(segment_ms, buffer.sample_rate_hz)
     n = len(buffer)
     if n <= seg:
-        raise DataError(f"buffer of {n} samples has fewer than two {config.segment_ms:g} ms segments")
+        raise DataError(f"buffer of {n} samples has fewer than two {segment_ms:g} ms segments")
     x = buffer.samples
     starts = np.arange(seg, n, seg)
     return float(np.mean(np.abs(x[starts] - x[starts - 1])))
@@ -260,9 +260,8 @@ def distortion_curve(
     reference = fbank(buffer) if metric == "spectral-distance" else None
     curve = []
     for duration_ms in durations_ms:
-        config = LtrConfig(duration_ms)
-        rendered = reverse_segments(buffer, config)
-        value = boundary_discontinuity(rendered, config) if reference is None else spectral_distance(reference, fbank(rendered))
+        rendered = reverse_segments(buffer, duration_ms)
+        value = boundary_discontinuity(rendered, duration_ms) if reference is None else spectral_distance(reference, fbank(rendered))
         curve.append((duration_ms, value))
     return curve
 

@@ -1,22 +1,21 @@
 """Locally time-reversed (LTR) rendering of audio.
 
-The waveform is partitioned into consecutive fixed-duration segments and the
-samples inside each segment are rewritten in reverse order; segment order is
-untouched. The transform is length-preserving, permutes samples only within
-their own segment, and is its own inverse.
+The waveform is partitioned into consecutive segments of one duration, a
+plain float in ms, and the samples inside each segment are rewritten in
+reverse order; segment order is untouched. The transform is length-preserving,
+permutes samples only within their own segment, and is its own inverse.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer
 from .errors import DataError, positive
 
-__all__ = ["DEFAULT_DURATIONS_MS", "LtrConfig", "reverse_segments", "segment_samples"]
+__all__ = ["DEFAULT_DURATIONS_MS", "reverse_segments", "segment_samples"]
 
 # The standard sweep: 5 ms through 50 ms in 5 ms steps.
 DEFAULT_DURATIONS_MS: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
@@ -35,21 +34,8 @@ def segment_samples(segment_ms: float, sample_rate_hz: int) -> int:
     return max(1, int(math.floor(samples + 0.5)))
 
 
-@dataclass(frozen=True)
-class LtrConfig:
-    """Reversal granularity, expressed as a segment duration in milliseconds."""
-
-    segment_ms: float
-
-    def __post_init__(self) -> None:
-        positive("segment_ms", self.segment_ms)
-
-    def segment_samples(self, sample_rate_hz: int) -> int:
-        return segment_samples(self.segment_ms, sample_rate_hz)
-
-
-def reverse_segments(buffer: AudioBuffer, config: LtrConfig) -> AudioBuffer:
-    """Reverse the sample order inside each consecutive segment.
+def reverse_segments(buffer: AudioBuffer, segment_ms: float) -> AudioBuffer:
+    """Reverse the sample order inside each consecutive ``segment_ms`` segment.
 
     Segmentation starts at sample 0 with no overlap. A trailing segment
     shorter than the nominal length is reversed as-is, which keeps the output
@@ -57,10 +43,10 @@ def reverse_segments(buffer: AudioBuffer, config: LtrConfig) -> AudioBuffer:
     A buffer shorter than one segment is a single tail segment, i.e. it is
     reversed whole.
     """
+    seg = segment_samples(segment_ms, buffer.sample_rate_hz)
     if len(buffer) == 0:
         raise DataError("buffer is empty")
-    out = _reverse(buffer.samples, config.segment_samples(buffer.sample_rate_hz))
-    return AudioBuffer._adopt(out, buffer.sample_rate_hz)
+    return AudioBuffer._adopt(_reverse(buffer.samples, seg), buffer.sample_rate_hz)
 
 
 def _reverse(x: np.ndarray, seg: int) -> np.ndarray:

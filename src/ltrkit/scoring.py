@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, numbered_lines, positive
+from .errors import DataError, json_objects, positive
 from .matrix_io import POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
@@ -475,22 +475,28 @@ def load_grid(path: str | Path) -> PosteriorGrid:
 
 def load_hypotheses(path: str | Path) -> list[Hypothesis]:
     """Read a JSONL hypothesis list in file order, skipping blank lines. Each
-    line holds ``tokens`` (a JSON list of any values), and ``log_p_ctc``,
-    ``log_p_att`` and ``log_p_lm`` (JSON numbers, not strings or booleans);
-    a bad line, or a file that is not UTF-8 text, is a ``DataError`` naming
-    the path (and the line: ``"<path>: line N: ..."``).
+    line is a JSON object holding ``tokens`` (a JSON list of any values but
+    NaN and infinities), and ``log_p_ctc``, ``log_p_att`` and ``log_p_lm``
+    (JSON numbers, not strings or booleans); a bad line, or a file that is not
+    UTF-8 text, is a ``DataError`` naming the path (and the line:
+    ``"<path>: line N: ..."``).
     """
     hypotheses = []
-    for line_no, line in numbered_lines(path):
+    for where, obj in json_objects(path):
         try:
-            obj = json.loads(line)
             tokens, *scores = (obj[key] for key in ("tokens", *_SCORE_KEYS))
             if not isinstance(tokens, list):
                 raise TypeError(f"tokens must be a JSON list, got {type(tokens).__name__}")
+            try:
+                json.dumps(tokens, allow_nan=False)
+            except ValueError:
+                raise ValueError("tokens must not hold NaN or an infinity") from None
             for key, score in zip(_SCORE_KEYS, scores):
                 if isinstance(score, bool) or not isinstance(score, (int, float)):
                     raise TypeError(f"{key} must be a JSON number, got {type(score).__name__}")
             hypotheses.append(Hypothesis(tuple(tokens), *map(float, scores)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{path}: line {line_no}: {exc}") from exc
+        except KeyError as exc:
+            raise DataError(f"{where}: missing required field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{where}: {exc}") from exc
     return hypotheses

@@ -18,9 +18,9 @@ import pytest
 
 from ltrkit.audio_io import AudioBuffer, read_wav, write_wav
 from ltrkit.cli import run
-from ltrkit.dataset import SET_DURATIONS_MS, AugmentationSet, ManifestRecord, build_set, build_speed_set, save_manifest
+from ltrkit.dataset import SET_DURATIONS_MS, ManifestRecord, build_set, build_speed_set, save_manifest
 from ltrkit.features import FeatureMatrix, boundary_discontinuity, fbank, mvn
-from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
+from ltrkit.ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
 from ltrkit.metrics import align, corpus_rate
 from ltrkit.perturb import DEFAULT_SPEED_FACTORS
 from ltrkit.scoring import FusionWeights, Hypothesis, collapse, ctc_loss, ctc_loss_bruteforce, fused_score, mtl_loss, rescore_hypotheses
@@ -52,13 +52,12 @@ def test_criterion_1_ltr_involution():
         rate = int(rates[rng.integers(0, 3)])
         buf = AudioBuffer(rng.uniform(-1.0, 1.0, n), rate)
         for duration_ms in DEFAULT_DURATIONS_MS:
-            config = LtrConfig(duration_ms)
-            once = reverse_segments(buf, config)
-            twice = reverse_segments(once, config)
+            once = reverse_segments(buf, duration_ms)
+            twice = reverse_segments(once, duration_ms)
             assert np.array_equal(twice.samples, buf.samples), "double application must be the identity, bit-exactly"
             assert len(once) == n and once.sample_rate_hz == rate
 
-            seg = config.segment_samples(rate)
+            seg = segment_samples(duration_ms, rate)
             full = (n // seg) * seg
             x, y = buf.samples, once.samples
             sorted_x = np.sort(x[:full].reshape(-1, seg), axis=1)
@@ -124,7 +123,7 @@ def test_criterion_4_recipe_shape(tmp_path):
     source_texts = Counter(r.text for r in manifest)
 
     for set_id in range(1, 6):
-        out = build_set(manifest, AugmentationSet(set_id), tmp_path / f"set{set_id}")
+        out = build_set(manifest, set_id, tmp_path / f"set{set_id}")
         assert len(out) == 60
         expected_durations = SET_DURATIONS_MS[set_id]
         ltr_records = [r for r in out if r.augment is not None]
@@ -306,8 +305,7 @@ def test_criterion_9_boundary_trend(tmp_path):
 
     # the CSV must mirror the library computation
     for duration_ms, reported in values.items():
-        config = LtrConfig(duration_ms)
-        computed = boundary_discontinuity(reverse_segments(chirp, config), config)
+        computed = boundary_discontinuity(reverse_segments(chirp, duration_ms), duration_ms)
         assert reported == pytest.approx(computed, rel=1e-6)
 
     assert values[5.0] >= values[50.0], "short segments must show at least as much boundary noise"

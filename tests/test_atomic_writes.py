@@ -19,7 +19,7 @@ from ltrkit.cli import run
 from ltrkit.dataset import ManifestRecord, save_manifest
 from ltrkit.errors import DataError
 from ltrkit.features import FeatureMatrix, fbank, load_features, mvn, save_features
-from ltrkit.ltr import LtrConfig, reverse_segments
+from ltrkit.ltr import reverse_segments
 from ltrkit.matrix_io import FEATURES_MAGIC, POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 from ltrkit.perturb import SpecAugmentPolicy, spec_augment, speed_perturb
 from ltrkit.scoring import PosteriorGrid, load_grid, save_grid
@@ -293,7 +293,7 @@ def test_the_public_constructors_copy_and_every_array_is_read_only(tmp_path):
 
     write_wav(AudioBuffer(np.linspace(-0.9, 0.9, 800), 8000), tmp_path / "a.wav")
     decoded = read_wav(tmp_path / "a.wav")
-    buffers = [buffer, decoded, reverse_segments(decoded, LtrConfig(5)), speed_perturb(decoded, 0.9),
+    buffers = [buffer, decoded, reverse_segments(decoded, 5), speed_perturb(decoded, 0.9),
                speed_perturb(decoded, 1.0)]
     for item in buffers:
         assert not item.samples.flags.writeable

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from ltrkit.cli import run
 from ltrkit.dataset import load_manifest, save_manifest, ManifestRecord
 from ltrkit.errors import DataError
 from ltrkit.features import load_features
-from ltrkit.ltr import LtrConfig, reverse_segments
+from ltrkit.ltr import reverse_segments
 from ltrkit.matrix_io import FEATURES_MAGIC, POSTERIORS_MAGIC, write_matrix
 from ltrkit.metrics import align, top_confusions
 from ltrkit.scoring import PosteriorGrid, ctc_loss, save_grid
@@ -87,7 +88,7 @@ def test_ltr_roundtrip(tmp_path, wav):
     rendered = read_wav(out)
     source = read_wav(wav)
     assert len(rendered) == len(source)
-    expected = reverse_segments(source, LtrConfig(20.0))
+    expected = reverse_segments(source, 20.0)
     assert np.array_equal(rendered.samples, expected.samples)
 
 
@@ -284,6 +285,28 @@ def test_build_set_bad_manifest_is_data_error(tmp_path, wav, capsys):
         assert not (tmp_path / "o.jsonl").exists()
 
 
+@pytest.mark.parametrize("utt_id", ["../../x", "a/b", "a\0b"])
+def test_build_set_utt_id_that_names_no_file_is_data_error(tmp_path, wav, capsys, utt_id):
+    manifest = tmp_path / "m.jsonl"
+    save_manifest([ManifestRecord(utt_id, str(wav), "hi", 1.0)], manifest)
+    before = sorted(tmp_path.rglob("*"))
+    code = run(["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "D" / "o"),
+                "--out-manifest", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: utt_id {utt_id!r} holds a path separator or NUL, so it cannot name a file\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_build_set_nul_in_audio_path_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"utt_id": "u", "audio_path": "a\0.wav", "text": "t", "duration_s": 1.0}) + "\n")
+    code = run(["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "D"),
+                "--out-manifest", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {manifest}: line 1: audio_path of 'u' holds a NUL character\n"
+    assert sorted(tmp_path.iterdir()) == [manifest]
+
+
 def test_build_speed_set_pipeline(tmp_path, wav):
     manifest = tmp_path / "m.jsonl"
     save_manifest([ManifestRecord("u0", str(wav), "hi", 1.0)], manifest)
@@ -349,6 +372,29 @@ def test_verbose_applies_to_its_own_call_only(tmp_path, wav, monkeypatch):
         assert (root.level, list(root.handlers), package.level, package.propagate) == before
         assert package.handlers == []
     assert elsewhere.getvalue() == ""
+
+
+def test_verbose_lines_come_in_input_order_at_any_parallelism(tmp_path, wav, monkeypatch, capsys):
+    import ltrkit.dataset as dataset
+
+    manifest = tmp_path / "m.jsonl"
+    save_manifest([ManifestRecord(f"u{i}", str(wav), "hi", 1.0) for i in range(3)], manifest)
+
+    def slow_first_read(path):  # the first utterance finishes last at parallelism 2
+        if not seen:
+            time.sleep(0.3)
+        seen.append(path)
+        return read_wav(path)
+
+    monkeypatch.setattr(dataset, "read_wav", slow_first_read)
+    errs = []
+    for workers in ("1", "2"):
+        seen = []
+        assert run(["--verbose", "build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "d"),
+                    "--out-manifest", str(tmp_path / "o.jsonl"), "--parallelism", workers]) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs[1] == errs[0]
+    assert errs[0].splitlines()[:2] == [f"rendered {tmp_path / 'd' / 'u0-ltr5.wav'}", f"rendered {tmp_path / 'd' / 'u0-ltr10.wav'}"]
 
 
 def test_list_defaults_are_immutable():
@@ -463,6 +509,28 @@ def test_score_fuse_mistyped_field_is_data_error(tmp_path, capsys, field, value,
     assert run(["score", "fuse", "--alpha", "0.5", "--beta", "0.3", "--hyps", str(hyps)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {hyps}: line 2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"tokens": [NaN, Infinity], "log_p_ctc": -1, "log_p_att": -2, "log_p_lm": -3}',
+         "tokens must not hold NaN or an infinity"),
+        ('{"tokens": [[1, -Infinity]], "log_p_ctc": -1, "log_p_att": -2, "log_p_lm": -3}',
+         "tokens must not hold NaN or an infinity"),
+        ('{"log_p_ctc": -1, "log_p_att": -2, "log_p_lm": -3}', "missing required field 'tokens'"),
+        ('"tokens"', "expected a JSON object"),
+        ("null", "expected a JSON object"),
+        ("[1, 2]", "expected a JSON object"),
+        ("{broken", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ],
+)
+def test_score_fuse_bad_line_says_what_the_manifest_reader_says(tmp_path, capsys, line, message):
+    hyps = tmp_path / "h.jsonl"
+    hyps.write_text(line + "\n", encoding="utf-8")
+    assert run(["score", "fuse", "--alpha", "0.5", "--beta", "0.3", "--hyps", str(hyps)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {hyps}: line 1: {message}\n"
 
 
 def test_wer_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -12,7 +13,6 @@ from ltrkit.audio_io import AudioBuffer, read_wav, write_wav
 from ltrkit.dataset import (
     SET_DURATIONS_MS,
     AugmentTag,
-    AugmentationSet,
     ManifestError,
     ManifestRecord,
     build_set,
@@ -38,11 +38,11 @@ def write_corpus(tmp_path, count=3, rate=16000, seed=0):
 # ---------------------------------------------------------------- manifest io
 
 
-def test_set_durations_mapping():
+def test_set_durations_mapping(tmp_path):
     assert SET_DURATIONS_MS == {1: (5.0, 10.0), 2: (15.0, 20.0), 3: (25.0, 30.0), 4: (35.0, 40.0), 5: (45.0, 50.0)}
-    assert AugmentationSet(2).durations_ms == (15.0, 20.0)
     with pytest.raises(ValueError, match="1..5"):
-        AugmentationSet(6)
+        build_set([], 6, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_load_empty_manifest(tmp_path):
@@ -121,7 +121,7 @@ def test_record_validation(tmp_path, obj, message):
 
 def test_build_set_triples_the_corpus(tmp_path):
     records = write_corpus(tmp_path, count=3)
-    out = build_set(records, AugmentationSet(2), tmp_path / "aug")
+    out = build_set(records, 2, tmp_path / "aug")
     assert len(out) == 3 * len(records)
 
     by_id = {r.utt_id: r for r in out}
@@ -143,21 +143,21 @@ def test_build_set_triples_the_corpus(tmp_path):
 
 def test_build_set_five_uses_45_and_50(tmp_path):
     records = write_corpus(tmp_path, count=1)
-    out = build_set(records, AugmentationSet(5), tmp_path / "aug")
+    out = build_set(records, 5, tmp_path / "aug")
     assert [r.utt_id for r in out] == ["utt0", "utt0-ltr45", "utt0-ltr50"]
 
 
 def test_build_set_empty_manifest(tmp_path):
-    assert build_set([], AugmentationSet(1), tmp_path / "aug") == []
+    assert build_set([], 1, tmp_path / "aug") == []
 
 
 def test_build_set_rendered_audio_is_the_ltr_rendering(tmp_path):
-    from ltrkit.ltr import LtrConfig, reverse_segments
+    from ltrkit.ltr import reverse_segments
 
     records = write_corpus(tmp_path, count=1)
-    out = build_set(records, AugmentationSet(1), tmp_path / "aug")
+    out = build_set(records, 1, tmp_path / "aug")
     source = read_wav(records[0].audio_path)
-    expected = reverse_segments(source, LtrConfig(5.0))
+    expected = reverse_segments(source, 5.0)
     rendered = read_wav(out[1].audio_path)
     assert np.array_equal(rendered.samples, expected.samples.astype(np.float32).astype(np.float64))
 
@@ -166,19 +166,32 @@ def test_build_set_detects_id_collision(tmp_path):
     records = write_corpus(tmp_path, count=1)
     clash = ManifestRecord("utt0-ltr5", records[0].audio_path, "x", 1.0)
     with pytest.raises(ValueError, match="collides"):
-        build_set(records + [clash], AugmentationSet(1), tmp_path / "aug")
+        build_set(records + [clash], 1, tmp_path / "aug")
+
+
+@pytest.mark.parametrize("utt_id", ["../../x", "a/b", "a\0b"])
+def test_builders_reject_an_utt_id_that_names_no_file_in_out_dir(tmp_path, utt_id):
+    source = write_corpus(tmp_path, count=1)[0]
+    record = ManifestRecord(utt_id, source.audio_path, source.text, source.duration_s)
+    before = sorted(tmp_path.rglob("*"))
+    for build in (lambda out: build_set([record], 1, out), lambda out: build_speed_set([record], [0.9], out)):
+        with pytest.raises(DataError, match=re.escape(f"utt_id {utt_id!r} holds a path separator or NUL")):
+            build(tmp_path / "d" / "o")
+        assert sorted(tmp_path.rglob("*")) == before
+    # factor 1.0 renders nothing, so it names no file
+    assert build_speed_set([record], [1.0], tmp_path / "d") == [dataclasses.replace(record, augment=AugmentTag("speed", 1.0))]
 
 
 def test_build_set_unreadable_audio(tmp_path):
     record = ManifestRecord("ghost", str(tmp_path / "missing.wav"), "t", 1.0)
     with pytest.raises(OSError):
-        build_set([record], AugmentationSet(1), tmp_path / "aug")
+        build_set([record], 1, tmp_path / "aug")
 
 
 def test_build_set_deterministic_and_parallel_invariant(tmp_path):
     records = write_corpus(tmp_path, count=4)
-    out_a = build_set(records, AugmentationSet(3), tmp_path / "a", parallelism=1)
-    out_b = build_set(records, AugmentationSet(3), tmp_path / "b", parallelism=4)
+    out_a = build_set(records, 3, tmp_path / "a", parallelism=1)
+    out_b = build_set(records, 3, tmp_path / "b", parallelism=4)
     assert [r.utt_id for r in out_a] == [r.utt_id for r in out_b]
     for ra, rb in zip(out_a, out_b):
         if ra.augment is not None:
@@ -198,7 +211,7 @@ def test_build_set_frees_each_utterance_before_the_next(tmp_path):
     def peak(manifest, out_dir):
         tracemalloc.start()
         try:
-            build_set(manifest, AugmentationSet(2), out_dir)
+            build_set(manifest, 2, out_dir)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

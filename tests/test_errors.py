@@ -11,7 +11,7 @@ from ltrkit.audio_io import AudioBuffer, WavFormatError
 from ltrkit.dataset import AugmentTag, ManifestError, ManifestRecord, load_manifest
 from ltrkit.errors import DataError, numbered_lines, positive
 from ltrkit.features import FeatureMatrix
-from ltrkit.ltr import LtrConfig, segment_samples
+from ltrkit.ltr import reverse_segments, segment_samples
 from ltrkit.matrix_io import MatrixFormatError
 from ltrkit.metrics import TrnFormatError, read_trn
 from ltrkit.perturb import speed_perturb
@@ -41,7 +41,7 @@ def test_every_value_is_finite_or_a_data_error(x, y, samples):
         lambda: AudioBuffer(samples, 8000),
         lambda: FeatureMatrix([samples, samples]),
         lambda: AudioBuffer([0.0], x),
-        lambda: LtrConfig(x),
+        lambda: reverse_segments(buffer, x),
         lambda: ManifestRecord("u", "a.wav", "t", x),
         lambda: AugmentTag("speed", x),
         lambda: FusionWeights(x, y),

@@ -21,7 +21,7 @@ from ltrkit.features import (
     save_features,
     spectral_distance,
 )
-from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
+from ltrkit.ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
 from ltrkit.matrix_io import FEATURES_MAGIC, MatrixFormatError, write_matrix
 
 
@@ -119,26 +119,25 @@ def test_mvn_idempotent_and_affine_invariant():
 def test_boundary_of_smooth_ramp_is_the_step():
     buf = AudioBuffer(np.arange(50) * 0.1 / 50, 1000)
     for ms in (2.0, 5.0, 7.0):
-        assert boundary_discontinuity(buf, LtrConfig(ms)) == pytest.approx(0.1 / 50)
+        assert boundary_discontinuity(buf, ms) == pytest.approx(0.1 / 50)
 
 
 def test_boundary_of_constant_signal_is_zero():
     buf = AudioBuffer(np.full(100, 0.3), 1000)
-    assert boundary_discontinuity(buf, LtrConfig(10.0)) == 0.0
+    assert boundary_discontinuity(buf, 10.0) == 0.0
 
 
 def test_boundary_of_ltr_ramp_hand_value():
     # 12-sample ramp with step 0.01, reversed in blocks of 4:
     # jumps |0.07-0.00| and |0.11-0.04| -> mean 0.07
-    config = LtrConfig(4.0)
     ramp = AudioBuffer(np.arange(12) * 0.01, 1000)
-    rendered = reverse_segments(ramp, config)
-    assert boundary_discontinuity(rendered, config) == pytest.approx(0.07, abs=1e-12)
+    rendered = reverse_segments(ramp, 4.0)
+    assert boundary_discontinuity(rendered, 4.0) == pytest.approx(0.07, abs=1e-12)
 
 
 def test_boundary_needs_two_segments():
     with pytest.raises(ValueError, match="fewer than two"):
-        boundary_discontinuity(AudioBuffer(np.zeros(5), 1000), LtrConfig(10.0))
+        boundary_discontinuity(AudioBuffer(np.zeros(5), 1000), 10.0)
 
 
 def test_spectral_distance_basics():
@@ -159,9 +158,9 @@ def test_distortion_curve_matches_each_rendering():
     spectral = distortion_curve(buf, "spectral-distance", [30.0, 10.0])
     reference = fbank(buf)
     assert boundary == [
-        (ms, boundary_discontinuity(reverse_segments(buf, LtrConfig(ms)), LtrConfig(ms))) for ms in DEFAULT_DURATIONS_MS
+        (ms, boundary_discontinuity(reverse_segments(buf, ms), ms)) for ms in DEFAULT_DURATIONS_MS
     ]
-    assert spectral == [(ms, spectral_distance(reference, fbank(reverse_segments(buf, LtrConfig(ms))))) for ms in (30.0, 10.0)]
+    assert spectral == [(ms, spectral_distance(reference, fbank(reverse_segments(buf, ms)))) for ms in (30.0, 10.0)]
 
 
 def test_distortion_csv_formats_the_curve():
@@ -291,7 +290,7 @@ def test_fbank_matches_seed_on_negative_zeros_and_ltr_renderings(rate):
     t = np.arange(n) / rate
     speech_like = AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t) * np.sin(2 * np.pi * 3 * t) + 0.05 * rng.normal(size=n), rate)
     buffers = [AudioBuffer(zeros, rate), AudioBuffer(sparse, rate), speech_like]
-    buffers += [reverse_segments(speech_like, LtrConfig(ms)) for ms in DEFAULT_DURATIONS_MS]
+    buffers += [reverse_segments(speech_like, ms) for ms in DEFAULT_DURATIONS_MS]
     for buffer in buffers:
         for dims in (13, 80):
             assert _same_bits(fbank(buffer, dims).values, _seed_fbank(buffer, dims))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ltrkit.audio_io import AudioBuffer
 from ltrkit.errors import DataError
 from ltrkit.features import distortion_curve
-from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments, segment_samples
+from ltrkit.ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
 
 
 def make_buffer(values, rate=1000):
@@ -43,27 +43,27 @@ def test_segment_samples_rejects_nonpositive(ms, rate):
 
 def test_reverse_with_tail_segment():
     buf = make_buffer([1, 2, 3, 4, 5, 6, 7])
-    out = reverse_segments(buf, LtrConfig(3.0))  # L = 3 at 1 kHz
+    out = reverse_segments(buf, 3.0)  # L = 3 at 1 kHz
     assert out.samples.tolist() == [3, 2, 1, 6, 5, 4, 7]
 
 
 def test_reverse_single_sample_segments_is_identity():
     buf = make_buffer([0.1, 0.2, 0.3])
-    out = reverse_segments(buf, LtrConfig(1.0))
+    out = reverse_segments(buf, 1.0)
     assert np.array_equal(out.samples, buf.samples)
 
 
 def test_reverse_segment_longer_than_signal_reverses_whole():
     buf = make_buffer([1, 2, 3, 4])
-    out = reverse_segments(buf, LtrConfig(1000.0))
+    out = reverse_segments(buf, 1000.0)
     assert out.samples.tolist() == [4, 3, 2, 1]
     # 1e300 ms is about 2^1000 samples, more than numpy can shape
-    assert reverse_segments(buf, LtrConfig(1e300)).samples.tolist() == [4, 3, 2, 1]
+    assert reverse_segments(buf, 1e300).samples.tolist() == [4, 3, 2, 1]
 
 
 def test_reverse_rejects_empty_buffer():
     with pytest.raises(ValueError, match="empty"):
-        reverse_segments(make_buffer([]), LtrConfig(5.0))
+        reverse_segments(make_buffer([]), 5.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,13 +74,12 @@ def test_reverse_rejects_empty_buffer():
 )
 def test_involution_and_segment_multisets(samples, segment_ms, rate):
     buf = AudioBuffer(np.array(samples), rate)
-    config = LtrConfig(segment_ms)
-    once = reverse_segments(buf, config)
-    twice = reverse_segments(once, config)
+    once = reverse_segments(buf, segment_ms)
+    twice = reverse_segments(once, segment_ms)
     assert np.array_equal(twice.samples, buf.samples)
     assert len(once) == len(buf) and once.sample_rate_hz == rate
     # samples only ever move within their own segment
-    seg = config.segment_samples(rate)
+    seg = segment_samples(segment_ms, rate)
     for start in range(0, len(buf), seg):
         assert np.array_equal(
             np.sort(once.samples[start : start + seg]), np.sort(buf.samples[start : start + seg])
@@ -92,9 +91,8 @@ def test_locality_of_single_sample_change():
     x = rng.uniform(-1, 1, 100)
     y = x.copy()
     y[37] += 0.25  # segment 3 for L = 10
-    config = LtrConfig(10.0)
-    a = reverse_segments(make_buffer(x), config).samples
-    b = reverse_segments(make_buffer(y), config).samples
+    a = reverse_segments(make_buffer(x), 10.0).samples
+    b = reverse_segments(make_buffer(y), 10.0).samples
     changed = np.nonzero(a != b)[0]
     assert changed.tolist() == [32]  # 37 reversed within [30, 40)
 
@@ -118,5 +116,5 @@ def test_render_family_empty_durations():
 
 def test_config_rejects_nonpositive_duration():
     for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DataError, match="segment_ms must be positive and finite"):
-            LtrConfig(bad)
+        with pytest.raises(DataError, match="a duration in ms must be positive and finite"):
+            reverse_segments(make_buffer([1.0]), bad)

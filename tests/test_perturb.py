@@ -163,13 +163,13 @@ def test_speed_perturb_matches_seed_bit_for_bit(n):
 
 
 def test_speed_perturb_matches_seed_on_ltr_renderings():
-    from ltrkit.ltr import DEFAULT_DURATIONS_MS, LtrConfig, reverse_segments
+    from ltrkit.ltr import DEFAULT_DURATIONS_MS, reverse_segments
 
     rng = np.random.default_rng(7)
     t = np.arange(3 * 16000 + 5) / 16000
     buffer = AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t) + 0.05 * rng.normal(size=len(t)), 16000)
     for ms in DEFAULT_DURATIONS_MS:
-        rendered = reverse_segments(buffer, LtrConfig(ms))
+        rendered = reverse_segments(buffer, ms)
         for factor in (0.9, 1.1, 1.3):
             got = speed_perturb(rendered, factor).samples
             want = _seed_speed_perturb(rendered, factor)

@@ -321,7 +321,7 @@ def test_load_hypotheses_skips_blank_lines_and_names_bad_line(tmp_path):
     assert load_hypotheses(path) == [Hypothesis((1, 0), -1.0, -2.5, -3.0), Hypothesis(("a",), -0.5, -0.25, -1e-3)]
     with path.open("a", encoding="utf-8") as handle:
         handle.write('\n{"tokens": [0], "log_p_ctc": -1, "log_p_att": -1}\n')
-    with pytest.raises(ValueError, match=r"h\.jsonl: line 6: 'log_p_lm'"):
+    with pytest.raises(ValueError, match=r"h\.jsonl: line 6: missing required field 'log_p_lm'"):
         load_hypotheses(path)
 
 

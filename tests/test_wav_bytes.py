@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from ltrkit.audio_io import AudioBuffer, WavFormatError, _encode_wav, read_wav, write_wav
-from ltrkit.dataset import SET_DURATIONS_MS, AugmentationSet, AugmentTag, ManifestRecord, build_set, save_manifest
+from ltrkit.dataset import SET_DURATIONS_MS, AugmentTag, ManifestRecord, build_set, save_manifest
 from ltrkit.errors import DataError
-from ltrkit.ltr import LtrConfig, _reverse, reverse_segments
+from ltrkit.ltr import _reverse, reverse_segments, segment_samples
 
 _TAG_PCM = 1
 _TAG_IEEE_FLOAT = 3
@@ -106,11 +106,11 @@ def _seed_write_wav(buffer, path, codec="float32"):
     Path(path).write_bytes(header + payload)
 
 
-def _seed_reverse_segments(buffer, config):
+def _seed_reverse_segments(buffer, segment_ms):
     n = len(buffer)
     if n == 0:
         raise DataError("buffer is empty")
-    seg = config.segment_samples(buffer.sample_rate_hz)
+    seg = segment_samples(segment_ms, buffer.sample_rate_hz)
     x = buffer.samples
     out = np.empty(n, dtype=x.dtype)
     full = (n // seg) * seg
@@ -226,8 +226,7 @@ def test_reverse_segments_matches_seed():
         samples[rng.random(n) < 0.2] = -0.0
         buffer = AudioBuffer(samples, 1000)  # 1 sample per ms
         for segment_ms in (1, 2, 3, 20, n - 1 or 1, n, n + 1, 10 * n):
-            config = LtrConfig(segment_ms)
-            got, want = reverse_segments(buffer, config), _seed_reverse_segments(buffer, config)
+            got, want = reverse_segments(buffer, segment_ms), _seed_reverse_segments(buffer, segment_ms)
             assert _same_samples(got.samples, want.samples), (n, segment_ms)
             assert got.sample_rate_hz == want.sample_rate_hz
             assert not got.samples.flags.writeable
@@ -248,7 +247,7 @@ def test_reverse_on_the_payload_matches_encoding_the_rendering(codec):
             assert got.dtype == payload.dtype
             # reverse_segments is _reverse too, so the seed body is the independent reference
             for rendering in (reverse_segments, _seed_reverse_segments):
-                want_header, want = _encode_wav(rendering(buffer, LtrConfig(seg)), codec)
+                want_header, want = _encode_wav(rendering(buffer, seg), codec)
                 assert want_header == header
                 assert got.tobytes() == want.tobytes(), (n, seg, rendering.__name__)
         assert not np.shares_memory(got, payload)
@@ -288,7 +287,7 @@ def _seed_build(manifest, durations_ms, wav_dir, out_dir):
         source = _seed_read_wav(record.audio_path)
         for ms in durations_ms:
             derived_id = f"{record.utt_id}-ltr{ms:g}"
-            _seed_write_wav(_seed_reverse_segments(source, LtrConfig(ms)), wav_dir / f"{derived_id}.wav")
+            _seed_write_wav(_seed_reverse_segments(source, ms), wav_dir / f"{derived_id}.wav")
             path = out_dir / f"{derived_id}.wav"
             records.append(ManifestRecord(derived_id, str(path), record.text, record.duration_s, AugmentTag("ltr", ms)))
     return records
@@ -301,7 +300,7 @@ def test_build_set_matches_seed_build_byte_for_byte(tmp_path, set_id):
         out_dir = tmp_path / f"p{parallelism}"
         want = _seed_build(manifest, SET_DURATIONS_MS[set_id], tmp_path / "seed", out_dir)
         save_manifest(want, tmp_path / "want.jsonl")
-        save_manifest(build_set(manifest, AugmentationSet(set_id), out_dir, parallelism), tmp_path / "got.jsonl")
+        save_manifest(build_set(manifest, set_id, out_dir, parallelism), tmp_path / "got.jsonl")
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
         names = sorted(path.name for path in out_dir.iterdir())
         assert names == sorted(path.name for path in (tmp_path / "seed").iterdir())
