@@ -11,6 +11,9 @@ import stat
 import threading
 from pathlib import Path
 
+# The longest ".<pid>-<thread id>.tmp" that write_atomic adds to a file name.
+TMP_SUFFIX_BYTES = len(f".{2**32 - 1}-{2**64 - 1}.tmp")
+
 
 def write_atomic(path: str | Path, *chunks) -> None:
     """Write the bytes-like ``chunks`` in order as the file at ``path``.

@@ -135,27 +135,28 @@ def read_wav(path: str | Path) -> AudioBuffer:
     if len(data_body) % frame_size != 0:
         raise WavFormatError(f"{path}: data chunk size {len(data_body)} is not a multiple of the {frame_size}-byte frame size")
 
-    values = np.frombuffer(data_body, dtype=dtype).astype(np.float64)
-    if tag == _TAG_PCM:
-        values /= 32768.0
+    samples = np.frombuffer(data_body, dtype=dtype)
     # +inf and -inf in one frame mix to NaN, which _adopt reports; numpy's
     # warning about it would only repeat the error
     with np.errstate(invalid="ignore"):
+        if 1 < channels < 8:
+            # mean(axis=1) below 8 channels, bit for bit (signed zeros too): the frame
+            # view's columns added in order to 0.0, then divided by the count; PCM-16
+            # sums are exact, so scaling by 2^-15 after that changes no bit
+            values = np.zeros(len(samples) // channels)
+            for column in samples.reshape(-1, channels).T:
+                values += column
+            values /= channels
+        else:
+            values = samples.astype(np.float64)
+        if tag == _TAG_PCM:
+            values /= 32768.0
         if channels >= 8:
             # numpy's reduction sums 8 or more values per row in its own
             # unrolled order, not column by column; the 8 is that unroll
             # width, kept here only for bit parity with mean(axis=1), which
             # tests/test_wav_bytes.py pins at 8, 9 and 16 channels
             values = values.reshape(-1, channels).mean(axis=1)
-        elif channels > 1:
-            # mean(axis=1) below 8 channels, bit for bit (signed zeros too):
-            # the columns added in order to 0.0, then divided by the count
-            frames = values.reshape(-1, channels)
-            mixed = np.zeros(len(frames))
-            for column in frames.T:
-                mixed += column
-            mixed /= channels
-            values = mixed
     np.clip(values, -1.0, 1.0, out=values)
     try:
         return AudioBuffer._adopt(values, int(rate))
@@ -180,9 +181,15 @@ def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> 
 
 
 def _encode_wav(buffer: AudioBuffer, codec: str) -> tuple[bytes, np.ndarray]:
-    """The header and the ``<i2`` or ``<f4`` payload of :func:`write_wav`;
-    each payload value depends on its own sample alone."""
-    if len(buffer) == 0:
+    """The header and the ``<i2`` or ``<f4`` payload of :func:`write_wav`."""
+    header, payload = _wav_payload(len(buffer), buffer.sample_rate_hz, codec)
+    _encode(payload, buffer.samples)
+    return header, payload
+
+
+def _wav_payload(length: int, rate: int, codec: str) -> tuple[bytes, np.ndarray]:
+    """The header of a ``length``-sample WAV and its unfilled payload."""
+    if length == 0:
         raise DataError("cannot write an empty buffer")
     if codec == "pcm16":
         tag, bits = _TAG_PCM, 16
@@ -191,23 +198,23 @@ def _encode_wav(buffer: AudioBuffer, codec: str) -> tuple[bytes, np.ndarray]:
     else:
         raise DataError(f"unknown codec {codec!r} (expected 'pcm16' or 'float32')")
     block_align = bits // 8
-    rate = buffer.sample_rate_hz
-    data_size = len(buffer) * block_align
+    data_size = length * block_align
     for name, value in (("sample rate", rate), ("byte rate", rate * block_align), ("RIFF chunk size", 36 + data_size)):
         if value > _U32_MAX:
             raise DataError(f"{name} {value} does not fit a WAV header (at most {_U32_MAX})")
-
-    if codec == "pcm16":
-        scaled = np.clip(buffer.samples, -1.0, 1.0)
-        scaled *= 32768.0
-        np.rint(scaled, out=scaled)
-        encoded = np.empty(len(buffer), dtype="<i2")
-        np.clip(scaled, -32768, 32767, out=encoded, casting="unsafe")
-    else:
-        encoded = np.empty(len(buffer), dtype="<f4")
-        np.clip(buffer.samples, -1.0, 1.0, out=encoded, casting="same_kind")
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + data_size, b"WAVE", b"fmt ", 16, tag, 1, rate, rate * block_align, block_align, bits, b"data", data_size,
     )
-    return header, encoded
+    return header, np.empty(length, dtype="<i2" if tag == _TAG_PCM else "<f4")
+
+
+def _encode(payload: np.ndarray, samples: np.ndarray) -> None:
+    """Encode ``samples`` into ``payload``, or a block of it: a value depends on its sample alone."""
+    if payload.dtype == np.int16:
+        scaled = np.clip(samples, -1.0, 1.0)
+        scaled *= 32768.0
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, -32768, 32767, out=payload, casting="unsafe")
+    else:
+        np.clip(samples, -1.0, 1.0, out=payload, casting="same_kind")

@@ -27,11 +27,11 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._atomic import write_atomic
-from .audio_io import _encode_wav, read_wav, write_wav
+from ._atomic import TMP_SUFFIX_BYTES, write_atomic
+from .audio_io import _encode_wav, read_wav
 from .errors import DataError, json_objects, positive
 from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
-from .perturb import _MIN_SPEED_FACTOR, DEFAULT_SPEED_FACTORS, speed_perturb
+from .perturb import _MIN_SPEED_FACTOR, DEFAULT_SPEED_FACTORS, _resample
 
 __all__ = [
     "SET_DURATIONS_MS",
@@ -145,8 +145,9 @@ def _build(
     ``None`` keeps the source record and ``AugmentTag("speed", 1.0)`` retags
     it. Any other tag is read from the source and written as a float32 WAV
     named by its derived id: ``ltr ms`` reverses the segments of the float32
-    payload, encoded once per utterance; ``speed f`` resamples and divides the
-    duration by ``f``. Ids are checked before ``out_dir`` is made.
+    payload, encoded once per utterance; ``speed f`` resamples into its payload
+    and divides the duration by ``f``. Ids and their file names' lengths are
+    checked before ``out_dir`` is made.
     """
     unit_speed = AugmentTag("speed", 1.0)
     rendered = [tag for tag in tags if tag is not None and tag != unit_speed]
@@ -155,6 +156,8 @@ def _build(
         for derived_id in (_derived_id(record, tag) for tag in rendered):
             if any(c and c in derived_id for c in (os.sep, os.altsep, "\0")):
                 raise DataError(f"utt_id {record.utt_id!r} holds a path separator or NUL, so it cannot name a file")
+            if len(f"{derived_id}.wav".encode("utf-8", "surrogatepass")) + TMP_SUFFIX_BYTES > 255:  # NAME_MAX
+                raise DataError(f"utt_id {record.utt_id!r} is too long to name the file {derived_id}.wav and its temp file")
             if derived_id in ids:
                 raise DataError(f"derived utt_id {derived_id!r} collides with an existing id")
             ids.add(derived_id)
@@ -178,7 +181,7 @@ def _build(
                     header, payload = _encode_wav(buffer, "float32")
                 write_atomic(out_path, header, _reverse(payload, segment_samples(tag.param, buffer.sample_rate_hz)))
             else:
-                write_wav(speed_perturb(buffer, tag.param), out_path)
+                write_atomic(out_path, *_resample(buffer, tag.param, "float32"))
                 duration_s /= tag.param
             group.append(ManifestRecord(derived_id, str(out_path), record.text, duration_s, tag))
         return group

@@ -44,6 +44,8 @@ def json_objects(path: str | Path, error: type[DataError] = DataError) -> Iterat
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+        except RecursionError as exc:  # arrays or objects nested thousands deep
+            raise error(f"{where}: invalid JSON (nested too deeply)") from exc
         if not isinstance(obj, dict):
             raise error(f"{where}: expected a JSON object")
         yield where, obj

@@ -6,8 +6,9 @@ power-of-two FFT size, and a triangular mel filterbank spanning 0 Hz to
 Nyquist on the ``2595 * log10(1 + f/700)`` scale. Filterbank energies are
 floored at 1e-10 before the natural log, so silence maps to ``log(1e-10)``
 everywhere. Mean-variance normalization is per utterance and per coefficient.
-The spectra are computed in blocks of a fixed number of frames, so no
-temporary grows with the utterance beyond the spectrum itself.
+The spectra are computed in blocks of a fixed number of frames, each
+pre-emphasizing only the samples its frames cover, so no temporary grows with
+the utterance beyond the spectrum itself.
 
 Two analysis helpers quantify what local time reversal does to a signal:
 :func:`boundary_discontinuity` measures the average sample jump at segment
@@ -139,19 +140,21 @@ def _magnitude_spectrum(
     # Pre-emphasis within a frame is the whole signal's pre-emphasis: frame
     # f's samples 1..window-1 are emphasized[f*hop : f*hop + window - 1], and
     # only its first sample, which has no predecessor in the frame, is scaled
-    # on its own.
-    emphasized = np.multiply(x[:-1], _PREEMPHASIS)
-    np.subtract(x[1:], emphasized, out=emphasized)
+    # on its own. Each block emphasizes only the samples its frames cover.
+    rows = min(n_frames, _BLOCK_FRAMES)
+    emphasized = np.empty((rows - 1) * hop + window - 1)
     tails = np.lib.stride_tricks.sliding_window_view(emphasized, window - 1)[::hop]
-    heads = x[: (n_frames - 1) * hop + 1 : hop] * (1.0 - _PREEMPHASIS)
-
     spectrum = np.empty((n_frames, fft_size // 2 + 1))
-    padded = np.zeros((min(n_frames, _BLOCK_FRAMES), fft_size))
+    padded = np.zeros((rows, fft_size))
     for start in range(0, n_frames, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, n_frames)
         block = padded[: stop - start]
-        np.multiply(heads[start:stop], hamming[0], out=block[:, 0])
-        np.multiply(tails[start:stop], hamming[1:], out=block[:, 1:window])
+        lo, hi = start * hop, (stop - 1) * hop + window
+        span = emphasized[: hi - lo - 1]
+        np.multiply(x[lo : hi - 1], _PREEMPHASIS, out=span)
+        np.subtract(x[lo + 1 : hi], span, out=span)
+        np.multiply(x[lo:hi:hop][: stop - start] * (1.0 - _PREEMPHASIS), hamming[0], out=block[:, 0])
+        np.multiply(tails[: stop - start], hamming[1:], out=block[:, 1:window])
         np.abs(np.fft.rfft(block), out=spectrum[start:stop])
     return spectrum
 

@@ -46,6 +46,17 @@ def test_stereo_downmix_is_mean(tmp_path):
     assert buf.samples[0] == (1000 + 3000) / 2 / 32768
 
 
+@pytest.mark.parametrize("tag, bits, dtype", [(1, 16, "<i2"), (3, 32, "<f4")])
+def test_stereo_read_holds_only_the_file_and_the_output(tmp_path, traced_peak, tag, bits, dtype):
+    # the columns are summed from the file's frames; no interleaved float64
+    # copy of them (8.5 MiB here) is made
+    frames = np.random.default_rng(tag).integers(-30000, 30000, (560_000, 2))
+    path = tmp_path / "st.wav"
+    path.write_bytes(make_wav_bytes((frames if tag == 1 else frames / 32768.0).astype(dtype).tobytes(), tag, 2, 16000, bits))
+    buffer, peak = traced_peak(read_wav, path)
+    assert peak <= path.stat().st_size + buffer.samples.nbytes + 2**20, peak / 2**20
+
+
 def test_unknown_chunks_are_skipped(tmp_path):
     junk = b"LIST" + struct.pack("<I", 5) + b"junk!" + b"\x00"  # odd size + pad byte
     path = tmp_path / "j.wav"

@@ -297,6 +297,38 @@ def test_build_set_utt_id_that_names_no_file_is_data_error(tmp_path, wav, capsys
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_build_set_utt_id_too_long_for_a_file_name_is_data_error(tmp_path, wav, capsys):
+    # the first utterance is fine; the second's "<id>-ltr5.wav" plus the
+    # temp file's ".<pid>-<thread id>.tmp" would pass 255 bytes
+    long_id = "u" * 300
+    manifest = tmp_path / "m.jsonl"
+    save_manifest([ManifestRecord("short", str(wav), "hi", 1.0), ManifestRecord(long_id, str(wav), "hi", 1.0)], manifest)
+    before = sorted(tmp_path.rglob("*"))
+    code = run(["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "D"),
+                "--out-manifest", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: utt_id {long_id!r} is too long to name the file {long_id}-ltr5.wav and its temp file\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-set", "--set", "1", "--out-dir", "D", "--out-manifest", "o.jsonl", "--manifest"],
+        ["score", "fuse", "--alpha", "0.5", "--beta", "0.3", "--hyps"],
+    ],
+)
+def test_deeply_nested_json_line_is_data_error(tmp_path, capsys, monkeypatch, argv):
+    # json.loads raises RecursionError, not JSONDecodeError, on this line
+    monkeypatch.chdir(tmp_path)
+    lines = tmp_path / "in.jsonl"
+    lines.write_text("[" * 200_000 + "\n", encoding="utf-8")
+    assert run([*argv, str(lines)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {lines}: line 1: invalid JSON (nested too deeply)\n"
+    assert sorted(tmp_path.iterdir()) == [lines]
+
+
 def test_build_set_nul_in_audio_path_is_data_error(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(json.dumps({"utt_id": "u", "audio_path": "a\0.wav", "text": "t", "duration_s": 1.0}) + "\n")

@@ -3,7 +3,6 @@ import gc
 import json
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +197,7 @@ def test_build_set_deterministic_and_parallel_invariant(tmp_path):
             assert Path(ra.audio_path).read_bytes() == Path(rb.audio_path).read_bytes()
 
 
-def test_build_set_frees_each_utterance_before_the_next(tmp_path):
+def test_build_set_frees_each_utterance_before_the_next(tmp_path, traced_peak):
     # With the cyclic collector off, audio kept alive by a reference cycle
     # would pile up across utterances; each must be freed by refcount alone.
     rng = np.random.default_rng(1)
@@ -208,19 +207,11 @@ def test_build_set_frees_each_utterance_before_the_next(tmp_path):
         write_wav(AudioBuffer(rng.uniform(-0.9, 0.9, 32000), 16000), path, "float32")  # 2 s
         records.append(ManifestRecord(f"utt{i}", str(path), "t", 2.0))
 
-    def peak(manifest, out_dir):
-        tracemalloc.start()
-        try:
-            build_set(manifest, 2, out_dir)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     enabled = gc.isenabled()
     gc.disable()
     try:
-        one = peak(records[:1], tmp_path / "one")
-        ten = peak(records, tmp_path / "ten")
+        _, one = traced_peak(build_set, records[:1], 2, tmp_path / "one")
+        _, ten = traced_peak(build_set, records, 2, tmp_path / "ten")
     finally:
         if enabled:
             gc.enable()
@@ -281,6 +272,34 @@ def test_build_speed_set_rejects_repeated_factors(tmp_path):
     for factors in ([1.0, 1.0], [0.9, 1.1, 0.9]):
         with pytest.raises(ValueError, match="distinct"):
             build_speed_set(records, factors=factors, out_dir=tmp_path / "sp")
+
+
+def test_build_speed_set_holds_only_the_source_and_one_payload(tmp_path, traced_peak):
+    # each copy is resampled block by block straight into its float32
+    # payload: no float64 copy of the output is made, and the 0.9 copy's
+    # payload is freed before the 1.1 copy's is made
+    path = tmp_path / "u.wav"
+    write_wav(AudioBuffer(np.random.default_rng(2).uniform(-0.9, 0.9, 640_000), 16000), path, "float32")  # 40 s
+    records = [ManifestRecord("u", str(path), "t", 40.0)]
+    build_speed_set(records, out_dir=tmp_path / "warm")
+    _, peak = traced_peak(build_speed_set, records, out_dir=tmp_path / "sp")
+    buffer, payload = 640_000 * 8, round(640_000 / 0.9) * 4
+    assert peak <= buffer + payload + 2**20, peak / 2**20
+
+
+def test_build_rejects_an_id_whose_temp_file_name_passes_255_bytes(tmp_path):
+    source = write_corpus(tmp_path, count=1)[0]
+    # "<id>-sp0.9.wav" and the longest ".<pid>-<thread id>.tmp" (36 bytes)
+    # fill 255 bytes with a 209-byte id; "é" is two bytes in UTF-8
+    for utt_id, fits in (("a" + "é" * 104, True), ("é" * 105, False)):
+        record = dataclasses.replace(source, utt_id=utt_id)
+        out_dir = tmp_path / f"sp{fits}"
+        if fits:
+            assert [r.utt_id for r in build_speed_set([record], out_dir=out_dir)] == [f"{utt_id}-sp0.9", utt_id, f"{utt_id}-sp1.1"]
+            continue
+        with pytest.raises(DataError, match=f"utt_id '{utt_id}' is too long to name the file {utt_id}-sp0.9.wav"):
+            build_speed_set([record], out_dir=out_dir)
+        assert not out_dir.exists()
 
 
 def test_build_speed_set_identity_only_reads_no_audio(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from ltrkit.audio_io import AudioBuffer
 from ltrkit.errors import DataError
 from ltrkit.features import FeatureMatrix
-from ltrkit.perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
+from ltrkit.perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, _resample, spec_augment, speed_perturb
 
 
 def test_default_factors():
@@ -144,7 +143,7 @@ def _seed_speed_perturb(buffer, factor):
 _FACTORS = (0.01, 0.37, 0.9, 1.1, 1.3, 2, 7.5, 1e4)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 2**15 - 1, 2**15 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 2**14 - 1, 2**14 + 1, 2**15 - 1, 2**15 + 1])
 def test_speed_perturb_matches_seed_bit_for_bit(n):
     rng = np.random.default_rng(n)
     signed_zeros = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0)
@@ -176,13 +175,18 @@ def test_speed_perturb_matches_seed_on_ltr_renderings():
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (ms, factor)
 
 
-def test_speed_perturb_memory_stays_bounded():
+def test_an_overflowing_slope_is_a_data_error_encoded_or_not():
+    # the slope between -1.7e308 and 1.7e308 overflows; clipped into a
+    # payload it would pass for a full-scale sample
+    buffer = AudioBuffer([1.7e308, -1.7e308, 1.0], 8000)
+    with pytest.raises(DataError, match="must be finite"):
+        speed_perturb(buffer, 0.5)
+    with pytest.raises(DataError, match="speed factor 0.5 overflows"):
+        _resample(buffer, 0.5, "float32")
+
+
+def test_speed_perturb_memory_stays_bounded(traced_peak):
     buffer = AudioBuffer(np.random.default_rng(0).uniform(-1.0, 1.0, 640_000), 16000)
-    tracemalloc.start()
-    try:
-        out = speed_perturb(buffer, 0.9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(speed_perturb, buffer, 0.9)
     # the whole-buffer form peaked at 25.5 MiB for this 5.4 MiB output
     assert peak <= out.samples.nbytes + 2 * 2**20, peak / 2**20

@@ -1,14 +1,17 @@
 """The copy-free WAV path against the bodies it replaced.
 
-``_seed_read_wav``, ``_seed_write_wav`` and ``_seed_reverse_segments`` are the
-earlier implementations, kept verbatim apart from their names: they slice the
-data chunk into new bytes, downmix with ``mean(axis=1)``, reverse through a
-temporary and encode with ``tobytes`` and ``header + payload``. The library
-must give the same samples, sign bits included, and the same file bytes;
-``build_set``, which reverses the encoded payload, must write the files and
-manifest of these three composed.
+``_seed_read_wav``, ``_seed_write_wav``, ``_seed_reverse_segments`` and
+``_seed_speed_perturb`` are the earlier implementations, kept verbatim apart
+from their names: they slice the data chunk into new bytes, downmix with
+``mean(axis=1)``, reverse through a temporary, resample with one ``np.interp``
+over the whole buffer and encode with ``tobytes`` and ``header + payload``.
+The library must give the same samples, sign bits included, and the same file
+bytes; ``build_set``, which reverses the encoded payload, and
+``build_speed_set``, which resamples block by block into it, must write the
+files and manifest of these composed.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from ltrkit.audio_io import AudioBuffer, WavFormatError, _encode_wav, read_wav, write_wav
-from ltrkit.dataset import SET_DURATIONS_MS, AugmentTag, ManifestRecord, build_set, save_manifest
+from ltrkit.dataset import SET_DURATIONS_MS, AugmentTag, ManifestRecord, build_set, build_speed_set, save_manifest
 from ltrkit.errors import DataError
 from ltrkit.ltr import _reverse, reverse_segments, segment_samples
 
@@ -117,6 +120,13 @@ def _seed_reverse_segments(buffer, segment_ms):
     out[:full] = x[:full].reshape(-1, seg)[:, ::-1].reshape(-1)
     out[full:] = x[full:][::-1]
     return AudioBuffer(out, buffer.sample_rate_hz)
+
+
+def _seed_speed_perturb(buffer, factor):
+    n = len(buffer)
+    out_len = int(math.floor(n / factor + 0.5))
+    positions = np.arange(out_len, dtype=np.float64) * factor
+    return AudioBuffer(np.interp(positions, np.arange(n, dtype=np.float64), buffer.samples), buffer.sample_rate_hz)
 
 
 def _same_samples(a: np.ndarray, b: np.ndarray) -> bool:
@@ -305,5 +315,41 @@ def test_build_set_matches_seed_build_byte_for_byte(tmp_path, set_id):
         names = sorted(path.name for path in out_dir.iterdir())
         assert names == sorted(path.name for path in (tmp_path / "seed").iterdir())
         assert len(names) == 2 * len(manifest)
+        for name in names:
+            assert (out_dir / name).read_bytes() == (tmp_path / "seed" / name).read_bytes(), (parallelism, name)
+
+
+def _seed_speed_build(manifest, factors, wav_dir, out_dir):
+    """The records of ``build_speed_set`` to ``out_dir``; the copies go to
+    ``wav_dir``, resampled and encoded by the seed bodies."""
+    wav_dir.mkdir(exist_ok=True)
+    records = []
+    for record in manifest:
+        source = _seed_read_wav(record.audio_path)
+        for factor in factors:
+            derived_id = f"{record.utt_id}-sp{factor:g}"
+            _seed_write_wav(_seed_speed_perturb(source, factor), wav_dir / f"{derived_id}.wav")
+            path = out_dir / f"{derived_id}.wav"
+            records.append(ManifestRecord(derived_id, str(path), record.text, record.duration_s / factor, AugmentTag("speed", factor)))
+    return records
+
+
+def test_build_speed_set_matches_seed_build_byte_for_byte(tmp_path):
+    manifest = _build_sources(tmp_path / "src")
+    # and one source whose copies span several resampling blocks
+    long_source = tmp_path / "src" / "long.wav"
+    values = np.random.default_rng(16).normal(0.0, 0.6, (40_000, 2)).astype("<f4")
+    long_source.write_bytes(_wav_bytes(values.tobytes(), _TAG_IEEE_FLOAT, 2, 16000))
+    manifest.append(ManifestRecord("long", str(long_source), "long", 2.5))
+    factors = (0.9, 1.1, 0.37)
+    for parallelism in (1, 2):
+        out_dir = tmp_path / f"p{parallelism}"
+        want = _seed_speed_build(manifest, factors, tmp_path / "seed", out_dir)
+        save_manifest(want, tmp_path / "want.jsonl")
+        save_manifest(build_speed_set(manifest, factors, out_dir, parallelism), tmp_path / "got.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        names = sorted(path.name for path in out_dir.iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "seed").iterdir())
+        assert len(names) == len(factors) * len(manifest)
         for name in names:
             assert (out_dir / name).read_bytes() == (tmp_path / "seed" / name).read_bytes(), (parallelism, name)
