@@ -11,19 +11,16 @@ import stat
 import threading
 from pathlib import Path
 
-# The longest ".<pid>-<thread id>.tmp" that write_atomic adds to a file name.
-TMP_SUFFIX_BYTES = len(f".{2**32 - 1}-{2**64 - 1}.tmp")
-
 
 def write_atomic(path: str | Path, *chunks) -> None:
     """Write the bytes-like ``chunks`` in order as the file at ``path``.
 
-    They go to a temp file beside ``path`` (named by ``path``, the process and
-    the thread), which then replaces ``path`` with ``os.replace``, so a reader
-    sees the old file or the whole new one, never a truncated one. The temp
-    file is removed if anything fails. A temp file of the same name can only
-    be left over from a killed process (a live one would be this thread), so
-    it is removed first.
+    They go to a temp file beside ``path``, ``<name>.<pid>-<thread id>.tmp``
+    with the bytes of ``path``'s file name cut to keep it within 255, which
+    then replaces ``path`` with ``os.replace``, so a reader sees the old file
+    or the whole new one, never a truncated one. The temp file is removed if
+    anything fails. A temp file of the same name can only be left over from a
+    killed process (a live one would be this thread), so it is removed first.
 
     As with ``open(path, "wb")``: a new file gets mode 0o666 less the umask,
     an existing file keeps its mode, a symlink is followed and the file it
@@ -47,7 +44,9 @@ def write_atomic(path: str | Path, *chunks) -> None:
     if old is not None and not stat.S_ISREG(old.st_mode):
         return write_in_place(path, *chunks)
 
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    head, name = os.path.split(path)
+    suffix = f".{os.getpid()}-{threading.get_ident()}.tmp"
+    tmp = os.path.join(head, os.fsdecode(os.fsencode(name)[: 255 - len(suffix)]) + suffix)  # NAME_MAX
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
         fd = os.open(tmp, flags, 0o666)

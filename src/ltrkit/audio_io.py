@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import write_atomic
-from .errors import DataError, positive
+from .errors import DataError, FrozenArray, positive
 
 __all__ = ["AudioBuffer", "WavFormatError", "read_wav", "write_wav"]
 
@@ -35,41 +35,21 @@ class WavFormatError(DataError):
 
 
 @dataclass(frozen=True)
-class AudioBuffer:
+class AudioBuffer(FrozenArray):
     """A mono audio signal: normalized samples plus a whole-number sample
     rate in Hz (an integral float such as ``16000.0`` is stored as an int).
 
-    Buffers are immutable values, safe to share between threads: the public
-    constructor copies the samples it is given, and the fresh arrays the
-    library makes itself (decoded, reversed or resampled audio) are adopted
-    without a copy. Either way the array is marked read-only and every sample
-    must be finite.
+    An immutable :class:`~ltrkit.errors.FrozenArray`: the library adopts the
+    audio it decodes, reverses or resamples, and every sample must be finite.
     """
 
     samples: np.ndarray
     sample_rate_hz: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", np.array(self.samples, dtype=np.float64))
-        self._check()
-
-    @classmethod
-    def _adopt(cls, samples: np.ndarray, sample_rate_hz: int) -> AudioBuffer:
-        """A buffer that owns ``samples``, a fresh float64 array nothing else
-        holds, without copying it; checked like a constructed one."""
-        buffer = object.__new__(cls)
-        object.__setattr__(buffer, "samples", samples)
-        object.__setattr__(buffer, "sample_rate_hz", sample_rate_hz)
-        buffer._check()
-        return buffer
-
     def _check(self) -> None:
-        samples = self.samples
-        if samples.ndim != 1:
-            raise DataError(f"samples must be one-dimensional, got shape {samples.shape}")
-        if not np.isfinite(samples).all():
-            raise DataError(f"samples must be finite, {np.count_nonzero(~np.isfinite(samples))} of {len(samples)} are not")
-        samples.setflags(write=False)
+        if self.samples.ndim != 1:
+            raise DataError(f"samples must be one-dimensional, got shape {self.samples.shape}")
+        self._finite("samples", self.samples)
         rate = positive("sample_rate_hz", self.sample_rate_hz)
         if rate != int(rate):
             raise DataError(f"sample_rate_hz must be a whole number, got {rate}")
@@ -158,10 +138,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
             # tests/test_wav_bytes.py pins at 8, 9 and 16 channels
             values = values.reshape(-1, channels).mean(axis=1)
     np.clip(values, -1.0, 1.0, out=values)
-    try:
-        return AudioBuffer._adopt(values, int(rate))
-    except DataError as exc:  # a zero rate or a NaN sample
-        raise WavFormatError(f"{path}: {exc}") from exc
+    return AudioBuffer._adopt(values, int(rate), path=path, error=WavFormatError)
 
 
 def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> None:

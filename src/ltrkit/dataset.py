@@ -27,9 +27,9 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._atomic import TMP_SUFFIX_BYTES, write_atomic
+from ._atomic import write_atomic
 from .audio_io import _encode_wav, read_wav
-from .errors import DataError, json_objects, positive
+from .errors import DataError, at_least, json_objects, positive
 from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
 from .perturb import _MIN_SPEED_FACTOR, DEFAULT_SPEED_FACTORS, _resample
 
@@ -146,9 +146,10 @@ def _build(
     it. Any other tag is read from the source and written as a float32 WAV
     named by its derived id: ``ltr ms`` reverses the segments of the float32
     payload, encoded once per utterance; ``speed f`` resamples into its payload
-    and divides the duration by ``f``. Ids and their file names' lengths are
-    checked before ``out_dir`` is made.
+    and divides the duration by ``f``. ``parallelism``, the ids, their file
+    names' lengths and ``out_dir``'s text are checked before it is made.
     """
+    parallelism = at_least("parallelism", parallelism, 1)
     unit_speed = AugmentTag("speed", 1.0)
     rendered = [tag for tag in tags if tag is not None and tag != unit_speed]
     ids = {record.utt_id for record in manifest}
@@ -156,12 +157,14 @@ def _build(
         for derived_id in (_derived_id(record, tag) for tag in rendered):
             if any(c and c in derived_id for c in (os.sep, os.altsep, "\0")):
                 raise DataError(f"utt_id {record.utt_id!r} holds a path separator or NUL, so it cannot name a file")
-            if len(f"{derived_id}.wav".encode("utf-8", "surrogatepass")) + TMP_SUFFIX_BYTES > 255:  # NAME_MAX
-                raise DataError(f"utt_id {record.utt_id!r} is too long to name the file {derived_id}.wav and its temp file")
+            if len(f"{derived_id}.wav".encode("utf-8", "surrogatepass")) > 255:  # NAME_MAX
+                raise DataError(f"utt_id {record.utt_id!r} is too long to name the file {derived_id}.wav")
             if derived_id in ids:
                 raise DataError(f"derived utt_id {derived_id!r} collides with an existing id")
             ids.add(derived_id)
     out_dir = Path(out_dir)
+    if any("\ud800" <= c <= "\udfff" for c in str(out_dir)):  # a byte that is not UTF-8, or a lone surrogate
+        raise DataError(f"out_dir {str(out_dir)!r} is not UTF-8 text, so a manifest cannot record its paths")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def render(record: ManifestRecord) -> list[ManifestRecord]:
@@ -189,7 +192,7 @@ def _build(
     # Groups are taken in input order, so the records and log lines are the
     # same for any worker count; below parallelism 2 the pool starts no thread.
     out = []
-    with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
         for record, group in zip(manifest, (pool.map if parallelism > 1 else map)(render, manifest)):
             for derived in (r for r in group if r.utt_id != record.utt_id):
                 logger.info("rendered %s", derived.audio_path)

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import DataError
+from .errors import DataError, FrozenArray
 from .ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
 from .matrix_io import FEATURES_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
@@ -60,38 +60,18 @@ DISTORTION_METRICS = ("boundary", "spectral-distance")
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    """A frames-by-coefficients real matrix.
-
-    Immutable like :class:`~ltrkit.audio_io.AudioBuffer`: the public
-    constructor copies the values it is given, and the fresh arrays the
-    library makes itself (features, normalized, masked or loaded matrices) are
-    adopted without a copy. Either way the array is marked read-only, it has
-    at least one frame and one dim, and every value must be finite.
+class FeatureMatrix(FrozenArray):
+    """A frames-by-coefficients real matrix: at least one frame and one dim,
+    every value finite. An immutable :class:`~ltrkit.errors.FrozenArray`: the
+    library adopts the features, normalized, masked or loaded matrices it makes.
     """
 
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
-        self._check()
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray) -> FeatureMatrix:
-        """A matrix that owns ``values``, a fresh float64 array nothing else
-        holds, without copying it; checked like a constructed one."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "values", values)
-        matrix._check()
-        return matrix
-
     def _check(self) -> None:
-        values = self.values
-        if values.ndim != 2 or 0 in values.shape:
-            raise DataError(f"feature values must be 2-D with at least one frame and one dim, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise DataError(f"feature values must be finite, {np.count_nonzero(~np.isfinite(values))} of {values.size} are not")
-        values.setflags(write=False)
+        if self.values.ndim != 2 or 0 in self.values.shape:
+            raise DataError(f"feature values must be 2-D with at least one frame and one dim, got shape {self.values.shape}")
+        self._finite("feature values", self.values)
 
     @property
     def frames(self) -> int:
@@ -288,8 +268,4 @@ def load_features(path: str | Path) -> FeatureMatrix:
         MatrixFormatError: a wrong magic or size, or a value that is not
             finite.
     """
-    values = read_matrix(path, FEATURES_MAGIC)
-    try:
-        return FeatureMatrix._adopt(values)
-    except DataError as exc:  # a NaN or infinite value
-        raise MatrixFormatError(f"{path}: {exc}") from exc
+    return FeatureMatrix._adopt(read_matrix(path, FEATURES_MAGIC), path=path, error=MatrixFormatError)

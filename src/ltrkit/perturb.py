@@ -5,13 +5,12 @@ and time/frequency masking of feature matrices.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer, _encode, _wav_payload
-from .errors import DataError, positive
+from .errors import DataError, at_least, positive
 from .features import FeatureMatrix
 
 __all__ = ["DEFAULT_SPEED_FACTORS", "SpecAugmentPolicy", "spec_augment", "speed_perturb"]
@@ -33,11 +32,12 @@ _MAX_MASKS = 1 << 16
 def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     """Change playback rate by resampling the waveform (pitch shifts with it).
 
-    The sample rate stays as declared; the output has ``round(n / factor)``
-    samples and output sample i is the linear interpolation of the input at
-    position ``i * factor``, clamped at the signal edges. Factor 1.0 is the
-    identity: it returns ``buffer`` itself. The factor must be finite and at
-    least 0.01.
+    The sample rate stays as declared; the output has ``n / factor`` samples
+    rounded half up, the rule of :func:`~ltrkit.ltr.segment_samples` (9 samples
+    at factor 2 give 5), and output sample i is the linear interpolation of the
+    input at position ``i * factor``, clamped at the signal edges. Factor 1.0
+    is the identity: it returns ``buffer`` itself. The factor must be finite
+    and at least 0.01.
 
     The output is filled in blocks of a fixed size, each interpolated from
     only the input samples its positions fall between, at their own indices;
@@ -96,12 +96,7 @@ class SpecAugmentPolicy:
             raise DataError(f"max_freq_mask_width must be non-negative, got {self.max_freq_mask_width}")
         if not 0.0 <= self.max_time_mask_fraction <= 1.0:
             raise DataError(f"max_time_mask_fraction must be in [0, 1], got {self.max_time_mask_fraction}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1
-        if seed < 0:
-            raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
+        at_least("seed", self.seed, 0)
 
 
 def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureMatrix:

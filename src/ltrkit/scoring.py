@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, json_objects, positive
+from .errors import DataError, FrozenArray, json_objects, positive
 from .matrix_io import POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
@@ -102,18 +102,16 @@ class Vocabulary:
 
 
 @dataclass(frozen=True)
-class PosteriorGrid:
-    """Per-frame token probabilities: T rows over K tokens plus blank."""
+class PosteriorGrid(FrozenArray):
+    """Per-frame token probabilities: T rows over K tokens plus blank. An
+    immutable :class:`~ltrkit.errors.FrozenArray`; a loaded grid is adopted."""
 
     probs: np.ndarray
 
-    def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=np.float64)
-        if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 2:
-            raise DataError(f"grid must be (frames, tokens+blank) with at least one of each, got shape {probs.shape}")
-        _check_distributions(probs, "grid")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+    def _check(self) -> None:
+        if self.probs.ndim != 2 or self.probs.shape[0] < 1 or self.probs.shape[1] < 2:
+            raise DataError(f"grid must be (frames, tokens+blank) with at least one of each, got shape {self.probs.shape}")
+        _check_distributions(self.probs, "grid")  # rejects NaN and infinities too
 
     @property
     def num_frames(self) -> int:
@@ -466,11 +464,7 @@ def load_grid(path: str | Path) -> PosteriorGrid:
         MatrixFormatError: a wrong magic or size, or a grid that is not a
             valid :class:`PosteriorGrid`; the message names ``path``.
     """
-    probs = read_matrix(path, POSTERIORS_MAGIC)
-    try:
-        return PosteriorGrid(probs)
-    except DataError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from exc
+    return PosteriorGrid._adopt(read_matrix(path, POSTERIORS_MAGIC), path=path, error=MatrixFormatError)
 
 
 def load_hypotheses(path: str | Path) -> list[Hypothesis]:

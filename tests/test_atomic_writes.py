@@ -22,7 +22,7 @@ from ltrkit.features import FeatureMatrix, fbank, load_features, mvn, save_featu
 from ltrkit.ltr import reverse_segments
 from ltrkit.matrix_io import FEATURES_MAGIC, POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 from ltrkit.perturb import SpecAugmentPolicy, spec_augment, speed_perturb
-from ltrkit.scoring import PosteriorGrid, load_grid, save_grid
+from ltrkit.scoring import PosteriorGrid, _as_grid, load_grid, save_grid
 
 
 class _DiskFullAfter:
@@ -180,6 +180,17 @@ def test_a_temp_file_left_by_a_killed_writer_is_replaced(tmp_path):
     assert target.read_bytes().startswith(b'{"utt_id": "u"')
 
 
+@pytest.mark.parametrize("command, argv", [("ltr", ["--segment-ms", "5"]), ("analyze", ["--metric", "boundary"])])
+@pytest.mark.parametrize("name", ["t" * 236 + ".out", "é" * 120 + ".out"], ids=["240_ascii_bytes", "244_utf8_bytes"])
+def test_a_target_name_open_wb_accepts_is_written_through_a_shorter_temp_name(tmp_path, capsys, command, argv, name):
+    # the temp suffix would take a 240-byte name past 255 bytes; the UTF-8
+    # name is cut inside a two-byte character
+    write_wav(AudioBuffer(np.linspace(-0.5, 0.5, 800), 8000), tmp_path / "in.wav")
+    assert run([command, *argv, "--in", str(tmp_path / "in.wav"), "--out", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(os.listdir(tmp_path)) == sorted(["in.wav", name])
+
+
 def test_an_existing_file_keeps_its_mode(tmp_path):
     for mode in (0o600, 0o640, 0o755):
         plain, replaced = tmp_path / f"plain{mode:o}", tmp_path / f"replaced{mode:o}"
@@ -306,3 +317,25 @@ def test_the_public_constructors_copy_and_every_array_is_read_only(tmp_path):
     for item in matrices:
         assert not item.values.flags.writeable
     assert not np.shares_memory(matrices[3].values, features.values)
+    probs = np.array([[0.25, 0.75], [1.0, 0.0]])
+    grid = PosteriorGrid(probs)
+    probs[0, 0] = 0.5
+    assert grid.probs[0].tolist() == [0.25, 0.75]
+    save_grid(grid, tmp_path / "g.pst")
+    for item in (grid, _as_grid(probs[1:]), load_grid(tmp_path / "g.pst")):
+        assert not item.probs.flags.writeable
+        with pytest.raises(ValueError):
+            item.probs[0, 0] = 0.0
+
+
+def test_load_grid_adopts_the_array_it_decodes(tmp_path, traced_peak):
+    # the file's bytes (4 per cell) and their float64 decoding (8) at once;
+    # copying the decoded array again took the peak to 18 bytes per cell
+    rng = np.random.default_rng(0)
+    probs = rng.random((100_000, 31))
+    probs /= probs.sum(axis=1, keepdims=True)
+    save_grid(PosteriorGrid(probs), tmp_path / "g.pst")
+    del probs
+    grid, peak = traced_peak(load_grid, tmp_path / "g.pst")
+    assert grid.probs.shape == (100_000, 31)
+    assert peak <= 12 * grid.probs.size + 2**20

@@ -169,6 +169,22 @@ def test_buffer_validation():
             AudioBuffer([0.0, bad], 8000)
 
 
+@pytest.mark.parametrize(
+    "samples, rate, message",
+    [
+        (np.zeros((1, 2)), 0, "samples must be one-dimensional"),
+        ([math.nan], 0, "samples must be finite"),
+        ([math.inf], 16000.5, "samples must be finite"),
+        ([0.0], 16000.5, "sample_rate_hz must be a whole number"),
+    ],
+)
+def test_a_buffer_with_two_faults_reports_shape_then_finiteness_then_rate(samples, rate, message):
+    with pytest.raises(DataError, match=message):
+        AudioBuffer(samples, rate)
+    with pytest.raises(DataError, match=message):
+        AudioBuffer._adopt(np.array(samples, dtype=np.float64), rate)
+
+
 def test_sample_rate_must_be_a_whole_number(tmp_path):
     with pytest.raises(DataError, match="sample_rate_hz must be a whole number, got 16000.5"):
         AudioBuffer([0.0], 16000.5)

@@ -298,8 +298,7 @@ def test_build_set_utt_id_that_names_no_file_is_data_error(tmp_path, wav, capsys
 
 
 def test_build_set_utt_id_too_long_for_a_file_name_is_data_error(tmp_path, wav, capsys):
-    # the first utterance is fine; the second's "<id>-ltr5.wav" plus the
-    # temp file's ".<pid>-<thread id>.tmp" would pass 255 bytes
+    # the first utterance is fine; the second's "<id>-ltr5.wav" passes 255 bytes
     long_id = "u" * 300
     manifest = tmp_path / "m.jsonl"
     save_manifest([ManifestRecord("short", str(wav), "hi", 1.0), ManifestRecord(long_id, str(wav), "hi", 1.0)], manifest)
@@ -307,7 +306,7 @@ def test_build_set_utt_id_too_long_for_a_file_name_is_data_error(tmp_path, wav, 
     code = run(["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "D"),
                 "--out-manifest", str(tmp_path / "o.jsonl")])
     assert code == 2
-    assert capsys.readouterr().err == f"error: utt_id {long_id!r} is too long to name the file {long_id}-ltr5.wav and its temp file\n"
+    assert capsys.readouterr().err == f"error: utt_id {long_id!r} is too long to name the file {long_id}-ltr5.wav\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -327,6 +326,50 @@ def test_deeply_nested_json_line_is_data_error(tmp_path, capsys, monkeypatch, ar
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {lines}: line 1: invalid JSON (nested too deeply)\n"
     assert sorted(tmp_path.iterdir()) == [lines]
+
+
+_MANIFEST_ARGV = ["--out-dir", "D", "--out-manifest", "o.jsonl", "--manifest"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["build-set", "--set", "1", *_MANIFEST_ARGV], "utt_id"),
+        (["build-set", "--set", "1", *_MANIFEST_ARGV], "text"),
+        (["build-set", "--set", "1", *_MANIFEST_ARGV], "audio_path"),
+        (["build-speed-set", *_MANIFEST_ARGV], "text"),
+        (["score", "fuse", "--alpha", "0.5", "--beta", "0.3", "--hyps"], "tokens"),
+    ],
+)
+def test_a_lone_surrogate_in_a_json_line_is_data_error(tmp_path, wav, capsys, monkeypatch, argv, field):
+    # json.loads turns the escape "\\ud800" into a str that UTF-8 cannot
+    # encode; the line is rejected before any file is written
+    monkeypatch.chdir(tmp_path)
+    good = {"utt_id": "u", "audio_path": str(wav), "text": "t", "duration_s": 1.0}
+    if field == "tokens":
+        good = {"tokens": ["a"], "log_p_ctc": -1.0, "log_p_att": -2.0, "log_p_lm": -3.0}
+    lines = tmp_path / "in.jsonl"
+    lines.write_text(json.dumps({**good, field: ["a\ud800"] if field == "tokens" else "a\ud800"}) + "\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    assert run([*argv, str(lines)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {lines}: line 1: a string holds a lone surrogate '\\ud800', which UTF-8 cannot encode\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_build_set_out_dir_a_utf8_manifest_cannot_record_is_data_error(tmp_path, wav, capsys):
+    # Python decodes the argument bytes b"o_\xff" as "o_\udcff"
+    manifest = tmp_path / "m.jsonl"
+    save_manifest([ManifestRecord("u", str(wav), "hi", 1.0)], manifest)
+    before = sorted(tmp_path.rglob("*"))
+    out_dir = str(tmp_path / "o_\udcff")
+    assert run(["build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", out_dir,
+                "--out-manifest", str(tmp_path / "o.jsonl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out_dir {out_dir!r} is not UTF-8 text, so a manifest cannot record its paths\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_build_set_nul_in_audio_path_is_data_error(tmp_path, capsys):

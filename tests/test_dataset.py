@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -197,6 +198,15 @@ def test_build_set_deterministic_and_parallel_invariant(tmp_path):
             assert Path(ra.audio_path).read_bytes() == Path(rb.audio_path).read_bytes()
 
 
+@pytest.mark.parametrize("parallelism", [0, -2, 2.5, "3", None, 1.0])
+@pytest.mark.parametrize("build", [functools.partial(build_set, set_id=1), build_speed_set], ids=["set", "speed_set"])
+def test_builders_reject_a_parallelism_that_is_not_an_integer_of_at_least_one(tmp_path, build, parallelism):
+    records = write_corpus(tmp_path, count=2)
+    with pytest.raises(DataError, match=f"parallelism must be an integer >= 1, got {re.escape(repr(parallelism))}$"):
+        build(records, out_dir=tmp_path / "out", parallelism=parallelism)
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_set_frees_each_utterance_before_the_next(tmp_path, traced_peak):
     # With the cyclic collector off, audio kept alive by a reference cycle
     # would pile up across utterances; each must be freed by refcount alone.
@@ -287,11 +297,11 @@ def test_build_speed_set_holds_only_the_source_and_one_payload(tmp_path, traced_
     assert peak <= buffer + payload + 2**20, peak / 2**20
 
 
-def test_build_rejects_an_id_whose_temp_file_name_passes_255_bytes(tmp_path):
+def test_build_rejects_an_id_whose_file_name_passes_255_bytes(tmp_path):
     source = write_corpus(tmp_path, count=1)[0]
-    # "<id>-sp0.9.wav" and the longest ".<pid>-<thread id>.tmp" (36 bytes)
-    # fill 255 bytes with a 209-byte id; "é" is two bytes in UTF-8
-    for utt_id, fits in (("a" + "é" * 104, True), ("é" * 105, False)):
+    # "<id>-sp0.9.wav" fills 255 bytes with a 245-byte id; "é" is two bytes in
+    # UTF-8, and the temp file's name is cut to fit
+    for utt_id, fits in (("a" + "é" * 122, True), ("é" * 123, False)):
         record = dataclasses.replace(source, utt_id=utt_id)
         out_dir = tmp_path / f"sp{fits}"
         if fits:
