@@ -19,7 +19,7 @@ from . import __version__
 from ._atomic import write_atomic, write_in_place
 from .audio_io import read_wav, write_wav
 from .dataset import SET_DURATIONS_MS, build_set, build_speed_set, load_manifest, save_manifest
-from .errors import DataError, positive
+from .errors import DataError, at_least, positive
 from .features import DISTORTION_METRICS, distortion_csv, fbank, load_features, mvn, save_features
 from .ltr import DEFAULT_DURATIONS_MS, reverse_segments
 from .metrics import trn_report
@@ -49,10 +49,10 @@ def _positive_float(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    try:
+        return at_least("the value", int(text), 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _float_list(text: str) -> list[float]:

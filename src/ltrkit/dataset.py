@@ -29,9 +29,9 @@ from typing import Iterable, Sequence
 
 from ._atomic import write_atomic
 from .audio_io import _encode_wav, read_wav
-from .errors import DataError, at_least, json_objects, positive
+from .errors import DataError, _json_value, at_least, json_objects, number, positive
 from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
-from .perturb import _MIN_SPEED_FACTOR, DEFAULT_SPEED_FACTORS, _resample
+from .perturb import DEFAULT_SPEED_FACTORS, _resample, _speed_factor
 
 __all__ = [
     "SET_DURATIONS_MS",
@@ -50,6 +50,7 @@ SET_DURATIONS_MS: dict[int, tuple[float, float]] = {
 }
 
 _AUGMENT_TYPES = ("ltr", "speed", "original")
+_FIELDS = {"utt_id": "string", "audio_path": "string", "text": "string", "duration_s": "number"}
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +67,7 @@ class AugmentTag:
     def __post_init__(self) -> None:
         if self.type not in _AUGMENT_TYPES:
             raise DataError(f"augment type must be one of {_AUGMENT_TYPES}, got {self.type!r}")
-        if not math.isfinite(self.param):
+        if not math.isfinite(number("augment param", self.param)):
             raise DataError(f"augment param must be finite, got {self.param}")
 
 
@@ -87,19 +88,13 @@ class ManifestRecord:
 
 
 def _record_from_json(obj: dict, where: str) -> ManifestRecord:
-    for name, kind in (("utt_id", str), ("audio_path", str), ("text", str), ("duration_s", (int, float))):
-        if name not in obj:
-            raise ManifestError(f"{where}: missing required field {name!r}")
-        value = obj[name]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ManifestError(f"{where}: field {name!r} has wrong type {type(value).__name__}")
     tag = obj.get("augment")
     if tag is not None and (not isinstance(tag, dict) or "type" not in tag or "param" not in tag):
         raise ManifestError(f"{where}: augment tag must carry 'type' and 'param'")
     try:
-        augment = None if tag is None else AugmentTag(tag["type"], float(tag["param"]))
+        augment = None if tag is None else AugmentTag(tag["type"], float(_json_value("augment param", tag["param"], "number")))
         return ManifestRecord(obj["utt_id"], obj["audio_path"], obj["text"], float(obj["duration_s"]), augment)
-    except (TypeError, ValueError, OverflowError) as exc:  # a rejected field, or float() of a bad JSON value
+    except (ValueError, OverflowError) as exc:  # a rejected field, or float() of an integer too large
         raise ManifestError(f"{where}: {exc}") from exc
 
 
@@ -113,7 +108,7 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
     """
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    for where, obj in json_objects(path, ManifestError):
+    for where, obj in json_objects(path, ManifestError, _FIELDS):
         record = _record_from_json(obj, where)
         if record.utt_id in seen:
             raise ManifestError(f"{where}: duplicate utt_id {record.utt_id!r}")
@@ -233,8 +228,8 @@ def build_speed_set(
     """
     if not factors:
         raise DataError("factors must be non-empty")
-    if min(positive("speed factor", f) for f in factors) < _MIN_SPEED_FACTOR:
-        raise DataError(f"speed factors must be at least {_MIN_SPEED_FACTOR}, got {list(factors)}")
+    for factor in factors:
+        _speed_factor(factor)
     if len(set(factors)) != len(factors):
         raise DataError(f"speed factors must be distinct, got {list(factors)}")
     return _build(manifest, [AugmentTag("speed", f) for f in factors], out_dir, parallelism)

@@ -1,6 +1,6 @@
-"""What counts as bad input: :class:`DataError`, the finite-and-positive and
-integer range checks, the one rule of the array values (:class:`FrozenArray`),
-and the one reader of the lines of a text file and of a JSON-lines file.
+"""What counts as bad input: :class:`DataError`, the number checks (any, finite
+and positive, integer in range), the one rule of the array values
+(:class:`FrozenArray`), and the one reader of text and of JSON-lines files.
 """
 
 from __future__ import annotations
@@ -20,10 +20,17 @@ class DataError(ValueError):
     Any other exception raised by the library is a bug."""
 
 
+def number(name: str, value) -> float:
+    """``value`` unchanged if it is a Python or numpy int or float, else a :class:`DataError` naming it."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DataError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def positive(name: str, value: float) -> float:
-    """``value`` unchanged if it is finite and above zero, else a
+    """``value`` unchanged if it is a finite number above zero, else a
     :class:`DataError` naming it (NaN fails every comparison, so it fails)."""
-    if not 0 < value < math.inf:
+    if not 0 < number(name, value) < math.inf:
         raise DataError(f"{name} must be positive and finite, got {value}")
     return value
 
@@ -32,12 +39,12 @@ def at_least(name: str, value, least: int) -> int:
     """``value`` as an int if it is an integer (by ``operator.index``) of at
     least ``least``, else a :class:`DataError` naming it."""
     try:
-        number = operator.index(value)
+        integer = operator.index(value)
     except TypeError:
-        number = least - 1
-    if number < least:
+        integer = least - 1
+    if integer < least:
         raise DataError(f"{name} must be an integer >= {least}, got {value!r}")
-    return number
+    return integer
 
 
 class FrozenArray:
@@ -47,11 +54,14 @@ class FrozenArray:
     itself are adopted without a copy (:meth:`_adopt`). Either way the
     subclass's ``_check`` runs, rejecting a non-finite value through
     :meth:`_finite` or a check that implies it, and the array is then marked
-    read-only."""
+    read-only. A value numpy cannot convert to float64 is a :class:`DataError`."""
 
     def __post_init__(self) -> None:
         name = fields(self)[0].name
-        array = np.array(getattr(self, name), dtype=np.float64)
+        try:
+            array = np.array(getattr(self, name), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{name} must be an array of numbers ({exc})") from exc
         object.__setattr__(self, name, array)
         self._freeze(array)
 
@@ -94,10 +104,17 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def json_objects(path: str | Path, error: type[DataError] = DataError) -> Iterator[tuple[str, dict]]:
-    """``("<path>: line N", object)`` for each non-blank line of a JSON-lines
-    file; a line that is not a JSON object, or whose strings UTF-8 cannot
-    encode (a ``\\ud800`` escape), is an ``error`` naming the line."""
+def _json_value(name: str, value, kind: str, error: type[DataError] = DataError):
+    """``value`` unchanged if it is of the JSON ``kind``: "string", "list" or "number" (not a boolean); else an ``error``."""
+    if isinstance(value, bool) or not isinstance(value, {"string": str, "list": list, "number": (int, float)}[kind]):
+        raise error(f"{name} must be a JSON {kind}, got {type(value).__name__}")
+    return value
+
+
+def json_objects(path: str | Path, error: type[DataError] = DataError, fields: dict | None = None) -> Iterator[tuple[str, dict]]:
+    """``("<path>: line N", object)`` for each non-blank line of a JSON-lines file;
+    a line that is not a JSON object, holds a lone surrogate (a ``\\ud800`` escape),
+    or lacks or mistypes one of ``fields`` (name to JSON kind) is an ``error``."""
     for line_no, line in numbered_lines(path):
         where = f"{path}: line {line_no}"
         try:
@@ -112,4 +129,8 @@ def json_objects(path: str | Path, error: type[DataError] = DataError) -> Iterat
             raise error(f"{where}: a string holds a lone surrogate {exc.object[exc.start:exc.end]!r}, which UTF-8 cannot encode") from exc
         if not isinstance(obj, dict):
             raise error(f"{where}: expected a JSON object")
+        for name, kind in (fields or {}).items():
+            if name not in obj:
+                raise error(f"{where}: missing required field {name!r}")
+            _json_value(f"{where}: {name}", obj[name], kind, error)
         yield where, obj

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import DataError, FrozenArray
+from .errors import DataError, FrozenArray, at_least
 from .ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
 from .matrix_io import FEATURES_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
@@ -154,17 +154,16 @@ def fbank(
     window it, ``abs(rfft(..., fft_size)) @ mel.T``) bit for bit.
 
     Raises:
-        DataError: if ``dims``, ``frame_length_ms`` or ``frame_shift_ms`` is
-            not positive, if the filterbank of ``dims`` x FFT bins would have
-            more than ``_MAX_FILTERBANK_CELLS`` (2^22, 32 MiB) cells, if the
-            spectrum (frames x FFT bins) or the output (frames x ``dims``)
-            would have more than ``_MAX_FRAME_CELLS`` (2^28, 2 GiB) cells, if
-            the buffer is shorter than one analysis window, or if samples so
-            large that the spectrum overflows make a feature that is not
-            finite.
+        DataError: if ``dims`` is not an integer >= 1, if ``frame_length_ms``
+            or ``frame_shift_ms`` is not positive, if the filterbank of
+            ``dims`` x FFT bins would have more than ``_MAX_FILTERBANK_CELLS``
+            (2^22, 32 MiB) cells, if the spectrum (frames x FFT bins) or the
+            output (frames x ``dims``) would have more than
+            ``_MAX_FRAME_CELLS`` (2^28, 2 GiB) cells, if the buffer is shorter
+            than one analysis window, or if samples so large that the spectrum
+            overflows make a feature that is not finite.
     """
-    if dims < 1:
-        raise DataError(f"dims must be positive, got {dims}")
+    dims = at_least("dims", dims, 1)
     window = segment_samples(frame_length_ms, buffer.sample_rate_hz)
     hop = segment_samples(frame_shift_ms, buffer.sample_rate_hz)
     n = len(buffer)

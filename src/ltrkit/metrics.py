@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, numbered_lines
+from .errors import DataError, at_least, numbered_lines
 
 __all__ = [
     "ErrorReport",
@@ -228,8 +228,7 @@ def corpus_rate(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:
 
 def top_confusions(reports: Sequence[ErrorReport], n: int) -> list[tuple[tuple[str, str], int]]:
     """The ``n`` most frequent substitution pairs, ties in lexicographic order."""
-    if n < 1:
-        raise DataError(f"n must be at least 1, got {n}")
+    n = at_least("n", n, 1)
     merged: Counter = Counter()
     for report in reports:
         merged.update(report.confusions)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, _encode, _wav_payload
-from .errors import DataError, at_least, positive
+from .errors import DataError, at_least, number, positive
 from .features import FeatureMatrix
 
 __all__ = ["DEFAULT_SPEED_FACTORS", "SpecAugmentPolicy", "spec_augment", "speed_perturb"]
@@ -47,10 +47,14 @@ def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     return buffer if factor == 1.0 else _resample(buffer, factor)
 
 
-def _resample(buffer: AudioBuffer, factor: float, codec: str | None = None):
-    """The resampled buffer of :func:`speed_perturb`, or with a ``codec`` its ``_encode_wav``, block by block."""
+def _speed_factor(factor: float) -> None:
     if positive("speed factor", factor) < _MIN_SPEED_FACTOR:
         raise DataError(f"speed factor must be at least {_MIN_SPEED_FACTOR}, got {factor}")
+
+
+def _resample(buffer: AudioBuffer, factor: float, codec: str | None = None):
+    """The resampled buffer of :func:`speed_perturb`, or with a ``codec`` its ``_encode_wav``, block by block."""
+    _speed_factor(factor)
     n = len(buffer)
     out_len = int(math.floor(n / factor + 0.5))
     if out_len < 1:
@@ -76,8 +80,8 @@ class SpecAugmentPolicy:
     Defaults follow common masking practice (two frequency masks of up to 27
     mel bins, two time masks of up to 5% of the frames). Masks write 0.0,
     which equals the per-utterance mean when applied after normalization.
-    Each mask count must lie in [0, 2^16], and the seed is an integer >= 0
-    (a Python or numpy integer).
+    Each mask count is an integer in [0, 2^16], and the maximum width and the
+    seed are integers >= 0 (Python or numpy integers).
     """
 
     num_freq_masks: int = 2
@@ -87,14 +91,11 @@ class SpecAugmentPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_freq_masks < 0 or self.num_time_masks < 0:
-            raise DataError("mask counts must be non-negative")
-        if max(self.num_freq_masks, self.num_time_masks) > _MAX_MASKS:
-            raise DataError(f"mask counts must be at most {_MAX_MASKS} per axis, got "
-                            f"{self.num_freq_masks} and {self.num_time_masks}")
-        if self.max_freq_mask_width < 0:
-            raise DataError(f"max_freq_mask_width must be non-negative, got {self.max_freq_mask_width}")
-        if not 0.0 <= self.max_time_mask_fraction <= 1.0:
+        counts = at_least("num_freq_masks", self.num_freq_masks, 0), at_least("num_time_masks", self.num_time_masks, 0)
+        if max(counts) > _MAX_MASKS:
+            raise DataError(f"mask counts must be at most {_MAX_MASKS} per axis, got {counts[0]} and {counts[1]}")
+        at_least("max_freq_mask_width", self.max_freq_mask_width, 0)
+        if not 0.0 <= number("max_time_mask_fraction", self.max_time_mask_fraction) <= 1.0:
             raise DataError(f"max_time_mask_fraction must be in [0, 1], got {self.max_time_mask_fraction}")
         at_least("seed", self.seed, 0)
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FrozenArray, json_objects, positive
+from .errors import DataError, FrozenArray, at_least, json_objects, number, positive
 from .matrix_io import POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
@@ -146,7 +146,7 @@ class Hypothesis:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         for name in _SCORE_KEYS:
             value = getattr(self, name)
-            if not value < math.inf:  # NaN fails too
+            if not number(name, value) < math.inf:  # NaN fails too
                 raise DataError(f"{name} must be a log-probability below +inf, got {value}")
 
 
@@ -162,9 +162,9 @@ class FusionWeights:
     lm_weight: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ctc_weight <= 1.0:
+        if not 0.0 <= number("ctc_weight", self.ctc_weight) <= 1.0:
             raise DataError(f"ctc_weight must be in [0, 1], got {self.ctc_weight}")
-        if not 0.0 <= self.lm_weight < math.inf:
+        if not 0.0 <= number("lm_weight", self.lm_weight) < math.inf:
             raise DataError(f"lm_weight must be finite and non-negative, got {self.lm_weight}")
 
 
@@ -180,13 +180,13 @@ def _check_distributions(probs: np.ndarray, what: str) -> None:
 
 
 def _as_grid(grid: PosteriorGrid | np.ndarray) -> PosteriorGrid:
-    return grid if isinstance(grid, PosteriorGrid) else PosteriorGrid(np.asarray(grid, dtype=np.float64))
+    return grid if isinstance(grid, PosteriorGrid) else PosteriorGrid(grid)
 
 
 def _validated_target(target: Sequence[int], num_tokens: int) -> tuple[int, ...]:
-    target = tuple(int(t) for t in target)
+    target = tuple(at_least("target token", t, 0) for t in target)
     for t in target:
-        if not 0 <= t < num_tokens:
+        if t >= num_tokens:
             raise DataError(f"target token {t} is outside [0, {num_tokens})")
     return target
 
@@ -339,7 +339,7 @@ def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, targe
     probability at any target position makes the loss ``inf``.
     """
     probs = np.asarray(stepwise_probs, dtype=np.float64)
-    target = tuple(int(t) for t in target)
+    target = tuple(target)
     if len(target) == 0 and probs.size == 0:
         return 0.0
     if probs.ndim != 2:
@@ -347,7 +347,7 @@ def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, targe
     if probs.shape[0] != len(target):
         raise DataError(f"{probs.shape[0]} steps for {len(target)} target tokens")
     _check_distributions(probs, "stepwise probability")
-    _validated_target(target, probs.shape[1])
+    target = _validated_target(target, probs.shape[1])
 
     picked = probs[np.arange(len(target)), np.asarray(target)]
     if np.any(picked == 0.0):
@@ -361,7 +361,7 @@ def mtl_loss(ctc_loss_value: float, attention_loss_value: float, task_weight: fl
     The endpoints return the corresponding loss verbatim, so an infinite
     partner loss cannot leak NaNs into a pure single-task score.
     """
-    if not 0.0 <= task_weight <= 1.0:
+    if not 0.0 <= number("task_weight", task_weight) <= 1.0:
         raise DataError(f"task_weight must be in [0, 1], got {task_weight}")
     if task_weight == 0.0:
         return attention_loss_value
@@ -476,21 +476,13 @@ def load_hypotheses(path: str | Path) -> list[Hypothesis]:
     ``"<path>: line N: ..."``).
     """
     hypotheses = []
-    for where, obj in json_objects(path):
+    for where, obj in json_objects(path, fields={"tokens": "list", **dict.fromkeys(_SCORE_KEYS, "number")}):
         try:
-            tokens, *scores = (obj[key] for key in ("tokens", *_SCORE_KEYS))
-            if not isinstance(tokens, list):
-                raise TypeError(f"tokens must be a JSON list, got {type(tokens).__name__}")
-            try:
-                json.dumps(tokens, allow_nan=False)
-            except ValueError:
-                raise ValueError("tokens must not hold NaN or an infinity") from None
-            for key, score in zip(_SCORE_KEYS, scores):
-                if isinstance(score, bool) or not isinstance(score, (int, float)):
-                    raise TypeError(f"{key} must be a JSON number, got {type(score).__name__}")
-            hypotheses.append(Hypothesis(tuple(tokens), *map(float, scores)))
-        except KeyError as exc:
-            raise DataError(f"{where}: missing required field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+            json.dumps(obj["tokens"], allow_nan=False)
+        except ValueError:
+            raise DataError(f"{where}: tokens must not hold NaN or an infinity") from None
+        try:
+            hypotheses.append(Hypothesis(tuple(obj["tokens"]), *(float(obj[key]) for key in _SCORE_KEYS)))
+        except (DataError, OverflowError) as exc:  # a score of +inf, or an integer too large for a float
             raise DataError(f"{where}: {exc}") from exc
     return hypotheses

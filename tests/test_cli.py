@@ -50,6 +50,22 @@ def test_missing_required_flag_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wer", "--ref", "r", "--hyp", "h", "--confusions", "x"], "argument --confusions: invalid literal for int()"),
+        (["wer", "--ref", "r", "--hyp", "h", "--confusions", "0"], "argument --confusions: the value must be an integer >= 1, got 0"),
+        (["featurize", "--in", "a", "--out", "b", "--dims", "2.5"], "argument --dims: invalid literal for int()"),
+        (["build-set", "--manifest", "m", "--out-dir", "o", "--out-manifest", "n", "--set", "1", "--parallelism", "-1"],
+         "argument --parallelism: the value must be an integer >= 1, got -1"),
+    ],
+)
+def test_a_bad_count_is_a_usage_error_naming_the_option(capsys, argv, message):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "_positive_int" not in err
+
+
+@pytest.mark.parametrize(
     "command", ["ltr", "speed", "specaug", "featurize", "build-set", "build-speed-set", "analyze", "score", "wer"]
 )
 def test_help_of_every_subcommand(capsys, command):

@@ -67,6 +67,13 @@ def test_manifest_round_trip_with_unicode(tmp_path):
         save_manifest(records, path)
 
 
+def test_integer_numbers_are_written_back_as_floats(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 2, "augment": {"type": "ltr", "param": 5}}\n')
+    save_manifest(load_manifest(path), path)
+    assert '"duration_s": 2.0, "augment": {"type": "ltr", "param": 5.0}}' in path.read_text(encoding="utf-8")
+
+
 def test_duplicate_id_error_names_the_id(tmp_path):
     path = tmp_path / "dup.jsonl"
     line = json.dumps({"utt_id": "u7", "audio_path": "a.wav", "text": "t", "duration_s": 1.0})
@@ -96,7 +103,7 @@ def test_malformed_json_reports_line_number(tmp_path):
     [
         ({"utt_id": "", "audio_path": "a", "text": "t", "duration_s": 1.0}, "non-empty"),
         ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": -1.0}, "positive"),
-        ({"utt_id": "u", "audio_path": "a", "text": 5, "duration_s": 1.0}, "wrong type"),
+        ({"utt_id": "u", "audio_path": "a", "text": 5, "duration_s": 1.0}, "text must be a JSON string, got int"),
         ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "echo", "param": 1}}, "augment type"),
         ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "ltr"}}, "param"),
         # json.dumps writes the bare tokens NaN and Infinity, which json.loads accepts
@@ -107,6 +114,9 @@ def test_malformed_json_reports_line_number(tmp_path):
         ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "ltr", "param": math.nan}}, "finite"),
         ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "ltr", "param": -math.inf}}, "finite"),
         ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "speed", "param": 10**400}}, "too large"),
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "ltr", "param": "5"}}, "augment param must be a JSON number, got str"),
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "ltr", "param": "1e1"}}, "augment param must be a JSON number, got str"),
+        ({"utt_id": "u", "audio_path": "a", "text": "t", "duration_s": 1.0, "augment": {"type": "speed", "param": True}}, "augment param must be a JSON number, got bool"),
     ],
 )
 def test_record_validation(tmp_path, obj, message):

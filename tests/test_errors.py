@@ -8,14 +8,22 @@ from hypothesis import strategies as st
 
 import ltrkit
 from ltrkit.audio_io import AudioBuffer, WavFormatError
-from ltrkit.dataset import AugmentTag, ManifestError, ManifestRecord, load_manifest
+from ltrkit.dataset import AugmentTag, ManifestError, ManifestRecord, build_speed_set, load_manifest
 from ltrkit.errors import DataError, numbered_lines, positive
-from ltrkit.features import FeatureMatrix
+from ltrkit.features import FeatureMatrix, fbank
 from ltrkit.ltr import reverse_segments, segment_samples
 from ltrkit.matrix_io import MatrixFormatError
-from ltrkit.metrics import TrnFormatError, read_trn
-from ltrkit.perturb import speed_perturb
-from ltrkit.scoring import FusionWeights, PosteriorGrid, load_hypotheses
+from ltrkit.metrics import TrnFormatError, read_trn, top_confusions
+from ltrkit.perturb import SpecAugmentPolicy, speed_perturb
+from ltrkit.scoring import (
+    FusionWeights,
+    Hypothesis,
+    PosteriorGrid,
+    attention_loss,
+    ctc_loss,
+    load_hypotheses,
+    mtl_loss,
+)
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 
@@ -91,3 +99,47 @@ def test_readers_report_invalid_utf8_with_the_path(tmp_path, reader):
     path.write_bytes(b'{"a": 1}\n\xff\xfe (u1)\n')
     with pytest.raises(DataError, match=f"{path.name}: not UTF-8 text"):
         reader(path)
+
+
+_BUFFER = AudioBuffer(np.zeros(400), 8000)
+_GRID = PosteriorGrid([[0.7, 0.1, 0.2], [0.1, 0.7, 0.2]])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: ctc_loss(_GRID, (0.7,)), "target token"),
+        (lambda: ctc_loss(_GRID, (1.9,)), "target token"),
+        (lambda: ctc_loss(_GRID, ("a",)), "target token"),
+        (lambda: attention_loss([[0.5, 0.5]], (1.5,)), "target token"),
+        (lambda: SpecAugmentPolicy(max_freq_mask_width=2.5), "max_freq_mask_width"),
+        (lambda: SpecAugmentPolicy(num_freq_masks=1.5), "num_freq_masks"),
+        (lambda: SpecAugmentPolicy(num_time_masks="2"), "num_time_masks"),
+        (lambda: fbank(_BUFFER, dims=2.5), "dims"),
+        (lambda: top_confusions([], 1.5), "n must"),
+        (lambda: AudioBuffer("abc", 8000), "samples"),
+        (lambda: FeatureMatrix("abc"), "values"),
+        (lambda: PosteriorGrid([[0.5, "a"]]), "probs"),
+        (lambda: ctc_loss([[0.5, "a"]], (0,)), "probs"),
+        (lambda: AudioBuffer([0.1], "x"), "sample_rate_hz"),
+        (lambda: ManifestRecord("u", "a.wav", "t", "1"), "duration_s"),
+        (lambda: reverse_segments(_BUFFER, None), "duration in ms"),
+        (lambda: speed_perturb(_BUFFER, "x"), "speed factor"),
+        (lambda: build_speed_set([], ["x"], "unused"), "speed factor"),
+        (lambda: FusionWeights("a", 1), "ctc_weight"),
+        (lambda: FusionWeights(0.5, "b"), "lm_weight"),
+        (lambda: mtl_loss(1.0, 2.0, "x"), "task_weight"),
+        (lambda: SpecAugmentPolicy(max_time_mask_fraction="x"), "max_time_mask_fraction"),
+        (lambda: Hypothesis((1,), "a", 0.0, 0.0), "log_p_ctc"),
+        (lambda: AugmentTag("ltr", "5"), "augment param"),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_a_data_error_naming_it(call, name):
+    with pytest.raises(DataError, match=name):
+        call()
+
+
+def test_numbers_of_every_kind_pass_the_checks_unchanged():
+    assert SpecAugmentPolicy(np.int64(1), np.int32(3), True, np.float32(0.5), np.uint8(7)).num_time_masks is True
+    assert FusionWeights(np.float32(0.5), np.int64(2)).lm_weight == 2
+    assert positive("x", np.float64(0.5)) == 0.5 and positive("x", np.int16(3)) == 3

@@ -206,6 +206,26 @@ def test_target_token_validation():
         ctc_loss(grid, [2])  # index 2 is the blank column
 
 
+@pytest.mark.parametrize("token", [0.0, 0.7, 1.9, -1, np.float64(1.0)])
+def test_ctc_and_attention_reject_float_and_negative_tokens(token):
+    grid = np.full((2, 3), 1 / 3)
+    with pytest.raises(DataError, match="target token must be an integer >= 0"):
+        ctc_loss(grid, [token])
+    with pytest.raises(DataError, match="target token must be an integer >= 0"):
+        ctc_loss_bruteforce(grid, [token])
+    with pytest.raises(DataError, match="target token must be an integer >= 0"):
+        attention_loss([[0.5, 0.5]], [token])
+
+
+def test_numpy_integer_tokens_score_exactly_as_ints():
+    grid = PosteriorGrid([[0.6, 0.1, 0.3], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]])
+    steps = [[0.7, 0.3], [0.4, 0.6]]
+    for tokens in [(np.int64(0), np.int64(1)), (np.int32(0), np.uint8(1)), np.array([0, 1])]:
+        assert ctc_loss(grid, tokens) == ctc_loss(grid, (0, 1))
+        assert ctc_loss_bruteforce(grid, tokens) == ctc_loss_bruteforce(grid, (0, 1))
+        assert attention_loss(steps, tokens) == attention_loss(steps, (0, 1))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError, match="sums to"):
         PosteriorGrid(np.array([[0.9, 0.3]]))
