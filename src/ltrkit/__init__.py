@@ -27,7 +27,7 @@ from .features import (
 )
 from .ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
 from .metrics import ErrorReport, TrnFormatError, align, corpus_rate, corpus_report, read_trn, tokenize, top_confusions
-from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
+from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, spec_augment_file, speed_perturb
 from .scoring import (
     FusionWeights,
     Hypothesis,

@@ -20,10 +20,10 @@ from ._atomic import write_atomic, write_in_place
 from .audio_io import read_wav, write_wav
 from .dataset import SET_DURATIONS_MS, build_set, build_speed_set, load_manifest, save_manifest
 from .errors import DataError, at_least, positive
-from .features import DISTORTION_METRICS, distortion_csv, fbank, load_features, mvn, save_features
+from .features import DISTORTION_METRICS, distortion_csv, fbank, mvn, save_features
 from .ltr import DEFAULT_DURATIONS_MS, reverse_segments
 from .metrics import trn_report
-from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment, speed_perturb
+from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment_file, speed_perturb
 from .scoring import FusionWeights, Vocabulary, ctc_loss_labels, load_grid, load_hypotheses, rescore_hypotheses
 
 __all__ = ["main", "run"]
@@ -162,7 +162,7 @@ def _cmd_audio(args) -> int:
 
 def _cmd_specaug(args) -> int:
     policy = SpecAugmentPolicy(args.freq_masks, args.freq_width, args.time_masks, args.time_fraction, args.seed)
-    save_features(spec_augment(load_features(args.in_path), policy), args.out_path)
+    spec_augment_file(args.in_path, args.out_path, policy)
     return 0
 
 

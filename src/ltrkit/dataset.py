@@ -80,6 +80,8 @@ class ManifestRecord:
     augment: AugmentTag | None = None
 
     def __post_init__(self) -> None:
+        for name in ("utt_id", "audio_path", "text"):  # so that save_manifest writes what load_manifest reads
+            _json_value(name, getattr(self, name), "string")
         if not self.utt_id:
             raise DataError("utt_id must be non-empty")
         positive(f"duration_s of {self.utt_id!r}", self.duration_s)
@@ -208,7 +210,7 @@ def build_set(
     ``write_wav(reverse_segments(...))``.
     """
     if set_id not in SET_DURATIONS_MS:
-        raise DataError(f"set_id must be in 1..{len(SET_DURATIONS_MS)}, got {set_id}")
+        raise DataError(f"set_id must be in 1..{len(SET_DURATIONS_MS)}, got {set_id!r}")
     return _build(manifest, [None] + [AugmentTag("ltr", ms) for ms in SET_DURATIONS_MS[set_id]], out_dir, parallelism)
 
 

@@ -47,6 +47,14 @@ def at_least(name: str, value, least: int) -> int:
     return integer
 
 
+def float_array(name: str, value) -> np.ndarray:
+    """A new float64 array of ``value``, or a :class:`DataError` naming it if numpy cannot convert it."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{name} must be an array of numbers ({exc})") from exc
+
+
 class FrozenArray:
     """Base of the frozen dataclasses whose first field is a float64 array:
     immutable values, safe to share between threads. The public constructor
@@ -58,11 +66,7 @@ class FrozenArray:
 
     def __post_init__(self) -> None:
         name = fields(self)[0].name
-        try:
-            array = np.array(getattr(self, name), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{name} must be an array of numbers ({exc})") from exc
-        object.__setattr__(self, name, array)
+        object.__setattr__(self, name, array := float_array(name, getattr(self, name)))
         self._freeze(array)
 
     @classmethod

@@ -69,9 +69,14 @@ class FeatureMatrix(FrozenArray):
     values: np.ndarray
 
     def _check(self) -> None:
-        if self.values.ndim != 2 or 0 in self.values.shape:
-            raise DataError(f"feature values must be 2-D with at least one frame and one dim, got shape {self.values.shape}")
-        self._finite("feature values", self.values)
+        self._check_values(self.values)
+
+    @staticmethod
+    def _check_values(values: np.ndarray) -> None:
+        """The rule of the values, on any array (the float32 payload of an FBK1 file too)."""
+        if values.ndim != 2 or 0 in values.shape:
+            raise DataError(f"feature values must be 2-D with at least one frame and one dim, got shape {values.shape}")
+        FrozenArray._finite("feature values", values)
 
     @property
     def frames(self) -> int:

@@ -1,11 +1,15 @@
 """Binary container for real matrices: a 4-byte magic, row/column counts as
 little-endian u32, then row-major little-endian float32 values.
 
-Feature files use magic ``FBK1``; posterior-grid files use ``PST1``.
+Feature files use magic ``FBK1``; posterior-grid files use ``PST1``. A file is
+read whole into one buffer with a ``<f4`` view of the payload: ``read_matrix``
+widens the view, and ``specaug`` (:func:`~ltrkit.perturb.spec_augment_file`)
+checks and masks it in place and writes the same buffer back, one copy of the file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -42,12 +46,21 @@ def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
 
 
 def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    return _matrix_payload(path, magic)[1].astype(np.float64)
+
+
+def _matrix_payload(path: str | Path, magic: bytes) -> tuple[bytearray, np.ndarray]:
+    """The whole file at ``path``, read into one writable buffer, and the rows x
+    cols ``<f4`` view of its payload; a wrong magic or size is a :class:`MatrixFormatError`."""
+    with open(path, "rb", buffering=0) as handle:
+        raw, filled = bytearray(os.fstat(handle.fileno()).st_size), 0
+        while filled < len(raw) and (count := handle.readinto(memoryview(raw)[filled:])):  # short past 2 GiB
+            filled += count
+        raw[filled:] = handle.read()  # the file shrank or grew since fstat, or is a pipe
     if len(raw) < 12 or raw[:4] != magic:
         raise MatrixFormatError(f"{path}: not a {magic.decode('ascii')} file")
     rows, cols = struct.unpack_from("<II", raw, 4)
     expected = 12 + rows * cols * 4
     if len(raw) != expected:
         raise MatrixFormatError(f"{path}: expected {expected} bytes for a {rows}x{cols} matrix, found {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f4", offset=12)
-    return values.astype(np.float64).reshape(rows, cols)
+    return raw, np.frombuffer(raw, dtype="<f4", offset=12).reshape(rows, cols)

@@ -6,14 +6,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_in_place
 from .audio_io import AudioBuffer, _encode, _wav_payload
 from .errors import DataError, at_least, number, positive
 from .features import FeatureMatrix
+from .matrix_io import FEATURES_MAGIC, MatrixFormatError, _matrix_payload
 
-__all__ = ["DEFAULT_SPEED_FACTORS", "SpecAugmentPolicy", "spec_augment", "speed_perturb"]
+__all__ = ["DEFAULT_SPEED_FACTORS", "SpecAugmentPolicy", "spec_augment", "spec_augment_file", "speed_perturb"]
 
 # The usual 3-fold recipe: one slowed, one unchanged, one sped-up copy.
 DEFAULT_SPEED_FACTORS: tuple[float, ...] = (0.9, 1.0, 1.1)
@@ -110,8 +113,26 @@ def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureM
     start is uniform over the positions where the mask fits. The output shape
     always equals the input shape.
     """
-    frames, dims = features.values.shape
-    values = np.array(features.values)
+    return FeatureMatrix._adopt(_mask(np.array(features.values), policy))
+
+
+def spec_augment_file(in_path: str | Path, out_path: str | Path, policy: SpecAugmentPolicy) -> None:
+    """``save_features(spec_augment(load_features(in_path), policy), out_path)``,
+    the same bytes and errors (``out_path`` may be ``in_path``), but the float32
+    payload is masked in the buffer it was read into, so the call holds one copy
+    of the file: each value came from float32, and a mask writes +0.0 either way."""
+    raw, values = _matrix_payload(in_path, FEATURES_MAGIC)
+    try:
+        FeatureMatrix._check_values(values)
+    except DataError as exc:
+        raise MatrixFormatError(f"{in_path}: {exc}") from exc
+    _mask(values, policy)
+    write_in_place(out_path, raw)
+
+
+def _mask(values: np.ndarray, policy: SpecAugmentPolicy) -> np.ndarray:
+    """``values``, any 2-D array, with the masks of :func:`spec_augment` written in place."""
+    frames, dims = values.shape
     rng = np.random.default_rng(policy.seed)
 
     max_f = min(policy.max_freq_mask_width, dims)
@@ -125,5 +146,4 @@ def spec_augment(features: FeatureMatrix, policy: SpecAugmentPolicy) -> FeatureM
         width = int(rng.integers(0, max_t + 1))
         start = int(rng.integers(0, frames - width + 1))
         values[start : start + width, :] = 0.0
-
-    return FeatureMatrix._adopt(values)
+    return values

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FrozenArray, at_least, json_objects, number, positive
+from .errors import DataError, FrozenArray, at_least, float_array, json_objects, number, positive
 from .matrix_io import POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
@@ -338,7 +338,7 @@ def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, targe
     step (rows sum to 1 within 1e-6). Empty targets score 0. A zero
     probability at any target position makes the loss ``inf``.
     """
-    probs = np.asarray(stepwise_probs, dtype=np.float64)
+    probs = float_array("stepwise_probs", stepwise_probs)
     target = tuple(target)
     if len(target) == 0 and probs.size == 0:
         return 0.0
@@ -438,12 +438,12 @@ def tabular_lm_score(
     get ``log(floor)``.
 
     Raises:
-        DataError: if a table probability is NaN or infinite, if the table's
-            probabilities sum to more than 1, or if ``floor`` is not positive
-            and finite.
+        DataError: if a table probability is not a number, or is NaN or
+            infinite, if the table's probabilities sum to more than 1, or if
+            ``floor`` is not positive and finite.
     """
     positive("floor", floor)
-    mass = sum(table.values())
+    mass = sum(number("table probability", p) for p in table.values())
     if not math.isfinite(mass):  # a NaN or infinite entry makes the sum one too
         raise DataError(f"table probabilities must be finite, they sum to {mass}")
     if mass > 1.0 + 1e-9:

@@ -42,6 +42,8 @@ def test_set_durations_mapping(tmp_path):
     assert SET_DURATIONS_MS == {1: (5.0, 10.0), 2: (15.0, 20.0), 3: (25.0, 30.0), 4: (35.0, 40.0), 5: (45.0, 50.0)}
     with pytest.raises(ValueError, match="1..5"):
         build_set([], 6, tmp_path / "d")
+    with pytest.raises(DataError, match=r"1\.\.5, got '1'$"):  # not "got 1", which reads as a valid id refused
+        build_set([], "1", tmp_path / "d")
     assert not (tmp_path / "d").exists()
 
 
@@ -65,6 +67,17 @@ def test_manifest_round_trip_with_unicode(tmp_path):
     object.__setattr__(records[1], "duration_s", math.nan)
     with pytest.raises(ValueError, match="JSON compliant"):
         save_manifest(records, path)
+
+
+@pytest.mark.parametrize("field", ["utt_id", "audio_path", "text"])
+def test_a_record_takes_only_strings_so_what_it_accepts_round_trips(tmp_path, field):
+    fields = {"utt_id": "u", "audio_path": "a.wav", "text": "t", "duration_s": 1.0}
+    for value, kind in ((5, "int"), (None, "NoneType"), (b"u", "bytes")):
+        with pytest.raises(DataError, match=f"^{field} must be a JSON string, got {kind}$"):
+            ManifestRecord(**{**fields, field: value})
+    record = ManifestRecord(**fields)
+    save_manifest([record], tmp_path / "m.jsonl")
+    assert load_manifest(tmp_path / "m.jsonl") == [record]
 
 
 def test_integer_numbers_are_written_back_as_floats(tmp_path):

@@ -1,12 +1,19 @@
 import math
+import os
+import shutil
+import threading
+import types
 
 import numpy as np
 import pytest
 
+from ltrkit import matrix_io
 from ltrkit.audio_io import AudioBuffer
+from ltrkit.cli import run
 from ltrkit.errors import DataError
-from ltrkit.features import FeatureMatrix
-from ltrkit.perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, _resample, spec_augment, speed_perturb
+from ltrkit.features import FeatureMatrix, load_features, save_features
+from ltrkit.matrix_io import FEATURES_MAGIC, MatrixFormatError, write_matrix
+from ltrkit.perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, _resample, spec_augment, spec_augment_file, speed_perturb
 
 
 def test_default_factors():
@@ -190,3 +197,147 @@ def test_speed_perturb_memory_stays_bounded(traced_peak):
     out, peak = traced_peak(speed_perturb, buffer, 0.9)
     # the whole-buffer form peaked at 25.5 MiB for this 5.4 MiB output
     assert peak <= out.samples.nbytes + 2 * 2**20, peak / 2**20
+
+
+# ---------------------------------------------------------------- spec_augment_file
+
+
+def _seed_specaug(in_path, out_path, policy):
+    """The float64 round trip that spec_augment_file replaced, kept as the
+    reference whose bytes and errors it must match."""
+    save_features(spec_augment(load_features(in_path), policy), out_path)
+
+
+_SPECAUG_POLICIES = [
+    SpecAugmentPolicy(),
+    SpecAugmentPolicy(seed=7),
+    SpecAugmentPolicy(num_freq_masks=0, num_time_masks=0, seed=3),
+    SpecAugmentPolicy(num_freq_masks=3, max_freq_mask_width=500, seed=4),  # a width >= dims
+    SpecAugmentPolicy(num_time_masks=4, max_time_mask_fraction=1.0, seed=5),
+    SpecAugmentPolicy(np.int64(2), np.int32(40), np.uint8(3), 0.5, np.int64(11)),
+]
+
+
+def _fbk1_with_signed_zeros(path, frames, dims, seed=0):
+    """An FBK1 file of float32 values, about a fifth of them -0.0, with the
+    float32 extremes in its first row."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(frames, dims)).astype(np.float32)
+    values[rng.uniform(size=values.shape) < 0.2] = -0.0
+    values[0, : min(dims, 3)] = (np.finfo(np.float32).max, -np.finfo(np.float32).tiny, 1e-45)[: min(dims, 3)]
+    save_features(FeatureMatrix(values), path)
+
+
+@pytest.mark.parametrize("frames, dims", [(1, 1), (1, 80), (3, 2), (4000, 80)])
+def test_spec_augment_file_matches_the_seed_byte_for_byte(tmp_path, frames, dims):
+    src = tmp_path / "in.fbk"
+    _fbk1_with_signed_zeros(src, frames, dims, seed=frames * dims)
+    for k, policy in enumerate(_SPECAUG_POLICIES):
+        spec_augment_file(src, tmp_path / "got.fbk", policy)
+        _seed_specaug(src, tmp_path / "want.fbk", policy)
+        assert (tmp_path / "got.fbk").read_bytes() == (tmp_path / "want.fbk").read_bytes(), k
+        if policy.num_freq_masks == policy.num_time_masks == 0:
+            assert (tmp_path / "got.fbk").read_bytes() == src.read_bytes()  # -0.0 cells and all
+    assert frames * dims <= 3 or np.signbit(load_features(src).values).any()
+
+
+def test_specaug_in_place_matches_the_seed(tmp_path):
+    src, work = tmp_path / "in.fbk", tmp_path / "work.fbk"
+    _fbk1_with_signed_zeros(src, 300, 40)
+    shutil.copy(src, work)
+    assert run(["specaug", "--seed", "9", "--time-fraction", "0.5", "--in", str(work), "--out", str(work)]) == 0
+    _seed_specaug(src, tmp_path / "want.fbk", SpecAugmentPolicy(max_time_mask_fraction=0.5, seed=9))
+    assert work.read_bytes() == (tmp_path / "want.fbk").read_bytes()
+
+
+def _faulty_fbk1(path, fault):
+    values = {"0 rows": np.zeros((0, 3)), "0 cols": np.zeros((3, 0))}.get(fault, np.arange(6.0).reshape(2, 3))
+    if fault in ("nan", "inf"):
+        values[1, 1] = np.nan if fault == "nan" else np.inf
+    write_matrix(values, path, b"PST1" if fault == "magic" else FEATURES_MAGIC)
+    if fault == "size":
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "0 rows", "0 cols", "size", "magic"])
+def test_a_faulty_specaug_input_exits_2_with_the_seed_message(tmp_path, capsys, fault):
+    src, out = tmp_path / "in.fbk", tmp_path / "out.fbk"
+    _faulty_fbk1(src, fault)
+    with pytest.raises(MatrixFormatError) as seed:
+        _seed_specaug(src, out, SpecAugmentPolicy())
+    assert run(["specaug", "--seed", "0", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {seed.value}\n"
+    assert str(seed.value).startswith(f"{src}: ")
+    assert not out.exists()
+
+
+def test_spec_augment_file_holds_one_payload(tmp_path, traced_peak):
+    path = tmp_path / "big.fbk"
+    save_features(FeatureMatrix(np.random.default_rng(0).normal(size=(30_000, 80))), path)
+    payload = 30_000 * 80 * 4
+    _, peak = traced_peak(spec_augment_file, path, tmp_path / "out.fbk", SpecAugmentPolicy())
+    # the float64 round trip peaked at 38.9 MiB for this 9.2 MiB payload
+    assert peak <= 1.5 * payload, peak / 2**20
+
+
+class _ShortReads:
+    """A file handle whose ``readinto`` fills at most 1000 bytes a call, as a read past 2 GiB does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def fileno(self):
+        return self._handle.fileno()
+
+    def readinto(self, view):
+        return self._handle.readinto(view[:1000])
+
+    def read(self):
+        return self._handle.read()
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["whole", "short reads"])
+@pytest.mark.parametrize("change", [0, -100, 100, -10**6], ids=["same size", "grew", "shrank", "grew from 0"])
+def test_a_matrix_file_reads_to_its_end(tmp_path, monkeypatch, short, change):
+    """Read whole, whatever size fstat gave (as if the file changed after it)
+    and however short the reads; a file whose size then mismatches its header
+    gets the size error."""
+    src, wrong = tmp_path / "in.fbk", tmp_path / "wrong.fbk"
+    _fbk1_with_signed_zeros(src, 300, 40)
+    wrong.write_bytes(src.read_bytes()[:-4])
+    want = load_features(src).values
+    _seed_specaug(src, tmp_path / "want.fbk", SpecAugmentPolicy())
+    real_fstat = os.fstat
+    monkeypatch.setattr(matrix_io, "os", types.SimpleNamespace(fstat=lambda fd: types.SimpleNamespace(st_size=max(0, real_fstat(fd).st_size + change))))
+    if short:
+        monkeypatch.setattr(matrix_io, "open", lambda *args, **kwargs: _ShortReads(open(*args, **kwargs)), raising=False)
+    assert np.array_equal(load_features(src).values, want)
+    spec_augment_file(src, tmp_path / "got.fbk", SpecAugmentPolicy())
+    assert (tmp_path / "got.fbk").read_bytes() == (tmp_path / "want.fbk").read_bytes()
+    with pytest.raises(MatrixFormatError, match="expected 48012 bytes for a 300x40 matrix, found 48008$"):
+        spec_augment_file(wrong, tmp_path / "never.fbk", SpecAugmentPolicy())
+    assert not (tmp_path / "never.fbk").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_reads_whole(tmp_path):
+    src = tmp_path / "in.fbk"
+    _fbk1_with_signed_zeros(src, 600, 80)  # 192 KB, past a pipe's 64 KiB buffer
+    _seed_specaug(src, tmp_path / "want.fbk", SpecAugmentPolicy())
+    for read in (lambda pipe: spec_augment_file(pipe, tmp_path / "got.fbk", SpecAugmentPolicy()),
+                 lambda pipe: save_features(load_features(pipe), tmp_path / "got.fbk")):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(src.read_bytes()), daemon=True)
+        writer.start()
+        read(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        pipe.unlink()
+    assert (tmp_path / "got.fbk").read_bytes() == src.read_bytes()

@@ -271,6 +271,9 @@ def test_attention_validation():
     for bad in ([[math.nan, 1.0]], [[math.nan, math.nan]], [[math.inf, 0.0]]):
         with pytest.raises(DataError, match="finite"):
             attention_loss(bad, [1])
+    for bad in ([["a"]], [[1.0], [0.5, 0.5]], [[object()]]):
+        with pytest.raises(DataError, match="stepwise_probs must be an array of numbers"):
+            attention_loss(bad, [0])
 
 
 # ---------------------------------------------------------------- fusion
@@ -484,6 +487,13 @@ def test_tabular_lm_rejects_non_finite_mass(entries):
     for tokens in ([0], [len(entries)]):  # in the table's support or not
         with pytest.raises(DataError, match="must be finite"):
             tabular_lm_score(table, tokens)
+
+
+@pytest.mark.parametrize("value", ["x", None, [0.5], (0.5,)])
+def test_tabular_lm_rejects_a_probability_that_is_not_a_number(value):
+    for tokens in ((), (0,)):  # in the table's support or not
+        with pytest.raises(DataError, match="table probability must be a number"):
+            tabular_lm_score({(): value, (0,): 0.5}, tokens)
 
 
 @pytest.mark.parametrize("floor", [0.0, -1e-3, math.nan, math.inf])

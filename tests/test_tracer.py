@@ -31,6 +31,7 @@ def test_the_benchmark_tracer_sees_the_layers_and_restores_them(tmp_path, monkey
     record = ManifestRecord("u", str(tmp_path / "a.wav"), "t", 0.1)
     grid = ltrkit.scoring.PosteriorGrid(np.full((3, 2), 0.5))
     ltrkit.scoring.save_grid(grid, tmp_path / "g.pst")
+    ltrkit.features.save_features(ltrkit.features.FeatureMatrix(np.ones((4, 3))), tmp_path / "f.fbk")
 
     tracer.install(ltrkit)
     patches = list(tracer._patches)
@@ -38,6 +39,7 @@ def test_the_benchmark_tracer_sees_the_layers_and_restores_them(tmp_path, monkey
         ltrkit.dataset.build_set([record], 1, tmp_path / "out", parallelism=2)
         ltrkit.features.fbank(ltrkit.audio_io.AudioBuffer(np.zeros(1600), 16000))
         ltrkit.scoring.load_grid(tmp_path / "g.pst")
+        assert ltrkit.cli.run(["specaug", "--seed", "1", "--in", str(tmp_path / "f.fbk"), "--out", str(tmp_path / "m.fbk")]) == 0
     finally:
         tracer.uninstall()
 
@@ -47,6 +49,7 @@ def test_the_benchmark_tracer_sees_the_layers_and_restores_them(tmp_path, monkey
     assert counts["dataset.build_set"] == [{"_parallelism": 2}]
     assert counts["audio_io.AudioBuffer"] == [{"bytes_copied": 1600 * 8}]
     assert {"audio_io.read_wav", "features.fbank", "scoring.load_grid", "matrix_io.read_matrix"} <= counts.keys()
+    assert counts["perturb.spec_augment_file"] == [None]  # the CLI's specaug, one call
     assert patches
     for holder, key, original in patches:
         assert getattr(holder, key) is original
