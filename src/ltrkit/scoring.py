@@ -13,10 +13,8 @@ token sequence by deduplicating consecutive repeats and then dropping blanks;
 the CTC loss of a target is -log of the total probability of all length-T
 paths that collapse to it. Infeasible targets (no such path: the target plus
 its required separator blanks needs more than T frames) score ``inf`` rather
-than raising, so batch scoring never aborts.
-
-All accumulation is in log space; ``-inf`` is a first-class value standing
-for probability zero.
+than raising, so batch scoring never aborts. A log-probability of ``-inf``
+stands for probability zero.
 """
 
 from __future__ import annotations
@@ -58,6 +56,8 @@ _ROW_SUM_TOL = 1e-6
 _BRUTEFORCE_MAX_PATHS = 10_000_000
 _LM_FLOOR = 1e-12
 _EMISSION_CHUNK_FRAMES = 128
+_RESCALE_FRAMES = 8
+_EXACT_ABOVE_LOSS = 500.0  # nats; a larger scaled CTC loss is recomputed in log space
 # The log-probability fields of a Hypothesis, as JSONL hypothesis lists name them.
 _SCORE_KEYS = ("log_p_ctc", "log_p_att", "log_p_lm")
 
@@ -183,8 +183,12 @@ def _as_grid(grid: PosteriorGrid | np.ndarray) -> PosteriorGrid:
     return grid if isinstance(grid, PosteriorGrid) else PosteriorGrid(grid)
 
 
-def _validated_target(target: Sequence[int], num_tokens: int) -> tuple[int, ...]:
-    target = tuple(at_least("target token", t, 0) for t in target)
+def _validated_target(target: Sequence[int], num_tokens: int | float) -> tuple[int, ...]:
+    try:
+        tokens = iter(target)
+    except TypeError:
+        raise DataError(f"target must be a sequence of token indices, got {target!r}") from None
+    target = tuple(at_least("target token", t, 0) for t in tokens)
     for t in target:
         if t >= num_tokens:
             raise DataError(f"target token {t} is outside [0, {num_tokens})")
@@ -222,35 +226,91 @@ def ctc_min_frames(target: Sequence[int]) -> int:
     return len(target) + repeats
 
 
+def _ctc_lattice(grid: PosteriorGrid, target: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The states of ``target`` and, per state, whether it may also inherit
+    from two states back (a skip over no required separator blank)."""
+    states = np.asarray(interleave_blanks(target, grid.blank_index))
+    can_skip = np.zeros(len(states), dtype=bool)
+    can_skip[2:] = (states[2:] != grid.blank_index) & (states[2:] != states[:-2])
+    return states, can_skip
+
+
 def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     """-log of the total probability of all paths collapsing to ``target``.
 
-    Standard forward algorithm over the S = 2U+1 blank-interleaved states in
-    log space. Finite and non-negative for feasible targets; ``inf`` when no
-    path collapses to the target (too few frames, or every such path has
-    probability zero).
+    Standard forward algorithm over the S = 2U+1 blank-interleaved states.
+    Finite for feasible targets, and at least -T*log1p(1e-6), as rows may sum
+    to 1 + 1e-6; ``inf`` when no path collapses to the target (too few frames,
+    or every such path has probability zero).
 
     At frame t of T only the band of states ``[max(0, S - 2(T-t)),
     min(S, 2t+2))`` is updated: a state above it is unreachable from the
     start and one below it cannot reach the two final states, so skipping
     them changes no value that reaches the result. The band is empty for
     every frame when U > T, and the loss is then ``inf`` without a pass.
-    Emission log-probabilities are gathered per state in chunks of a fixed
+    Emission probabilities are gathered per state in chunks of a fixed
     number of frames, so they take O(chunk x S) memory, not O(T x S); the
     forward variables take two preallocated rows of S + 2.
+
+    The pass runs in probability space, scaled as in Rabiner (1989) and
+    Graves et al. (2006): every eight frames the band is multiplied by the
+    power of two that brings its maximum into [1/2, 1). That is exact, so
+    where the rescales fall changes no result, and as the band grows at most
+    3x a frame, it cannot overflow in between. Rounding moves log P by at
+    most about 3*T*2^-53, and the result stays within 3*T*2^-53*max(1, loss)
+    of the exact log-space pass. No forward probability exceeds about 1, so
+    the scale stays below about 2 and a value lost to underflow is below
+    2^-1074; the at most 3*T*S of them matter only if P < 3*T*S*2^-1021, a
+    loss above 707 - ln(3*T*S) nats. So a scaled loss above 500 nats, or a
+    scaled total of 0, is recomputed by the exact pass.
     """
     grid = _as_grid(grid)
     target = _validated_target(target, grid.num_tokens)
-    states = np.asarray(interleave_blanks(target, grid.blank_index))
+    states, can_skip = _ctc_lattice(grid, target)
     num_states = len(states)
     frames = grid.num_frames
     if num_states >= 2 * frames + 2:
         return math.inf
 
-    # A state may additionally inherit from two states back when that skip
-    # does not jump over a required separator blank.
-    can_skip = np.zeros(num_states, dtype=bool)
-    can_skip[2:] = (states[2:] != grid.blank_index) & (states[2:] != states[:-2])
+    # Laid out as in _ctc_log_loss, with 0 for probability zero. A skip is a
+    # product with 0 or 1, which is exact and cheaper than a masked sum.
+    skip = can_skip.astype(np.float64)
+    spare = np.empty(num_states)
+    prev = np.zeros(num_states + 2)
+    cur = np.zeros(num_states + 2)
+    exponent = 0  # a forward probability is its held value times 2**exponent
+    for start in range(0, frames, _EMISSION_CHUNK_FRAMES):
+        emit = grid.probs[start : start + _EMISSION_CHUNK_FRAMES][:, states]
+        for t in range(start, start + len(emit)):
+            lo = max(0, num_states - 2 * (frames - t))
+            hi = min(num_states, 2 * t + 2)
+            out = cur[lo + 2 : hi + 2]
+            if t == 0:
+                out[:] = emit[0, lo:hi]
+            else:
+                np.add(prev[lo + 2 : hi + 2], prev[lo + 1 : hi + 1], out=out)
+                out += np.multiply(prev[lo:hi], skip[lo:hi], out=spare[lo:hi])
+                out *= emit[t - start, lo:hi]
+            if t % _RESCALE_FRAMES == _RESCALE_FRAMES - 1:
+                shift = math.frexp(out.max())[1]
+                np.ldexp(out, -shift, out=out)
+                exponent += shift
+            prev, cur = cur, prev
+
+    total = prev[-1] if num_states == 1 else prev[-1] + prev[-2]
+    if total > 0.0:
+        loss = 0.0 - (math.log(total) + exponent * math.log(2.0))  # 0.0 - keeps a sure target at +0.0
+        if loss <= _EXACT_ABOVE_LOSS:
+            return loss
+    return _ctc_log_loss(grid, target)
+
+
+def _ctc_log_loss(grid: PosteriorGrid, target: tuple[int, ...]) -> float:
+    """:func:`ctc_loss` of a checked grid and target by the exact forward
+    pass in log space, over the same band and emission chunks."""
+    states, can_skip = _ctc_lattice(grid, target)
+    num_states = len(states)
+    frames = grid.num_frames
 
     # alpha of the previous and the current frame; state s lives at index
     # s + 2, behind two -inf pads that stand for the states s-1 and s-2 of
@@ -273,7 +333,7 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
             prev, cur = cur, prev
 
     log_total = prev[-1] if num_states == 1 else np.logaddexp(prev[-1], prev[-2])
-    return math.inf if log_total == -np.inf else float(-log_total)
+    return math.inf if log_total == -np.inf else float(0.0 - log_total)
 
 
 def ctc_loss_labels(grid: PosteriorGrid, vocab: Vocabulary, labels: Sequence[str]) -> float:
@@ -328,7 +388,7 @@ def ctc_loss_bruteforce(grid: PosteriorGrid | np.ndarray, target: Sequence[int])
             matches = (tokens == target_arr).all(axis=1)
             total += path_probs[candidates][matches].sum()
 
-    return -math.log(total) if total > 0.0 else math.inf
+    return 0.0 - math.log(total) if total > 0.0 else math.inf
 
 
 def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, target: Sequence[int]) -> float:
@@ -339,7 +399,7 @@ def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, targe
     probability at any target position makes the loss ``inf``.
     """
     probs = float_array("stepwise_probs", stepwise_probs)
-    target = tuple(target)
+    target = _validated_target(target, probs.shape[1] if probs.ndim == 2 else math.inf)  # a non-2-D probs fails below
     if len(target) == 0 and probs.size == 0:
         return 0.0
     if probs.ndim != 2:
@@ -347,12 +407,11 @@ def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, targe
     if probs.shape[0] != len(target):
         raise DataError(f"{probs.shape[0]} steps for {len(target)} target tokens")
     _check_distributions(probs, "stepwise probability")
-    target = _validated_target(target, probs.shape[1])
 
     picked = probs[np.arange(len(target)), np.asarray(target)]
     if np.any(picked == 0.0):
         return math.inf
-    return float(-np.sum(np.log(picked)))
+    return float(0.0 - np.sum(np.log(picked)))
 
 
 def mtl_loss(ctc_loss_value: float, attention_loss_value: float, task_weight: float) -> float:

@@ -510,6 +510,13 @@ def test_score_ctc_matches_library(tmp_path, capsys):
     assert printed == pytest.approx(ctc_loss(load_grid(path), (0, 1)), rel=1e-9)
 
 
+def test_score_ctc_of_a_sure_target_prints_zero_not_minus_zero(tmp_path, capsys):
+    path = tmp_path / "g.pst"
+    save_grid(PosteriorGrid([[0.0, 1.0]]), path)
+    assert run(["score", "ctc", "--grid", str(path), "--vocab", "a", "--tokens", ""]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_score_ctc_unknown_label_is_data_error(tmp_path, capsys):
     grid = PosteriorGrid(np.full((2, 3), 1 / 3))
     path = tmp_path / "g.pst"

@@ -21,6 +21,7 @@ from ltrkit.scoring import (
     PosteriorGrid,
     attention_loss,
     ctc_loss,
+    ctc_loss_bruteforce,
     load_hypotheses,
     mtl_loss,
 )
@@ -112,6 +113,10 @@ _GRID = PosteriorGrid([[0.7, 0.1, 0.2], [0.1, 0.7, 0.2]])
         (lambda: ctc_loss(_GRID, (1.9,)), "target token"),
         (lambda: ctc_loss(_GRID, ("a",)), "target token"),
         (lambda: attention_loss([[0.5, 0.5]], (1.5,)), "target token"),
+        (lambda: ctc_loss(_GRID, 5), "target must be a sequence"),
+        (lambda: ctc_loss(_GRID, None), "target must be a sequence"),
+        (lambda: ctc_loss_bruteforce(_GRID, 5), "target must be a sequence"),
+        (lambda: attention_loss([[1.0]], 5), "target must be a sequence"),
         (lambda: SpecAugmentPolicy(max_freq_mask_width=2.5), "max_freq_mask_width"),
         (lambda: SpecAugmentPolicy(num_freq_masks=1.5), "num_freq_masks"),
         (lambda: SpecAugmentPolicy(num_time_masks="2"), "num_time_masks"),

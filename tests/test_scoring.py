@@ -137,8 +137,8 @@ def test_ctc_partitions_path_space():
 
 def _full_lattice_ctc_loss(grid, target):
     """The unbanded forward loop: every state at every frame, the whole grid's
-    log taken up front, fresh arrays each frame. The banded ``ctc_loss`` does
-    the same arithmetic on the states that matter, so it must match this
+    log taken up front, fresh arrays each frame. The banded log-space pass
+    does the same arithmetic on the states that matter, so it must match this
     bit for bit."""
     states = np.asarray(interleave_blanks(target, grid.blank_index))
     num_states = len(states)
@@ -160,12 +160,13 @@ def _full_lattice_ctc_loss(grid, target):
     return math.inf if log_total == -np.inf else float(-log_total)
 
 
-def test_ctc_matches_full_lattice_loop_exactly_on_long_grids():
+def _long_grid_cases():
+    """(grid, target) pairs over grids of 1 to 700 frames that straddle the
+    emission chunk, with zero entries or 1e-250 columns in every third grid."""
     rng = np.random.default_rng(2021)
     chunk = scoring._EMISSION_CHUNK_FRAMES
     frame_counts = [1, 2, 3, 8, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 700]
     frame_counts += rng.integers(1, 701, size=5).tolist()
-    outcomes = {"finite": 0, "inf": 0}
     for case, frames in enumerate(frame_counts):
         num_tokens = int(rng.integers(1, 5))
         probs = rng.uniform(0.05, 1.0, size=(frames, num_tokens + 1))
@@ -187,11 +188,55 @@ def test_ctc_matches_full_lattice_loop_exactly_on_long_grids():
             tuple(rng.integers(0, num_tokens, size=frames + 1).tolist()),  # longer than the grid
         ]
         for target in targets:
-            want = _full_lattice_ctc_loss(grid, target)
-            got = ctc_loss(grid, target)
-            assert got == want or (math.isinf(got) and math.isinf(want)), (frames, target)
-            outcomes["inf" if math.isinf(want) else "finite"] += 1
+            yield grid, target
+
+
+def test_ctc_matches_full_lattice_loop_exactly_on_long_grids():
+    outcomes = {"finite": 0, "inf": 0}
+    for grid, target in _long_grid_cases():
+        want = _full_lattice_ctc_loss(grid, target)
+        got = scoring._ctc_log_loss(grid, target)
+        assert got == want or (math.isinf(got) and math.isinf(want)), (grid.num_frames, target)
+        outcomes["inf" if math.isinf(want) else "finite"] += 1
     assert outcomes["finite"] >= 25 and outcomes["inf"] >= 25
+
+
+def test_scaled_ctc_stays_within_rounding_of_the_log_space_pass():
+    # The scaled pass adds and multiplies non-negative numbers, three steps
+    # a frame with one relative rounding of at most 2^-53 each: about
+    # 3*T*2^-53 on log P. The log-space pass rounds the running
+    # log-probability instead, up to the loss times 2^-53 a step. So the two
+    # may differ by 3*T*2^-53*max(1, loss).
+    outcomes = {"scaled": 0, "exact": 0, "inf": 0}
+    for grid, target in _long_grid_cases():
+        want = scoring._ctc_log_loss(grid, target)
+        got = ctc_loss(grid, target)
+        assert ctc_loss(grid, target) == got  # deterministic
+        if math.isinf(want):
+            assert math.isinf(got), (grid.num_frames, target)
+            outcomes["inf"] += 1
+        elif want > scoring._EXACT_ABOVE_LOSS:  # recomputed by the log-space pass itself
+            assert got == want, (grid.num_frames, target)
+            outcomes["exact"] += 1
+        else:
+            assert abs(got - want) <= 3 * grid.num_frames * 2.0**-53 * max(1.0, want), (grid.num_frames, target)
+            outcomes["scaled"] += 1
+    assert outcomes["scaled"] >= 25 and outcomes["exact"] >= 10 and outcomes["inf"] >= 25
+
+
+def test_a_sure_target_scores_positive_zero():
+    grid = PosteriorGrid([[0.0, 1.0]])
+    for loss in [ctc_loss(grid, ()), scoring._ctc_log_loss(grid, ()), ctc_loss_bruteforce(grid, ()), attention_loss([[1.0]], [0])]:
+        assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
+
+
+def test_ctc_loss_can_dip_below_zero_by_the_row_sum_tolerance():
+    # Rows may sum to 1 + 1e-6, so a near-sure target can score just below
+    # 0, never below -T*log1p(1e-6).
+    grid = np.tile([1.0, 1e-6], (100, 1))
+    loss = ctc_loss(grid, (0,))
+    assert -100 * math.log1p(1e-6) <= loss < 0.0
+    assert loss == pytest.approx(scoring._ctc_log_loss(PosteriorGrid(grid), (0,)), abs=3 * 100 * 2.0**-53)
 
 
 def test_bruteforce_budget_guard():

@@ -53,3 +53,19 @@ def test_the_benchmark_tracer_sees_the_layers_and_restores_them(tmp_path, monkey
     assert patches
     for holder, key, original in patches:
         assert getattr(holder, key) is original
+
+
+def test_a_ctc_loss_that_falls_back_to_log_space_is_one_traced_call(monkeypatch):
+    # The two 1e-250 tokens underflow the scaled total to 0, so the private
+    # log-space pass, which the tracer does not wrap, gives the loss.
+    tracer = _load_tracer(monkeypatch).Tracer()
+    grid = ltrkit.scoring.PosteriorGrid(np.tile([1e-250, 1.0 - 1e-250], (5, 1)))
+    tracer.install(ltrkit)
+    try:
+        loss = ltrkit.scoring.ctc_loss(grid, (0, 0))
+    finally:
+        tracer.uninstall()
+
+    assert ltrkit.scoring._EXACT_ABOVE_LOSS < loss < np.inf
+    calls = [span_counts for _, _, name, _, _, span_counts in tracer.spans if name == "scoring.ctc_loss"]
+    assert calls == [{"lattice_cells": 5 * 5}]
