@@ -1,5 +1,5 @@
 """What counts as bad input: :class:`DataError`, the number checks (any, finite
-and positive, integer in range), the one rule of the array values
+and positive, in [0, 1], integer in range), the one rule of the array values
 (:class:`FrozenArray`), and the one reader of text and of JSON-lines files.
 """
 
@@ -32,6 +32,13 @@ def positive(name: str, value: float) -> float:
     :class:`DataError` naming it (NaN fails every comparison, so it fails)."""
     if not 0 < number(name, value) < math.inf:
         raise DataError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def fraction(name: str, value: float) -> float:
+    """``value`` unchanged if it is a number in [0, 1], else a :class:`DataError` naming it."""
+    if not 0.0 <= number(name, value) <= 1.0:  # NaN fails too
+        raise DataError(f"{name} must be in [0, 1], got {value}")
     return value
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._atomic import write_in_place
 from .audio_io import AudioBuffer, _encode, _wav_payload
-from .errors import DataError, at_least, number, positive
+from .errors import DataError, at_least, fraction, positive
 from .features import FeatureMatrix
 from .matrix_io import FEATURES_MAGIC, MatrixFormatError, _matrix_payload
 
@@ -98,8 +98,7 @@ class SpecAugmentPolicy:
         if max(counts) > _MAX_MASKS:
             raise DataError(f"mask counts must be at most {_MAX_MASKS} per axis, got {counts[0]} and {counts[1]}")
         at_least("max_freq_mask_width", self.max_freq_mask_width, 0)
-        if not 0.0 <= number("max_time_mask_fraction", self.max_time_mask_fraction) <= 1.0:
-            raise DataError(f"max_time_mask_fraction must be in [0, 1], got {self.max_time_mask_fraction}")
+        fraction("max_time_mask_fraction", self.max_time_mask_fraction)
         at_least("seed", self.seed, 0)
 
 

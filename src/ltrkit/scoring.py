@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FrozenArray, at_least, float_array, json_objects, number, positive
+from .errors import DataError, FrozenArray, at_least, float_array, fraction, json_objects, number, positive
 from .matrix_io import POSTERIORS_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
@@ -57,7 +57,6 @@ _BRUTEFORCE_MAX_PATHS = 10_000_000
 _LM_FLOOR = 1e-12
 _EMISSION_CHUNK_FRAMES = 128
 _RESCALE_FRAMES = 8
-_EXACT_ABOVE_LOSS = 500.0  # nats; a larger scaled CTC loss is recomputed in log space
 # The log-probability fields of a Hypothesis, as JSONL hypothesis lists name them.
 _SCORE_KEYS = ("log_p_ctc", "log_p_att", "log_p_lm")
 
@@ -162,8 +161,7 @@ class FusionWeights:
     lm_weight: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= number("ctc_weight", self.ctc_weight) <= 1.0:
-            raise DataError(f"ctc_weight must be in [0, 1], got {self.ctc_weight}")
+        fraction("ctc_weight", self.ctc_weight)
         if not 0.0 <= number("lm_weight", self.lm_weight) < math.inf:
             raise DataError(f"lm_weight must be finite and non-negative, got {self.lm_weight}")
 
@@ -240,17 +238,17 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
 
     Standard forward algorithm over the S = 2U+1 blank-interleaved states.
     Finite for feasible targets, and at least -T*log1p(1e-6), as rows may sum
-    to 1 + 1e-6; ``inf`` when no path collapses to the target (too few frames,
-    or every such path has probability zero).
+    to 1 + 1e-6; ``inf`` when no path collapses to the target: at once if it
+    needs more than T frames (:func:`ctc_min_frames`), else if every such
+    path has probability zero.
 
     At frame t of T only the band of states ``[max(0, S - 2(T-t)),
     min(S, 2t+2))`` is updated: a state above it is unreachable from the
     start and one below it cannot reach the two final states, so skipping
-    them changes no value that reaches the result. The band is empty for
-    every frame when U > T, and the loss is then ``inf`` without a pass.
-    Emission probabilities are gathered per state in chunks of a fixed
-    number of frames, so they take O(chunk x S) memory, not O(T x S); the
-    forward variables take two preallocated rows of S + 2.
+    them changes no value that reaches the result. Emission probabilities
+    are gathered per state in chunks of a fixed number of frames, so they
+    take O(chunk x S) memory, not O(T x S); the forward variables take two
+    preallocated rows of S + 2.
 
     The pass runs in probability space, scaled as in Rabiner (1989) and
     Graves et al. (2006): every eight frames the band is multiplied by the
@@ -258,19 +256,20 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     where the rescales fall changes no result, and as the band grows at most
     3x a frame, it cannot overflow in between. Rounding moves log P by at
     most about 3*T*2^-53, and the result stays within 3*T*2^-53*max(1, loss)
-    of the exact log-space pass. No forward probability exceeds about 1, so
-    the scale stays below about 2 and a value lost to underflow is below
-    2^-1074; the at most 3*T*S of them matter only if P < 3*T*S*2^-1021, a
-    loss above 707 - ln(3*T*S) nats. So a scaled loss above 500 nats, or a
-    scaled total of 0, is recomputed by the exact pass.
+    of the exact log-space pass. Forward and backward probabilities stay
+    below (1 + 1e-6)^T and the scale below 2(1 + 1e-6)^T, so the at most
+    3*T*S operations that round into the subnormal range (flushes to 0 too)
+    move P by at most 3*T*S*2^-1074(1 + 1e-6)^T, so by one rounding, 2^-53 P,
+    at most, while the loss is at most 1021 ln 2 - ln(3*T*S) - T*log1p(1e-6).
+    A larger scaled loss, or a scaled total of 0, is recomputed in log space.
     """
     grid = _as_grid(grid)
     target = _validated_target(target, grid.num_tokens)
+    frames = grid.num_frames
+    if ctc_min_frames(target) > frames:
+        return math.inf
     states, can_skip = _ctc_lattice(grid, target)
     num_states = len(states)
-    frames = grid.num_frames
-    if num_states >= 2 * frames + 2:
-        return math.inf
 
     # Laid out as in _ctc_log_loss, with 0 for probability zero. A skip is a
     # product with 0 or 1, which is exact and cheaper than a masked sum.
@@ -298,10 +297,9 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
             prev, cur = cur, prev
 
     total = prev[-1] if num_states == 1 else prev[-1] + prev[-2]
-    if total > 0.0:
-        loss = 0.0 - (math.log(total) + exponent * math.log(2.0))  # 0.0 - keeps a sure target at +0.0
-        if loss <= _EXACT_ABOVE_LOSS:
-            return loss
+    exact_above = 1021 * math.log(2.0) - math.log(3 * frames * num_states) - frames * math.log1p(_ROW_SUM_TOL)
+    if total > 0.0 and (loss := 0.0 - (math.log(total) + exponent * math.log(2.0))) <= exact_above:
+        return loss  # 0.0 - keeps a sure target at +0.0
     return _ctc_log_loss(grid, target)
 
 
@@ -415,18 +413,16 @@ def attention_loss(stepwise_probs: Sequence[Sequence[float]] | np.ndarray, targe
 
 
 def mtl_loss(ctc_loss_value: float, attention_loss_value: float, task_weight: float) -> float:
-    """Convex combination of the two training losses.
-
-    The endpoints return the corresponding loss verbatim, so an infinite
-    partner loss cannot leak NaNs into a pure single-task score.
+    """Convex combination of the two training losses, each a number other
+    than NaN or ``-inf`` at every weight (``+inf`` is an infeasible CTC
+    target). A zero weight drops its loss, so an infinite partner loss cannot
+    leak NaNs into a pure single-task score.
     """
-    if not 0.0 <= number("task_weight", task_weight) <= 1.0:
-        raise DataError(f"task_weight must be in [0, 1], got {task_weight}")
-    if task_weight == 0.0:
-        return attention_loss_value
-    if task_weight == 1.0:
-        return ctc_loss_value
-    return task_weight * ctc_loss_value + (1.0 - task_weight) * attention_loss_value
+    fraction("task_weight", task_weight)
+    for name, value in (("ctc_loss_value", ctc_loss_value), ("attention_loss_value", attention_loss_value)):
+        if not -math.inf < number(name, value):  # NaN fails too
+            raise DataError(f"{name} must be a loss above -inf, got {value}")
+    return _weighted(task_weight, ctc_loss_value) + _weighted(1.0 - task_weight, attention_loss_value)
 
 
 def _weighted(weight: float, value: float) -> float:

@@ -4,11 +4,13 @@ failure leaves the old file or none, and no temp file; the writer keeps what
 ``wer`` JSON are written in place by the same module, and a cut one is
 rejected on read. Arrays are adopted, never shared."""
 
+import ast
 import json
 import os
 import stat
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +341,65 @@ def test_load_grid_adopts_the_array_it_decodes(tmp_path, traced_peak):
     grid, peak = traced_peak(load_grid, tmp_path / "g.pst")
     assert grid.probs.shape == (100_000, 31)
     assert peak <= 12 * grid.probs.size + 2**20
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "ltrkit"
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+
+
+def _file_writers(source, filename):
+    """``file:line`` of each call in ``source`` that may write a file: ``open``
+    with a w, a, x or + mode (or a mode that is not a literal), ``os.open``
+    with a write flag (or a flag that is not an ``os.O_*`` name),
+    ``write_text``, ``write_bytes``, ``tofile`` and ``np.save*``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr
+        owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+        keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+        if name == "open" and owner == "os":
+            flags = node.args[1] if len(node.args) > 1 else keywords.get("flags")
+            names = {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(flags) if isinstance(n, (ast.Attribute, ast.Name))}
+            writes = bool(names & _WRITE_FLAGS) or any(not n.startswith("O_") for n in names - {"os"})
+        elif name == "open":
+            position = 1 if owner in (None, "io") else 0  # open(path, mode), io.open(path, mode), Path.open(mode)
+            mode = node.args[position] if len(node.args) > position else keywords.get("mode", ast.Constant("r"))
+            writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set(mode.value) & set("wax+"))
+        else:
+            writes = name in ("write_text", "write_bytes", "tofile") or (owner in ("np", "numpy") and name.startswith("save"))
+        if writes:
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_the_guard_finds_every_kind_of_file_writer():
+    source = """
+open(p, "rb", buffering=0)
+open(p, encoding="utf-8")
+os.open(p, os.O_RDONLY | os.O_CLOEXEC)
+path.read_bytes()
+open(p, "w")
+open(p, mode="ab")
+io.open(p, "r+")
+path.open("x")
+open(p, mode)
+os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)
+os.open(p, flags)
+path.write_text("t")
+path.write_bytes(b"b")
+array.tofile(handle)
+np.save(p, array)
+numpy.savez(p, a=array)
+"""
+    assert _file_writers(source, "m.py") == [f"m.py:{line}" for line in range(6, 18)]
+
+
+def test_atomic_is_the_one_module_that_writes_files():
+    # The in-place/atomic switch of every output rests on this.
+    paths = sorted(_SRC.glob("*.py"))
+    assert _SRC / "_atomic.py" in paths and _file_writers((_SRC / "_atomic.py").read_text(encoding="utf-8"), "_atomic.py")
+    found = [where for path in paths if path.name != "_atomic.py" for where in _file_writers(path.read_text(encoding="utf-8"), f"src/ltrkit/{path.name}")]
+    assert not found, f"files opened for writing outside _atomic.py: {', '.join(found)}"

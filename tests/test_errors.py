@@ -134,6 +134,8 @@ _GRID = PosteriorGrid([[0.7, 0.1, 0.2], [0.1, 0.7, 0.2]])
         (lambda: FusionWeights("a", 1), "ctc_weight"),
         (lambda: FusionWeights(0.5, "b"), "lm_weight"),
         (lambda: mtl_loss(1.0, 2.0, "x"), "task_weight"),
+        (lambda: mtl_loss("a", 1.0, 0.5), "ctc_loss_value"),
+        (lambda: mtl_loss(1.0, None, 0.0), "attention_loss_value"),
         (lambda: SpecAugmentPolicy(max_time_mask_fraction="x"), "max_time_mask_fraction"),
         (lambda: Hypothesis((1,), "a", 0.0, 0.0), "log_p_ctc"),
         (lambda: AugmentTag("ltr", "5"), "augment param"),
@@ -142,6 +144,16 @@ _GRID = PosteriorGrid([[0.7, 0.1, 0.2], [0.1, 0.7, 0.2]])
 def test_a_value_of_the_wrong_type_is_a_data_error_naming_it(call, name):
     with pytest.raises(DataError, match=name):
         call()
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_mtl_loss_rejects_a_nan_or_minus_inf_loss_at_every_weight(bad, weight):
+    with pytest.raises(DataError, match=f"ctc_loss_value must be a loss above -inf, got {bad}"):
+        mtl_loss(bad, 1.0, weight)
+    with pytest.raises(DataError, match=f"attention_loss_value must be a loss above -inf, got {bad}"):
+        mtl_loss(math.inf, bad, weight)
+    assert mtl_loss(math.inf, math.inf, weight) == math.inf  # an infeasible CTC target is a valid loss
 
 
 def test_numbers_of_every_kind_pass_the_checks_unchanged():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltrkit import scoring
 from ltrkit.errors import DataError
@@ -97,6 +99,34 @@ def test_ctc_infeasible_repeat_needs_separator():
     assert ctc_loss_bruteforce(grid, [0, 0]) == math.inf
 
 
+@pytest.mark.parametrize("frames, target", [(4, (0, 0, 0)), (3, (0, 1, 1)), (5, (1, 1, 0, 0))])
+def test_a_repeat_infeasible_target_scores_inf_without_a_pass(monkeypatch, frames, target):
+    # U <= T < U + repeats: the band has states at every frame, but no path fits.
+    def no_pass(*args):
+        raise AssertionError("a forward pass ran")
+
+    monkeypatch.setattr(scoring, "_ctc_lattice", no_pass)
+    monkeypatch.setattr(scoring, "_ctc_log_loss", no_pass)
+    assert len(target) <= frames < ctc_min_frames(target)
+    assert ctc_loss(np.full((frames, 3), 1 / 3), target) == math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ctc_is_inf_exactly_when_the_target_needs_more_frames_than_the_grid(data):
+    frames = data.draw(st.integers(1, 10), label="frames")
+    num_tokens = data.draw(st.integers(1, 3), label="num_tokens")
+    row = st.lists(st.floats(0.05, 1.0), min_size=num_tokens + 1, max_size=num_tokens + 1)
+    probs = np.array(data.draw(st.lists(row, min_size=frames, max_size=frames), label="rows"))
+    grid = PosteriorGrid(probs / probs.sum(axis=1, keepdims=True))  # every entry positive
+    target = data.draw(st.lists(st.integers(0, num_tokens - 1), max_size=frames + 2), label="target")
+    loss = ctc_loss(grid, target)
+    assert math.isinf(loss) == (ctc_min_frames(target) > frames)
+    if (num_tokens + 1) ** frames <= 20_000:
+        want = ctc_loss_bruteforce(grid, target)
+        assert loss == want or loss == pytest.approx(want, rel=1e-9)
+
+
 def test_ctc_empty_target_single_frame():
     grid = PosteriorGrid(np.array([[0.25, 0.25, 0.5]]))
     assert ctc_loss_bruteforce(grid, []) == pytest.approx(-math.log(0.5), rel=1e-12)
@@ -161,7 +191,7 @@ def _full_lattice_ctc_loss(grid, target):
 
 
 def _long_grid_cases():
-    """(grid, target) pairs over grids of 1 to 700 frames that straddle the
+    """(grid, target) pairs over grids of 1 to 900 frames that straddle the
     emission chunk, with zero entries or 1e-250 columns in every third grid."""
     rng = np.random.default_rng(2021)
     chunk = scoring._EMISSION_CHUNK_FRAMES
@@ -189,6 +219,14 @@ def _long_grid_cases():
         ]
         for target in targets:
             yield grid, target
+    # Drawn after the cases above, which stay as they were: 900-frame grids
+    # whose losses fall on both sides of the underflow bound of ctc_loss.
+    for num_tokens, blank_odds in ((1, 1.0), (3, 1.0), (3, 1 / 3)):
+        probs = rng.uniform(0.05, 1.0, size=(900, num_tokens + 1))
+        probs[:, -1] = blank_odds * probs[:, :-1].sum(axis=1)  # a blank of one half or one quarter
+        grid = PosteriorGrid(probs / probs.sum(axis=1, keepdims=True))
+        for length in (0, 1, 50, 300):
+            yield grid, tuple(rng.integers(0, num_tokens, size=length).tolist())
 
 
 def test_ctc_matches_full_lattice_loop_exactly_on_long_grids():
@@ -199,6 +237,13 @@ def test_ctc_matches_full_lattice_loop_exactly_on_long_grids():
         assert got == want or (math.isinf(got) and math.isinf(want)), (grid.num_frames, target)
         outcomes["inf" if math.isinf(want) else "finite"] += 1
     assert outcomes["finite"] >= 25 and outcomes["inf"] >= 25
+
+
+def _exact_above(grid, target):
+    """The loss above which ctc_loss's docstring finds that underflow may
+    matter, and the log-space pass gives the result."""
+    frames, states = grid.num_frames, 2 * len(target) + 1
+    return 1021 * math.log(2.0) - math.log(3 * frames * states) - frames * math.log1p(1e-6)
 
 
 def test_scaled_ctc_stays_within_rounding_of_the_log_space_pass():
@@ -215,7 +260,7 @@ def test_scaled_ctc_stays_within_rounding_of_the_log_space_pass():
         if math.isinf(want):
             assert math.isinf(got), (grid.num_frames, target)
             outcomes["inf"] += 1
-        elif want > scoring._EXACT_ABOVE_LOSS:  # recomputed by the log-space pass itself
+        elif want > _exact_above(grid, target):  # recomputed by the log-space pass itself
             assert got == want, (grid.num_frames, target)
             outcomes["exact"] += 1
         else:

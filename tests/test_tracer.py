@@ -4,6 +4,7 @@ outside: it wraps the functions each module's ``__all__`` names and the
 assumes of the package true, without changing the tracer."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -57,7 +58,8 @@ def test_the_benchmark_tracer_sees_the_layers_and_restores_them(tmp_path, monkey
 
 def test_a_ctc_loss_that_falls_back_to_log_space_is_one_traced_call(monkeypatch):
     # The two 1e-250 tokens underflow the scaled total to 0, so the private
-    # log-space pass, which the tracer does not wrap, gives the loss.
+    # log-space pass, which the tracer does not wrap, gives the loss. The
+    # feasibility rule, ctc_min_frames, is public and shows as a child span.
     tracer = _load_tracer(monkeypatch).Tracer()
     grid = ltrkit.scoring.PosteriorGrid(np.tile([1e-250, 1.0 - 1e-250], (5, 1)))
     tracer.install(ltrkit)
@@ -66,6 +68,9 @@ def test_a_ctc_loss_that_falls_back_to_log_space_is_one_traced_call(monkeypatch)
     finally:
         tracer.uninstall()
 
-    assert ltrkit.scoring._EXACT_ABOVE_LOSS < loss < np.inf
-    calls = [span_counts for _, _, name, _, _, span_counts in tracer.spans if name == "scoring.ctc_loss"]
-    assert calls == [{"lattice_cells": 5 * 5}]
+    exact_above = 1021 * math.log(2.0) - math.log(3 * 5 * 5) - 5 * math.log1p(1e-6)  # T = 5 frames, S = 5 states
+    assert exact_above < loss < np.inf
+    calls = [(span, span_counts) for span, _, name, _, _, span_counts in tracer.spans if name == "scoring.ctc_loss"]
+    assert [span_counts for _, span_counts in calls] == [{"lattice_cells": 5 * 5}]
+    rules = [parent for _, parent, name, _, _, _ in tracer.spans if name == "scoring.ctc_min_frames"]
+    assert rules == [calls[0][0]]
