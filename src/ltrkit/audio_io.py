@@ -73,6 +73,12 @@ def read_wav(path: str | Path) -> AudioBuffer:
         WavFormatError: malformed RIFF structure, unsupported format tag or
             bit depth, a zero rate, an empty data chunk, or a NaN sample.
     """
+    return _mono(path, *_wav_frames(path))
+
+
+def _wav_frames(path: str | Path) -> tuple[int, int, int, np.ndarray]:
+    """The format tag, channel count and rate of a WAV file, and its data
+    chunk as a flat ``<i2`` or ``<f4`` view of the interleaved frames."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
@@ -114,8 +120,11 @@ def read_wav(path: str | Path) -> AudioBuffer:
     frame_size = channels * dtype.itemsize
     if len(data_body) % frame_size != 0:
         raise WavFormatError(f"{path}: data chunk size {len(data_body)} is not a multiple of the {frame_size}-byte frame size")
+    return tag, channels, rate, np.frombuffer(data_body, dtype=dtype)
 
-    samples = np.frombuffer(data_body, dtype=dtype)
+
+def _mono(path: str | Path, tag: int, channels: int, rate: int, samples: np.ndarray) -> AudioBuffer:
+    """The :class:`AudioBuffer` of :func:`read_wav` from the parts of :func:`_wav_frames`."""
     # +inf and -inf in one frame mix to NaN, which _adopt reports; numpy's
     # warning about it would only repeat the error
     with np.errstate(invalid="ignore"):
@@ -166,6 +175,12 @@ def _encode_wav(buffer: AudioBuffer, codec: str) -> tuple[bytes, np.ndarray]:
 
 def _wav_payload(length: int, rate: int, codec: str) -> tuple[bytes, np.ndarray]:
     """The header of a ``length``-sample WAV and its unfilled payload."""
+    header = _wav_header(length, rate, codec)
+    return header, np.empty(length, dtype="<i2" if codec == "pcm16" else "<f4")
+
+
+def _wav_header(length: int, rate: int, codec: str) -> bytes:
+    """The canonical 44-byte header of a ``length``-sample mono WAV."""
     if length == 0:
         raise DataError("cannot write an empty buffer")
     if codec == "pcm16":
@@ -179,11 +194,40 @@ def _wav_payload(length: int, rate: int, codec: str) -> tuple[bytes, np.ndarray]
     for name, value in (("sample rate", rate), ("byte rate", rate * block_align), ("RIFF chunk size", 36 + data_size)):
         if value > _U32_MAX:
             raise DataError(f"{name} {value} does not fit a WAV header (at most {_U32_MAX})")
-    header = struct.pack(
+    return struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + data_size, b"WAVE", b"fmt ", 16, tag, 1, rate, rate * block_align, block_align, bits, b"data", data_size,
     )
-    return header, np.empty(length, dtype="<i2" if tag == _TAG_PCM else "<f4")
+
+
+def _float32_wav(path: str | Path) -> tuple[int, bytes, np.ndarray]:
+    """The rate of a WAV file and the header and ``<f4`` payload of its mono
+    float32 encoding: byte for byte ``_encode_wav(read_wav(path), "float32")``,
+    errors included.
+
+    Mono PCM-16, stereo PCM-16 and mono float32 skip the float64 buffer: one
+    float32 pass fills the payload, and it is exact. A PCM-16 value times
+    2^-15, and the sum of a stereo frame's two values times 2^-16, are float32
+    numbers (the sum is below 2^17 in magnitude, far inside the 24-bit
+    significand, and the scale is a power of two), so they are what the
+    float64 decode rounds to. Clipping a float32 sample to [-1, 1] gives the
+    same value, sign of zero included, before or after widening it, and ±inf
+    still becomes ±1. Any other layout, and a file with a zero rate or a NaN
+    sample, takes the reference route through :func:`read_wav`'s decode.
+    """
+    tag, channels, rate, samples = _wav_frames(path)
+    if rate and (channels == 1 or (tag, channels) == (_TAG_PCM, 2)):
+        payload = np.empty(len(samples) // channels, dtype="<f4")
+        if tag == _TAG_IEEE_FLOAT:
+            np.clip(samples, -1.0, 1.0, out=payload)
+        elif channels == 1:
+            np.multiply(samples, np.float32(2.0**-15), out=payload)
+        else:
+            np.add(samples[0::2], samples[1::2], out=payload, dtype=np.float32)
+            payload *= np.float32(2.0**-16)
+        if tag == _TAG_PCM or not np.isnan(payload.min()):  # a NaN is read_wav's error, raised before the header's
+            return rate, _wav_header(len(payload), rate, "float32"), payload
+    return rate, *_encode_wav(_mono(path, tag, channels, rate, samples), "float32")
 
 
 def _encode(payload: np.ndarray, samples: np.ndarray) -> None:

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._atomic import write_atomic
-from .audio_io import _encode_wav, read_wav
+from .audio_io import _float32_wav, read_wav
 from .errors import DataError, _json_value, at_least, json_objects, number, positive
 from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
 from .perturb import DEFAULT_SPEED_FACTORS, _resample, _speed_factor
@@ -142,9 +142,12 @@ def _build(
     ``None`` keeps the source record and ``AugmentTag("speed", 1.0)`` retags
     it. Any other tag is read from the source and written as a float32 WAV
     named by its derived id: ``ltr ms`` reverses the segments of the float32
-    payload, encoded once per utterance; ``speed f`` resamples into its payload
-    and divides the duration by ``f``. ``parallelism``, the ids, their file
-    names' lengths and ``out_dir``'s text are checked before it is made.
+    payload, decoded once per utterance by ``audio_io._float32_wav`` (straight
+    from the samples for mono and stereo PCM-16 and mono float32, with no
+    float64 buffer); ``speed f`` resamples :func:`read_wav`'s float64 buffer
+    into its payload and divides the duration by ``f``. ``parallelism``, the
+    ids, their file names' lengths and ``out_dir``'s text are checked before
+    it is made.
     """
     parallelism = at_least("parallelism", parallelism, 1)
     unit_speed = AugmentTag("speed", 1.0)
@@ -166,21 +169,21 @@ def _build(
 
     def render(record: ManifestRecord) -> list[ManifestRecord]:
         group = []
-        buffer = header = payload = None
+        buffer = payload = None
         for tag in tags:
             if tag not in rendered:
                 group.append(record if tag is None else replace(record, augment=unit_speed))
                 continue
-            if buffer is None:
-                buffer = read_wav(record.audio_path)
             derived_id = _derived_id(record, tag)
             out_path = out_dir / f"{derived_id}.wav"
             duration_s = record.duration_s
             if tag.type == "ltr":
                 if payload is None:
-                    header, payload = _encode_wav(buffer, "float32")
-                write_atomic(out_path, header, _reverse(payload, segment_samples(tag.param, buffer.sample_rate_hz)))
+                    rate, header, payload = _float32_wav(record.audio_path)
+                write_atomic(out_path, header, _reverse(payload, segment_samples(tag.param, rate)))
             else:
+                if buffer is None:
+                    buffer = read_wav(record.audio_path)
                 write_atomic(out_path, *_resample(buffer, tag.param, "float32"))
                 duration_s /= tag.param
             group.append(ManifestRecord(derived_id, str(out_path), record.text, duration_s, tag))
@@ -206,8 +209,13 @@ def build_set(
     ``SET_DURATIONS_MS[set_id]``, written under ``out_dir`` as float32 WAV.
     Renderings keep the source length and transcript; their records carry an
     ``ltr`` lineage tag and the derived id ``<utt_id>-ltr<ms>``. They are
-    reversed on the source's encoded float32 samples, byte-identical to
-    ``write_wav(reverse_segments(...))``.
+    reversed on the source's float32 payload, byte-identical to
+    ``write_wav(reverse_segments(read_wav(...)))``. Mono and stereo PCM-16
+    and mono float32 sources are decoded straight into that payload, with no
+    float64 buffer: a PCM-16 value, or a stereo frame's sum, times a power of
+    two is a float32 number, and a float32 sample clipped to [-1, 1] is the
+    same before or after widening, so the float64 route rounds to these very
+    values. Other layouts go through :func:`read_wav`.
     """
     if set_id not in SET_DURATIONS_MS:
         raise DataError(f"set_id must be in 1..{len(SET_DURATIONS_MS)}, got {set_id!r}")

@@ -203,7 +203,9 @@ def mvn(features: FeatureMatrix) -> FeatureMatrix:
     """
     v = features.values
     centered = v - v.mean(axis=0)
-    centered /= np.maximum(v.std(axis=0), 1e-8)
+    # the steps numpy's v.std(axis=0) takes, on the centered matrix already here
+    spread = np.sqrt((centered * centered).sum(axis=0) / len(v))
+    centered /= np.maximum(spread, 1e-8)
     return FeatureMatrix._adopt(centered)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -181,21 +182,28 @@ def _as_grid(grid: PosteriorGrid | np.ndarray) -> PosteriorGrid:
     return grid if isinstance(grid, PosteriorGrid) else PosteriorGrid(grid)
 
 
-def _validated_target(target: Sequence[int], num_tokens: int | float) -> tuple[int, ...]:
+def _validated_target(target: Sequence[int], num_tokens: int | float, name: str = "target") -> tuple[int, ...]:
     try:
-        tokens = iter(target)
+        tokens = tuple(target)
     except TypeError:
-        raise DataError(f"target must be a sequence of token indices, got {target!r}") from None
-    target = tuple(at_least("target token", t, 0) for t in tokens)
-    for t in target:
-        if t >= num_tokens:
-            raise DataError(f"target token {t} is outside [0, {num_tokens})")
-    return target
+        raise DataError(f"{name} must be a sequence of token indices, got {target!r}") from None
+    what = f"{name} token"
+    try:
+        indices = tuple(map(operator.index, tokens))  # at_least's test, without a call per token
+    except TypeError:
+        indices = None
+    if indices is None or min(indices, default=0) < 0:
+        indices = tuple(at_least(what, t, 0) for t in tokens)  # raises, naming the first bad token
+    if indices and max(indices) >= num_tokens:
+        raise DataError(f"{what} {next(t for t in indices if t >= num_tokens)} is outside [0, {num_tokens})")
+    return indices
 
 
 def collapse(path: Sequence[int], blank_index: int) -> tuple[int, ...]:
     """Reduce a frame-level path to its token sequence: drop consecutive
     duplicates, then drop blanks."""
+    path = _validated_target(path, math.inf, "path")
+    blank_index = at_least("blank_index", blank_index, 0)
     out = []
     previous = None
     for label in path:
@@ -209,6 +217,8 @@ def collapse(path: Sequence[int], blank_index: int) -> tuple[int, ...]:
 def interleave_blanks(target: Sequence[int], blank_index: int) -> tuple[int, ...]:
     """The 2U+1 state sequence for the forward algorithm: blanks between,
     before, and after the target tokens."""
+    target = _validated_target(target, math.inf)
+    blank_index = at_least("blank_index", blank_index, 0)
     out = [blank_index]
     for token in target:
         out.append(token)
@@ -219,7 +229,7 @@ def interleave_blanks(target: Sequence[int], blank_index: int) -> tuple[int, ...
 def ctc_min_frames(target: Sequence[int]) -> int:
     """Fewest frames any path collapsing to ``target`` can have: one per
     token plus one separator blank per adjacent equal pair."""
-    target = tuple(target)
+    target = _validated_target(target, math.inf)
     repeats = sum(1 for a, b in zip(target, target[1:]) if a == b)
     return len(target) + repeats
 

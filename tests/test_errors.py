@@ -20,8 +20,11 @@ from ltrkit.scoring import (
     Hypothesis,
     PosteriorGrid,
     attention_loss,
+    collapse,
     ctc_loss,
     ctc_loss_bruteforce,
+    ctc_min_frames,
+    interleave_blanks,
     load_hypotheses,
     mtl_loss,
 )
@@ -117,6 +120,14 @@ _GRID = PosteriorGrid([[0.7, 0.1, 0.2], [0.1, 0.7, 0.2]])
         (lambda: ctc_loss(_GRID, None), "target must be a sequence"),
         (lambda: ctc_loss_bruteforce(_GRID, 5), "target must be a sequence"),
         (lambda: attention_loss([[1.0]], 5), "target must be a sequence"),
+        (lambda: ctc_min_frames(5), "target must be a sequence"),
+        (lambda: ctc_min_frames(["a", "a"]), "target token"),
+        (lambda: interleave_blanks(5, 2), "target must be a sequence"),
+        (lambda: interleave_blanks((0, 1.5), 2), "target token"),
+        (lambda: interleave_blanks((0, 1), "b"), "blank_index"),
+        (lambda: collapse(5, 2), "path must be a sequence"),
+        (lambda: collapse((0, "a"), 2), "path token"),
+        (lambda: collapse((0, 1), None), "blank_index"),
         (lambda: SpecAugmentPolicy(max_freq_mask_width=2.5), "max_freq_mask_width"),
         (lambda: SpecAugmentPolicy(num_freq_masks=1.5), "num_freq_masks"),
         (lambda: SpecAugmentPolicy(num_time_masks="2"), "num_time_masks"),

@@ -114,6 +114,24 @@ def test_mvn_idempotent_and_affine_invariant():
     assert np.max(np.abs(scaled - once)) < 1e-6
 
 
+def _mvn_with_std(v):
+    centered = v - v.mean(axis=0)
+    centered /= np.maximum(v.std(axis=0), 1e-8)
+    return centered
+
+
+def test_mvn_matches_the_std_form_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        frames, dims = int(rng.integers(1, 400)), int(rng.integers(1, 40))
+        m = rng.normal(rng.normal(0, 50), 10.0 ** rng.integers(-6, 4), size=(frames, dims))
+        m[:, rng.random(dims) < 0.2] = rng.normal()  # constant columns
+        if trial % 2:
+            m = np.asfortranarray(m)
+        got, want = mvn(FeatureMatrix(m)).values, _mvn_with_std(m)
+        assert got.tobytes() == want.tobytes(), trial
+
+
 def test_boundary_of_smooth_ramp_is_the_step():
     buf = AudioBuffer(np.arange(50) * 0.1 / 50, 1000)
     for ms in (2.0, 5.0, 7.0):

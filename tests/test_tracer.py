@@ -38,6 +38,7 @@ def test_the_benchmark_tracer_sees_the_layers_and_restores_them(tmp_path, monkey
     patches = list(tracer._patches)
     try:
         ltrkit.dataset.build_set([record], 1, tmp_path / "out", parallelism=2)
+        ltrkit.audio_io.read_wav(tmp_path / "a.wav")  # build_set decodes its sources without read_wav
         ltrkit.features.fbank(ltrkit.audio_io.AudioBuffer(np.zeros(1600), 16000))
         ltrkit.scoring.load_grid(tmp_path / "g.pst")
         assert ltrkit.cli.run(["specaug", "--seed", "1", "--in", str(tmp_path / "f.fbk"), "--out", str(tmp_path / "m.fbk")]) == 0

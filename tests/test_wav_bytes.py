@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltrkit.audio_io import AudioBuffer, WavFormatError, _encode_wav, read_wav, write_wav
+from ltrkit.audio_io import AudioBuffer, WavFormatError, _encode_wav, _float32_wav, read_wav, write_wav
 from ltrkit.dataset import SET_DURATIONS_MS, AugmentTag, ManifestRecord, build_set, build_speed_set, save_manifest
 from ltrkit.errors import DataError
 from ltrkit.ltr import _reverse, reverse_segments, segment_samples
@@ -135,7 +135,8 @@ def _same_samples(a: np.ndarray, b: np.ndarray) -> bool:
 
 def _wav_bytes(payload: bytes, tag: int, channels: int, rate: int, chunks: bytes = b"") -> bytes:
     bits = 16 if tag == _TAG_PCM else 32
-    fmt = struct.pack("<IHHIIHH", 16, tag, channels, rate, rate * channels * bits // 8, channels * bits // 8, bits)
+    byte_rate = rate * channels * bits // 8 & 0xFFFFFFFF  # the reader ignores it, so a huge rate may wrap it
+    fmt = struct.pack("<IHHIIHH", 16, tag, channels, rate, byte_rate, channels * bits // 8, bits)
     body = b"fmt " + fmt + chunks + b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
@@ -175,6 +176,33 @@ def test_read_matches_seed_sample_for_sample(tmp_path, codec, channels):
         assert got.sample_rate_hz == want.sample_rate_hz
         assert _same_samples(got.samples, want.samples)
         assert not got.samples.flags.writeable
+        # build-set's decode straight to the float32 payload, against the reader's route
+        rate, header, payload = _float32_wav(path)
+        want_header, want_payload = _encode_wav(got, "float32")
+        assert (rate, header) == (got.sample_rate_hz, want_header)
+        assert payload.dtype == np.dtype("<f4") and payload.tobytes() == want_payload.tobytes()
+
+
+@pytest.mark.parametrize("codec", ["pcm16", "float32"])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_the_float32_decode_fails_as_the_reader_does(tmp_path, codec, channels):
+    # a zero rate, a NaN sample, and a rate whose byte rate overflows the
+    # header, alone and together: the reader's error comes first
+    tag = _TAG_PCM if codec == "pcm16" else _TAG_IEEE_FLOAT
+    frames = _frames(np.random.default_rng(channels), codec, 40, channels)
+    cases = [(frames, 0), (frames, 2**31)]
+    if codec == "float32":
+        nan = frames.copy()
+        nan[7, 0] = np.nan
+        cases += [(nan, 16000), (nan, 0), (nan, 2**31)]
+    path = tmp_path / "bad.wav"
+    for values, rate in cases:
+        path.write_bytes(_wav_bytes(values.tobytes(), tag, channels, rate))
+        with pytest.raises(DataError) as want:
+            _encode_wav(read_wav(path), "float32")
+        with pytest.raises(DataError) as got:
+            _float32_wav(path)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), rate
 
 
 def test_read_all_negative_zero_matches_seed(tmp_path):
