@@ -219,13 +219,25 @@ def boundary_discontinuity(buffer: AudioBuffer, segment_ms: float) -> float:
     Raises:
         DataError: if the buffer does not span at least two segments.
     """
+    return _seam_jump(buffer, segment_ms, ltr=False)
+
+
+def _seam_jump(buffer: AudioBuffer, segment_ms: float, ltr: bool) -> float:
+    """:func:`boundary_discontinuity` of ``buffer``, or with ``ltr`` of
+    ``reverse_segments(buffer, segment_ms)`` with the same errors, gathered
+    from ``buffer`` alone: at seam k of the rendering, sample kL is the last
+    of source segment k, ``x[min(kL + L, n) - 1]``, and sample kL - 1 is the
+    first of segment k - 1, ``x[(k-1)L]``. Same jumps, same mean, bit for bit."""
     seg = segment_samples(segment_ms, buffer.sample_rate_hz)
     n = len(buffer)
+    if ltr and n == 0:
+        raise DataError("buffer is empty")  # reverse_segments' error
     if n <= seg:
         raise DataError(f"buffer of {n} samples has fewer than two {segment_ms:g} ms segments")
     x = buffer.samples
     starts = np.arange(seg, n, seg)
-    return float(np.mean(np.abs(x[starts] - x[starts - 1])))
+    after, before = (np.minimum(starts + seg, n) - 1, starts - seg) if ltr else (starts, starts - 1)
+    return float(np.mean(np.abs(x[after] - x[before])))
 
 
 def spectral_distance(a: FeatureMatrix, b: FeatureMatrix) -> float:
@@ -242,17 +254,15 @@ def distortion_curve(
     """``(segment_ms, value)`` per duration, in the given order: the
     ``"boundary"`` discontinuity of each LTR rendering of ``buffer``, or the
     ``"spectral-distance"`` between the default :func:`fbank` features of
-    ``buffer`` and of each rendering. Renderings are made one at a time.
+    ``buffer`` and of each rendering. Renderings are made one at a time; the
+    boundary metric reads its seams from ``buffer`` and renders nothing.
     """
     if metric not in DISTORTION_METRICS:
         raise DataError(f"metric must be one of {DISTORTION_METRICS}, got {metric!r}")
-    reference = fbank(buffer) if metric == "spectral-distance" else None
-    curve = []
-    for duration_ms in durations_ms:
-        rendered = reverse_segments(buffer, duration_ms)
-        value = boundary_discontinuity(rendered, duration_ms) if reference is None else spectral_distance(reference, fbank(rendered))
-        curve.append((duration_ms, value))
-    return curve
+    if metric == "boundary":
+        return [(duration_ms, _seam_jump(buffer, duration_ms, ltr=True)) for duration_ms in durations_ms]
+    reference = fbank(buffer)
+    return [(duration_ms, spectral_distance(reference, fbank(reverse_segments(buffer, duration_ms)))) for duration_ms in durations_ms]
 
 
 def distortion_csv(buffer: AudioBuffer, metric: str, durations_ms: Iterable[float] = DEFAULT_DURATIONS_MS) -> str:

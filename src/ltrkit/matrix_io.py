@@ -46,7 +46,11 @@ def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
 
 
 def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:
-    return _matrix_payload(path, magic)[1].astype(np.float64)
+    payload = _matrix_payload(path, magic)[1]
+    # A signaling NaN sets the invalid flag as it widens; the loaders reject
+    # every NaN, so numpy's warning about it would only repeat the error.
+    with np.errstate(invalid="ignore"):
+        return payload.astype(np.float64)
 
 
 def _matrix_payload(path: str | Path, magic: bytes) -> tuple[bytearray, np.ndarray]:

@@ -217,13 +217,14 @@ def collapse(path: Sequence[int], blank_index: int) -> tuple[int, ...]:
 def interleave_blanks(target: Sequence[int], blank_index: int) -> tuple[int, ...]:
     """The 2U+1 state sequence for the forward algorithm: blanks between,
     before, and after the target tokens."""
-    target = _validated_target(target, math.inf)
-    blank_index = at_least("blank_index", blank_index, 0)
-    out = [blank_index]
-    for token in target:
-        out.append(token)
-        out.append(blank_index)
-    return tuple(out)
+    return tuple(_interleave(_validated_target(target, math.inf), at_least("blank_index", blank_index, 0)))
+
+
+def _interleave(target: tuple[int, ...], blank_index: int) -> list[int]:
+    """:func:`interleave_blanks` of a checked target and blank index."""
+    states = [blank_index] * (2 * len(target) + 1)
+    states[1::2] = target
+    return states
 
 
 def ctc_min_frames(target: Sequence[int]) -> int:
@@ -237,7 +238,7 @@ def ctc_min_frames(target: Sequence[int]) -> int:
 def _ctc_lattice(grid: PosteriorGrid, target: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The states of ``target`` and, per state, whether it may also inherit
     from two states back (a skip over no required separator blank)."""
-    states = np.asarray(interleave_blanks(target, grid.blank_index))
+    states = np.array(_interleave(target, grid.blank_index))
     can_skip = np.zeros(len(states), dtype=bool)
     can_skip[2:] = (states[2:] != grid.blank_index) & (states[2:] != states[:-2])
     return states, can_skip
@@ -253,12 +254,21 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     path has probability zero.
 
     At frame t of T only the band of states ``[max(0, S - 2(T-t)),
-    min(S, 2t+2))`` is updated: a state above it is unreachable from the
-    start and one below it cannot reach the two final states, so skipping
-    them changes no value that reaches the result. Emission probabilities
-    are gathered per state in chunks of a fixed number of frames, so they
-    take O(chunk x S) memory, not O(T x S); the forward variables take two
-    preallocated rows of S + 2.
+    min(S, 2t+2))`` can lie on a complete path: a state above it is
+    unreachable from the start and one below it cannot reach the two final
+    states. The frames are walked in blocks of eight, and each frame of a
+    block updates one window of states, from the band's lower edge at the
+    block's first frame to its upper edge at its last, through views built
+    once per block. The extra cells change no value that reaches the result.
+    A state inherits only from itself and the one or two below it, and the
+    lower edge rises by two a frame once it is above 0, so a cell below the
+    band feeds only cells below the band, and never overflows: it comes from
+    rows at most eight frames old, so it stays below 3^15. A cell above the
+    band sums zeros and stays +0.0. Every cell of the band thus sees the
+    operations the band alone would, in the same order. Emission
+    probabilities are gathered per state in chunks of a fixed number of
+    frames, so they take O(chunk x S) memory, not O(T x S); the forward
+    variables take two preallocated rows of S + 2.
 
     The pass runs in probability space, scaled as in Rabiner (1989) and
     Graves et al. (2006): every eight frames the band is multiplied by the
@@ -285,28 +295,26 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     # product with 0 or 1, which is exact and cheaper than a masked sum.
     skip = can_skip.astype(np.float64)
     spare = np.empty(num_states)
-    prev = np.zeros(num_states + 2)
-    cur = np.zeros(num_states + 2)
+    rows = np.zeros((2, num_states + 2))
     exponent = 0  # a forward probability is its held value times 2**exponent
-    for start in range(0, frames, _EMISSION_CHUNK_FRAMES):
-        emit = grid.probs[start : start + _EMISSION_CHUNK_FRAMES][:, states]
-        for t in range(start, start + len(emit)):
-            lo = max(0, num_states - 2 * (frames - t))
-            hi = min(num_states, 2 * t + 2)
-            out = cur[lo + 2 : hi + 2]
-            if t == 0:
-                out[:] = emit[0, lo:hi]
+    for t0, lo, hi, emit, steps in _ctc_blocks(grid, states, rows):
+        skip_w, spare_w = skip[lo:hi], spare[lo:hi]
+        for t, row in enumerate(emit, t0):
+            p0, p1, p2, out = steps[t & 1]
+            if t == 0:  # a path starts in state 0 or 1
+                out[: max(0, 2 - lo)] = row[: max(0, 2 - lo)]
             else:
-                np.add(prev[lo + 2 : hi + 2], prev[lo + 1 : hi + 1], out=out)
-                out += np.multiply(prev[lo:hi], skip[lo:hi], out=spare[lo:hi])
-                out *= emit[t - start, lo:hi]
-            if t % _RESCALE_FRAMES == _RESCALE_FRAMES - 1:
-                shift = math.frexp(out.max())[1]
-                np.ldexp(out, -shift, out=out)
-                exponent += shift
-            prev, cur = cur, prev
+                np.add(p0, p1, out=out)
+                out += np.multiply(p2, skip_w, out=spare_w)
+                out *= row
+        if len(emit) == _RESCALE_FRAMES:
+            band = out[_ctc_window(t, t + 1, frames, num_states)[0] - lo :]
+            shift = math.frexp(np.maximum.reduce(band))[1]
+            np.ldexp(band, -shift, out=band)
+            exponent += shift
 
-    total = prev[-1] if num_states == 1 else prev[-1] + prev[-2]
+    last = rows[frames % 2]
+    total = last[-1] if num_states == 1 else last[-1] + last[-2]
     exact_above = 1021 * math.log(2.0) - math.log(3 * frames * num_states) - frames * math.log1p(_ROW_SUM_TOL)
     if total > 0.0 and (loss := 0.0 - (math.log(total) + exponent * math.log(2.0))) <= exact_above:
         return loss  # 0.0 - keeps a sure target at +0.0
@@ -315,33 +323,61 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
 
 def _ctc_log_loss(grid: PosteriorGrid, target: tuple[int, ...]) -> float:
     """:func:`ctc_loss` of a checked grid and target by the exact forward
-    pass in log space, over the same band and emission chunks."""
+    pass in log space, over the same windows and emission chunks."""
     states, can_skip = _ctc_lattice(grid, target)
     num_states = len(states)
-    frames = grid.num_frames
 
-    # alpha of the previous and the current frame; state s lives at index
-    # s + 2, behind two -inf pads that stand for the states s-1 and s-2 of
-    # s = 0. An entry above the band is never written, so it stays -inf.
-    prev = np.full(num_states + 2, -np.inf)
-    cur = np.full(num_states + 2, -np.inf)
-    for start in range(0, frames, _EMISSION_CHUNK_FRAMES):
+    # -inf for probability zero: an entry no window has reached, and the two
+    # pads, stay -inf.
+    rows = np.full((2, num_states + 2), -np.inf)
+    for t0, lo, hi, emit, steps in _ctc_blocks(grid, states, rows):
+        skip_w = can_skip[lo:hi]
         with np.errstate(divide="ignore"):
-            emit = np.log(grid.probs[start : start + _EMISSION_CHUNK_FRAMES])[:, states]
-        for t in range(start, start + len(emit)):
-            lo = max(0, num_states - 2 * (frames - t))
-            hi = min(num_states, 2 * t + 2)
-            out = cur[lo + 2 : hi + 2]
+            emit = np.log(emit)
+        for t, row in enumerate(emit, t0):
+            p0, p1, p2, out = steps[t & 1]
             if t == 0:
-                out[:] = emit[0, lo:hi]
+                out[: max(0, 2 - lo)] = row[: max(0, 2 - lo)]
             else:
-                np.logaddexp(prev[lo + 2 : hi + 2], prev[lo + 1 : hi + 1], out=out)
-                np.logaddexp(out, prev[lo:hi], out=out, where=can_skip[lo:hi])
-                out += emit[t - start, lo:hi]
-            prev, cur = cur, prev
+                np.logaddexp(p0, p1, out=out)
+                np.logaddexp(out, p2, out=out, where=skip_w)
+                out += row
 
-    log_total = prev[-1] if num_states == 1 else np.logaddexp(prev[-1], prev[-2])
+    last = rows[grid.num_frames % 2]
+    log_total = last[-1] if num_states == 1 else np.logaddexp(last[-1], last[-2])
     return math.inf if log_total == -np.inf else float(0.0 - log_total)
+
+
+def _ctc_window(t0: int, t1: int, frames: int, num_states: int) -> tuple[int, int]:
+    """The states ``[lo, hi)`` that can lie on a complete path at some frame
+    in ``[t0, t1)``: a state at or above ``hi`` is unreachable from the start
+    by frame ``t1 - 1``, and one below ``lo`` cannot reach the two final
+    states from frame ``t0``. For ``t1 = t0 + 1`` it is the band of frame ``t0``."""
+    return max(0, num_states - 2 * (frames - t0)), min(num_states, 2 * t1)
+
+
+def _ctc_blocks(grid: PosteriorGrid, states: np.ndarray, rows: np.ndarray):
+    """The forward passes' walk over ``grid`` in blocks of ``_RESCALE_FRAMES``
+    frames. Per block that starts at frame ``t0``, yields ``(t0, lo, hi, emit,
+    steps)``: the block's window ``[lo, hi)`` (:func:`_ctc_window`); its
+    emission probabilities over the window, one row per frame; and, for the
+    two forward rows ``rows`` (state s at index s + 2), the views ``steps[t &
+    1] = (p0, p1, p2, out)`` that frame t reads as states s, s - 1 and s - 2
+    and writes as state s, over the window. Emissions are gathered per state
+    in chunks of ``_EMISSION_CHUNK_FRAMES``, a multiple of the block, so they
+    take O(chunk x S) memory, not O(T x S).
+    """
+    frames, num_states = grid.num_frames, len(states)
+    even, odd = rows
+    for t0 in range(0, frames, _RESCALE_FRAMES):
+        first = t0 % _EMISSION_CHUNK_FRAMES
+        if first == 0:
+            chunk = grid.probs[t0 : t0 + _EMISSION_CHUNK_FRAMES][:, states]
+        t1 = min(t0 + _RESCALE_FRAMES, frames)
+        lo, hi = _ctc_window(t0, t1, frames, num_states)
+        e0, o0 = even[lo + 2 : hi + 2], odd[lo + 2 : hi + 2]
+        steps = (e0, even[lo + 1 : hi + 1], even[lo:hi], o0), (o0, odd[lo + 1 : hi + 1], odd[lo:hi], e0)
+        yield t0, lo, hi, chunk[first : first + t1 - t0, lo:hi], steps
 
 
 def ctc_loss_labels(grid: PosteriorGrid, vocab: Vocabulary, labels: Sequence[str]) -> float:

@@ -541,6 +541,17 @@ def test_score_ctc_nan_grid_is_data_error(tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: {path}: grid entries must be finite and lie in [0, 1]\n"
 
 
+def test_score_ctc_signaling_nan_grid_prints_only_the_error(tmp_path):
+    path = tmp_path / "snan.pst"
+    path.write_bytes(POSTERIORS_MAGIC + np.array([1, 2, 0x3F800000, 0x7F800001], dtype="<u4").tobytes())
+    # a child process, so a numpy warning would print to stderr as it does for a user
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [sys.executable, "-m", "ltrkit.cli", "score", "ctc", "--grid", str(path), "--vocab", "a", "--tokens", "a"]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {path}: grid entries must be finite and lie in [0, 1]"]
+
+
 def test_score_fuse(tmp_path, capsys):
     hyps = tmp_path / "h.jsonl"
     lines = [

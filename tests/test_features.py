@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,23 @@ def test_distortion_curve_matches_each_rendering():
     assert spectral == [(ms, spectral_distance(reference, fbank(reverse_segments(buf, ms)))) for ms in (30.0, 10.0)]
 
 
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+def test_boundary_curve_gathers_the_seams_each_rendering_has(rate):
+    # distortion_curve reads the seams from the source; it must give the
+    # rendered buffer's value bit for bit, short last segment or not
+    rng = np.random.default_rng(rate)
+    for ms in DEFAULT_DURATIONS_MS:
+        seg = segment_samples(ms, rate)
+        for n in (seg + 1, 2 * seg - 1, 2 * seg, 2 * seg + 1, 7 * seg + 3, 2 * rate + 1):
+            buf = AudioBuffer(rng.uniform(-1.0, 1.0, n), rate)
+            ((_, got),) = distortion_curve(buf, "boundary", [ms])
+            want = boundary_discontinuity(reverse_segments(buf, ms), ms)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (ms, n)
+    for samples, ms, message in (([], 5.0, "buffer is empty"), ([0.5] * 40, 5.0, "fewer than two 5 ms segments"), ([0.5] * 400, 0.0, "positive")):
+        with pytest.raises(DataError, match=message):
+            distortion_curve(AudioBuffer(samples, rate), "boundary", [ms])
+
+
 def test_distortion_csv_formats_the_curve():
     buf = tone(300, seconds=0.5)
     (_, a), (_, b) = distortion_curve(buf, "boundary", [7.5, 20.0])
@@ -223,6 +242,15 @@ def test_feature_matrix_rejects_non_finite_values(tmp_path, bad):
         FeatureMatrix([[0.0, 1.0, 2.0], [3.0, bad, 5.0]])
     path = tmp_path / "nan.fbk"
     write_matrix(np.array([[0.0, bad], [1.0, 2.0]]), path, FEATURES_MAGIC)
+    with pytest.raises(MatrixFormatError, match=f"{path.name}: feature values must be finite"):
+        load_features(path)
+
+
+def test_load_features_rejects_a_signaling_nan_without_a_warning(tmp_path):
+    # widening the bits 0x7f800001 sets the invalid flag; under the suite's
+    # filterwarnings = error a warning would raise before the loader's error
+    path = tmp_path / "snan.fbk"
+    path.write_bytes(FEATURES_MAGIC + np.array([1, 2, 0x3F800000, 0x7F800001], dtype="<u4").tobytes())
     with pytest.raises(MatrixFormatError, match=f"{path.name}: feature values must be finite"):
         load_features(path)
 

@@ -269,6 +269,116 @@ def test_scaled_ctc_stays_within_rounding_of_the_log_space_pass():
     assert outcomes["scaled"] >= 25 and outcomes["exact"] >= 10 and outcomes["inf"] >= 25
 
 
+def _seed_lattice(grid, target):
+    states = np.asarray(interleave_blanks(target, grid.blank_index))
+    can_skip = np.zeros(len(states), dtype=bool)
+    can_skip[2:] = (states[2:] != grid.blank_index) & (states[2:] != states[:-2])
+    return states, can_skip
+
+
+def _seed_ctc_loss(grid, target):
+    """The per-frame banded scaled pass that the per-block windows replaced,
+    with its fallback to the log-space pass below, kept as the reference both
+    must equal bit for bit: fresh band slices every frame, the band alone
+    updated and rescaled."""
+    target = tuple(target)
+    frames = grid.num_frames
+    if ctc_min_frames(target) > frames:
+        return math.inf
+    states, can_skip = _seed_lattice(grid, target)
+    num_states = len(states)
+    skip = can_skip.astype(np.float64)
+    spare = np.empty(num_states)
+    prev = np.zeros(num_states + 2)
+    cur = np.zeros(num_states + 2)
+    exponent = 0
+    for start in range(0, frames, 128):
+        emit = grid.probs[start : start + 128][:, states]
+        for t in range(start, start + len(emit)):
+            lo = max(0, num_states - 2 * (frames - t))
+            hi = min(num_states, 2 * t + 2)
+            out = cur[lo + 2 : hi + 2]
+            if t == 0:
+                out[:] = emit[0, lo:hi]
+            else:
+                np.add(prev[lo + 2 : hi + 2], prev[lo + 1 : hi + 1], out=out)
+                out += np.multiply(prev[lo:hi], skip[lo:hi], out=spare[lo:hi])
+                out *= emit[t - start, lo:hi]
+            if t % 8 == 7:
+                shift = math.frexp(out.max())[1]
+                np.ldexp(out, -shift, out=out)
+                exponent += shift
+            prev, cur = cur, prev
+    total = prev[-1] if num_states == 1 else prev[-1] + prev[-2]
+    if total > 0.0 and (loss := 0.0 - (math.log(total) + exponent * math.log(2.0))) <= _exact_above(grid, target):
+        return loss
+    return _seed_ctc_log_loss(grid, target)
+
+
+def _seed_ctc_log_loss(grid, target):
+    """The per-frame banded log-space pass, the reference for _ctc_log_loss."""
+    states, can_skip = _seed_lattice(grid, target)
+    num_states = len(states)
+    frames = grid.num_frames
+    prev = np.full(num_states + 2, -np.inf)
+    cur = np.full(num_states + 2, -np.inf)
+    for start in range(0, frames, 128):
+        with np.errstate(divide="ignore"):
+            emit = np.log(grid.probs[start : start + 128])[:, states]
+        for t in range(start, start + len(emit)):
+            lo = max(0, num_states - 2 * (frames - t))
+            hi = min(num_states, 2 * t + 2)
+            out = cur[lo + 2 : hi + 2]
+            if t == 0:
+                out[:] = emit[0, lo:hi]
+            else:
+                np.logaddexp(prev[lo + 2 : hi + 2], prev[lo + 1 : hi + 1], out=out)
+                np.logaddexp(out, prev[lo:hi], out=out, where=can_skip[lo:hi])
+                out += emit[t - start, lo:hi]
+            prev, cur = cur, prev
+    log_total = prev[-1] if num_states == 1 else np.logaddexp(prev[-1], prev[-2])
+    return math.inf if log_total == -np.inf else float(0.0 - log_total)
+
+
+def _window_cases():
+    """(grid, target) pairs on both sides of each block and chunk edge."""
+    rng = np.random.default_rng(21)
+    for frames in (1, 7, 8, 9, 127, 128, 129, 1000):
+        half = (frames + 1) // 2
+        grids = [random_grid(rng, frames, 3, zero_fraction=0.1)]
+        # blank holds nearly all the mass: the cells below the band, which
+        # emitted few tokens, dwarf the band's before each rescale
+        probs = np.full((frames, 4), 1e-3 / 3)
+        probs[:, -1] = 1.0 - 1e-3
+        grids.append(PosteriorGrid(probs))
+        # a 1e-250 token: a total of two of them underflows, which falls back
+        grids.append(PosteriorGrid(np.tile([1e-250, 0.25, 0.25, 0.5 - 1e-250], (frames, 1))))
+        for grid in grids:
+            yield grid, ()  # S = 1
+            yield grid, tuple(t % 2 for t in range(frames))  # S = 2T+1, so the band starts at state 1
+            yield grid, tuple(t % 2 for t in range(frames + 1))  # S = 2T+3: no band at frame 0
+            yield grid, (0,) * half  # repeats that need all T frames when T is odd
+            yield grid, (0, 0)
+            yield grid, tuple(rng.integers(0, 3, size=rng.integers(1, half + 1)).tolist())
+            yield grid, tuple(rng.integers(0, 3, size=frames // 3 + 1).tolist())
+            yield grid, tuple(rng.integers(0, 3, size=frames + 1).tolist())  # longer than the grid
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_ctc_windows_match_the_per_frame_band_bit_for_bit():
+    outcomes = {"scaled": 0, "log": 0, "inf": 0}
+    for grid, target in _window_cases():
+        want = _seed_ctc_loss(grid, target)
+        assert _same_float(ctc_loss(grid, target), want), (grid.num_frames, target)
+        want_log = _seed_ctc_log_loss(grid, target)
+        assert _same_float(scoring._ctc_log_loss(grid, target), want_log), (grid.num_frames, target)
+        outcomes["inf" if math.isinf(want) else "log" if want == want_log else "scaled"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
 def test_a_sure_target_scores_positive_zero():
     grid = PosteriorGrid([[0.0, 1.0]])
     for loss in [ctc_loss(grid, ()), scoring._ctc_log_loss(grid, ()), ctc_loss_bruteforce(grid, ()), attention_loss([[1.0]], [0])]:
@@ -644,6 +754,16 @@ def test_grid_file_revalidates_rows(tmp_path):
     write_matrix(np.array([[0.5, 0.5], [np.nan, 0.5]]), path, POSTERIORS_MAGIC)
     with pytest.raises(MatrixFormatError) as info:
         load_grid(path)
+    assert str(info.value) == f"{path}: grid entries must be finite and lie in [0, 1]"
+
+
+def test_load_grid_rejects_a_signaling_nan_without_a_warning(tmp_path):
+    from ltrkit.matrix_io import POSTERIORS_MAGIC
+
+    path = tmp_path / "snan.pst"
+    path.write_bytes(POSTERIORS_MAGIC + np.array([1, 2, 0x3F800000, 0x7F800001], dtype="<u4").tobytes())
+    with pytest.raises(MatrixFormatError) as info:
+        load_grid(path)  # a warning would raise first, under filterwarnings = error
     assert str(info.value) == f"{path}: grid entries must be finite and lie in [0, 1]"
 
 
