@@ -174,13 +174,7 @@ def _encode_wav(buffer: AudioBuffer, codec: str) -> tuple[bytes, np.ndarray]:
 
 
 def _wav_payload(length: int, rate: int, codec: str) -> tuple[bytes, np.ndarray]:
-    """The header of a ``length``-sample WAV and its unfilled payload."""
-    header = _wav_header(length, rate, codec)
-    return header, np.empty(length, dtype="<i2" if codec == "pcm16" else "<f4")
-
-
-def _wav_header(length: int, rate: int, codec: str) -> bytes:
-    """The canonical 44-byte header of a ``length``-sample mono WAV."""
+    """The canonical 44-byte header of a ``length``-sample mono WAV and its unfilled payload."""
     if length == 0:
         raise DataError("cannot write an empty buffer")
     if codec == "pcm16":
@@ -194,40 +188,41 @@ def _wav_header(length: int, rate: int, codec: str) -> bytes:
     for name, value in (("sample rate", rate), ("byte rate", rate * block_align), ("RIFF chunk size", 36 + data_size)):
         if value > _U32_MAX:
             raise DataError(f"{name} {value} does not fit a WAV header (at most {_U32_MAX})")
-    return struct.pack(
+    header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + data_size, b"WAVE", b"fmt ", 16, tag, 1, rate, rate * block_align, block_align, bits, b"data", data_size,
     )
+    return header, np.empty(length, dtype="<i2" if codec == "pcm16" else "<f4")
 
 
-def _float32_wav(path: str | Path) -> tuple[int, bytes, np.ndarray]:
-    """The rate of a WAV file and the header and ``<f4`` payload of its mono
-    float32 encoding: byte for byte ``_encode_wav(read_wav(path), "float32")``,
-    errors included.
+def _decode(path: str | Path) -> tuple[int, np.ndarray]:
+    """The rate and mono samples of a WAV file, decoded once for the builders:
+    widened to float64, the samples equal :func:`read_wav`'s bit for bit, and
+    the errors are :func:`read_wav`'s.
 
-    Mono PCM-16, stereo PCM-16 and mono float32 skip the float64 buffer: one
-    float32 pass fills the payload, and it is exact. A PCM-16 value times
-    2^-15, and the sum of a stereo frame's two values times 2^-16, are float32
-    numbers (the sum is below 2^17 in magnitude, far inside the 24-bit
-    significand, and the scale is a power of two), so they are what the
-    float64 decode rounds to. Clipping a float32 sample to [-1, 1] gives the
-    same value, sign of zero included, before or after widening it, and ±inf
-    still becomes ±1. Any other layout, and a file with a zero rate or a NaN
-    sample, takes the reference route through :func:`read_wav`'s decode.
+    Mono PCM-16, stereo PCM-16 and mono float32 decode to ``<f4`` with no
+    float64 buffer, and the decode is exact. A PCM-16 value times 2^-15, and
+    the sum of a stereo frame's two values times 2^-16, are float32 numbers
+    (the sum is below 2^17 in magnitude, far inside the 24-bit significand,
+    and the scale is a power of two), so they are what the float64 decode
+    rounds to. Clipping a float32 sample to [-1, 1] gives the same value, sign
+    of zero included, before or after widening it, and ±inf still becomes ±1.
+    Any other layout, and a file with a zero rate or a NaN sample, takes
+    :func:`read_wav`'s decode and gives its float64 array.
     """
     tag, channels, rate, samples = _wav_frames(path)
     if rate and (channels == 1 or (tag, channels) == (_TAG_PCM, 2)):
-        payload = np.empty(len(samples) // channels, dtype="<f4")
+        out = np.empty(len(samples) // channels, dtype="<f4")
         if tag == _TAG_IEEE_FLOAT:
-            np.clip(samples, -1.0, 1.0, out=payload)
+            np.clip(samples, -1.0, 1.0, out=out)
         elif channels == 1:
-            np.multiply(samples, np.float32(2.0**-15), out=payload)
+            np.multiply(samples, np.float32(2.0**-15), out=out)
         else:
-            np.add(samples[0::2], samples[1::2], out=payload, dtype=np.float32)
-            payload *= np.float32(2.0**-16)
-        if tag == _TAG_PCM or not np.isnan(payload.min()):  # a NaN is read_wav's error, raised before the header's
-            return rate, _wav_header(len(payload), rate, "float32"), payload
-    return rate, *_encode_wav(_mono(path, tag, channels, rate, samples), "float32")
+            np.add(samples[0::2], samples[1::2], out=out, dtype=np.float32)
+            out *= np.float32(2.0**-16)
+        if tag == _TAG_PCM or not np.isnan(out.min()):  # a NaN is read_wav's error
+            return rate, out
+    return rate, _mono(path, tag, channels, rate, samples).samples
 
 
 def _encode(payload: np.ndarray, samples: np.ndarray) -> None:

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._atomic import write_atomic
-from .audio_io import _float32_wav, read_wav
+from .audio_io import _decode, _wav_payload
 from .errors import DataError, _json_value, at_least, json_objects, number, positive
 from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
 from .perturb import DEFAULT_SPEED_FACTORS, _resample, _speed_factor
@@ -140,12 +140,12 @@ def _build(
     """One record per (source record, tag), grouped by source in input order.
 
     ``None`` keeps the source record and ``AugmentTag("speed", 1.0)`` retags
-    it. Any other tag is read from the source and written as a float32 WAV
-    named by its derived id: ``ltr ms`` reverses the segments of the float32
-    payload, decoded once per utterance by ``audio_io._float32_wav`` (straight
-    from the samples for mono and stereo PCM-16 and mono float32, with no
-    float64 buffer); ``speed f`` resamples :func:`read_wav`'s float64 buffer
-    into its payload and divides the duration by ``f``. ``parallelism``, the
+    it. Any other tag is rendered from one decode of the source,
+    ``audio_io._decode`` (float32, or float64 only for layouts float32 cannot
+    hold exactly), and written as a float32 WAV named by its derived id: ``ltr
+    ms`` reverses the segments straight into the payload (a float64 sample,
+    already clipped, is stored as its float32 encode), ``speed f`` resamples
+    into it and divides the duration by ``f``. ``parallelism``, the
     ids, their file names' lengths and ``out_dir``'s text are checked before
     it is made.
     """
@@ -168,8 +168,9 @@ def _build(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def render(record: ManifestRecord) -> list[ManifestRecord]:
+        if rendered:
+            rate, samples = _decode(record.audio_path)
         group = []
-        buffer = payload = None
         for tag in tags:
             if tag not in rendered:
                 group.append(record if tag is None else replace(record, augment=unit_speed))
@@ -178,14 +179,13 @@ def _build(
             out_path = out_dir / f"{derived_id}.wav"
             duration_s = record.duration_s
             if tag.type == "ltr":
-                if payload is None:
-                    rate, header, payload = _float32_wav(record.audio_path)
-                write_atomic(out_path, header, _reverse(payload, segment_samples(tag.param, rate)))
+                header, out = _wav_payload(len(samples), rate, "float32")
+                _reverse(samples, segment_samples(tag.param, rate), out)
             else:
-                if buffer is None:
-                    buffer = read_wav(record.audio_path)
-                write_atomic(out_path, *_resample(buffer, tag.param, "float32"))
+                header, out = _resample(samples, rate, tag.param, "float32")
                 duration_s /= tag.param
+            write_atomic(out_path, header, out)
+            del out  # so that no two payloads are ever held at once
             group.append(ManifestRecord(derived_id, str(out_path), record.text, duration_s, tag))
         return group
 
@@ -208,14 +208,11 @@ def build_set(
     Every input record is followed by one rendering per duration of
     ``SET_DURATIONS_MS[set_id]``, written under ``out_dir`` as float32 WAV.
     Renderings keep the source length and transcript; their records carry an
-    ``ltr`` lineage tag and the derived id ``<utt_id>-ltr<ms>``. They are
-    reversed on the source's float32 payload, byte-identical to
-    ``write_wav(reverse_segments(read_wav(...)))``. Mono and stereo PCM-16
-    and mono float32 sources are decoded straight into that payload, with no
-    float64 buffer: a PCM-16 value, or a stereo frame's sum, times a power of
-    two is a float32 number, and a float32 sample clipped to [-1, 1] is the
-    same before or after widening, so the float64 route rounds to these very
-    values. Other layouts go through :func:`read_wav`.
+    ``ltr`` lineage tag and the derived id ``<utt_id>-ltr<ms>``, and are
+    byte-identical to ``write_wav(reverse_segments(read_wav(...)))``. Each
+    source is decoded once: to float32 for mono and stereo PCM-16 and mono
+    float32, which it holds exactly, and to :func:`read_wav`'s float64
+    samples for other layouts.
     """
     if set_id not in SET_DURATIONS_MS:
         raise DataError(f"set_id must be in 1..{len(SET_DURATIONS_MS)}, got {set_id!r}")
@@ -234,6 +231,8 @@ def build_speed_set(
     original id; other factors are resampled, written under ``out_dir`` as
     float32 WAV under the derived id ``<utt_id>-sp<factor>``, with the
     recorded duration scaled by 1/factor. All records carry ``speed`` tags.
+    A copy is byte-identical to ``write_wav(speed_perturb(read_wav(...), f))``,
+    resampled from the one decode per source that :func:`build_set` makes.
     Factors must be finite, distinct and at least 0.01, checked up front.
     """
     if not factors:

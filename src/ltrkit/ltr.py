@@ -49,12 +49,12 @@ def reverse_segments(buffer: AudioBuffer, segment_ms: float) -> AudioBuffer:
     return AudioBuffer._adopt(_reverse(buffer.samples, seg), buffer.sample_rate_hz)
 
 
-def _reverse(x: np.ndarray, seg: int) -> np.ndarray:
-    """A new array: non-empty 1-D ``x`` with each consecutive ``seg``-sample
-    segment reversed, as :func:`reverse_segments` describes."""
+def _reverse(x: np.ndarray, seg: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``out``, or a new array of ``x``'s dtype, filled with non-empty 1-D ``x``
+    with each ``seg``-sample segment reversed, as :func:`reverse_segments` says."""
     n = len(x)
     seg = min(seg, n)
-    out = np.empty(n, dtype=x.dtype)
+    out = np.empty(n, dtype=x.dtype) if out is None else out
     full = (n // seg) * seg
     out[:full].reshape(-1, seg)[...] = x[:full].reshape(-1, seg)[:, ::-1]
     out[full:] = x[full:][::-1]

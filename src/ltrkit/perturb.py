@@ -47,7 +47,9 @@ def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     it equals ``np.interp(np.arange(out_len) * factor, np.arange(n), samples)``
     over the whole buffer bit for bit.
     """
-    return buffer if factor == 1.0 else _resample(buffer, factor)
+    if factor == 1.0:
+        return buffer
+    return AudioBuffer._adopt(_resample(buffer.samples, buffer.sample_rate_hz, factor), buffer.sample_rate_hz)
 
 
 def _speed_factor(factor: float) -> None:
@@ -55,15 +57,16 @@ def _speed_factor(factor: float) -> None:
         raise DataError(f"speed factor must be at least {_MIN_SPEED_FACTOR}, got {factor}")
 
 
-def _resample(buffer: AudioBuffer, factor: float, codec: str | None = None):
-    """The resampled buffer of :func:`speed_perturb`, or with a ``codec`` its ``_encode_wav``, block by block."""
+def _resample(samples: np.ndarray, rate: int, factor: float, codec: str | None = None):
+    """The float64 samples of :func:`speed_perturb` at ``factor``, or with a
+    ``codec`` its ``_encode_wav`` at ``rate``, block by block. ``samples`` is
+    any float array: ``np.interp`` widens a float32 one exactly."""
     _speed_factor(factor)
-    n = len(buffer)
+    n = len(samples)
     out_len = int(math.floor(n / factor + 0.5))
     if out_len < 1:
         raise DataError(f"factor {factor} leaves no output samples for a {n}-sample buffer")
-    header, out = _wav_payload(out_len, buffer.sample_rate_hz, codec) if codec else (None, np.empty(out_len))
-    samples = buffer.samples
+    header, out = _wav_payload(out_len, rate, codec) if codec else (None, np.empty(out_len))
     for start in range(0, out_len, _BLOCK_SAMPLES):
         stop = min(start + _BLOCK_SAMPLES, out_len)
         positions = np.arange(start, stop, dtype=np.float64) * factor
@@ -73,7 +76,7 @@ def _resample(buffer: AudioBuffer, factor: float, codec: str | None = None):
         if codec and not np.isfinite(block).all():  # the encode would clip it; _adopt checks a buffer
             raise DataError(f"speed factor {factor} overflows a slope between samples of this buffer")
         (_encode if codec else np.copyto)(out[start:stop], block)
-    return (header, out) if codec else AudioBuffer._adopt(out, buffer.sample_rate_hz)
+    return (header, out) if codec else out
 
 
 @dataclass(frozen=True)

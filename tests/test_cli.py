@@ -468,22 +468,28 @@ def test_verbose_applies_to_its_own_call_only(tmp_path, wav, monkeypatch):
 def test_verbose_lines_come_in_input_order_at_any_parallelism(tmp_path, wav, monkeypatch, capsys):
     import ltrkit.dataset as dataset
 
+    sources = [tmp_path / f"s{i}.wav" for i in range(3)]
+    for source in sources:
+        source.write_bytes(wav.read_bytes())
     manifest = tmp_path / "m.jsonl"
-    save_manifest([ManifestRecord(f"u{i}", str(wav), "hi", 1.0) for i in range(3)], manifest)
+    save_manifest([ManifestRecord(f"u{i}", str(source), "hi", 1.0) for i, source in enumerate(sources)], manifest)
+    decode = dataset._decode
 
-    def slow_first_read(path):  # the first utterance finishes last at parallelism 2
-        if not seen:
+    def slow_first_decode(path):  # the first utterance finishes last at parallelism 2
+        if path == str(sources[0]):
             time.sleep(0.3)
         seen.append(path)
-        return read_wav(path)
+        return decode(path)
 
-    monkeypatch.setattr(dataset, "read_wav", slow_first_read)
+    monkeypatch.setattr(dataset, "_decode", slow_first_decode)
     errs = []
     for workers in ("1", "2"):
         seen = []
         assert run(["--verbose", "build-set", "--set", "1", "--manifest", str(manifest), "--out-dir", str(tmp_path / "d"),
                     "--out-manifest", str(tmp_path / "o.jsonl"), "--parallelism", workers]) == 0
         errs.append(capsys.readouterr().err)
+        assert sorted(seen) == [str(source) for source in sources], workers
+    assert seen[-1] == str(sources[0])  # at parallelism 2 the slow decode ended last
     assert errs[1] == errs[0]
     assert errs[0].splitlines()[:2] == [f"rendered {tmp_path / 'd' / 'u0-ltr5.wav'}", f"rendered {tmp_path / 'd' / 'u0-ltr10.wav'}"]
 

@@ -320,6 +320,19 @@ def test_build_speed_set_holds_only_the_source_and_one_payload(tmp_path, traced_
     assert peak <= buffer + payload + 2**20, peak / 2**20
 
 
+def test_build_speed_set_decodes_pcm16_to_float32_alone(tmp_path, traced_peak):
+    # a mono PCM-16 source is decoded once, to float32, and resampled from
+    # there; a float64 decode took this build's peak to 12.1 MiB
+    n = 60 * 16000
+    path = tmp_path / "u.wav"
+    write_wav(AudioBuffer(np.random.default_rng(3).uniform(-0.9, 0.9, n), 16000), path, "pcm16")  # 60 s
+    records = [ManifestRecord("u", str(path), "t", 60.0)]
+    build_speed_set(records, (0.9,), tmp_path / "warm", 1)
+    _, peak = traced_peak(build_speed_set, records, (0.9,), tmp_path / "sp", 1)
+    decode, payload = n * 4, round(n / 0.9) * 4
+    assert peak <= decode + payload + 2**20, peak / 2**20
+
+
 def test_build_rejects_an_id_whose_file_name_passes_255_bytes(tmp_path):
     source = write_corpus(tmp_path, count=1)[0]
     # "<id>-sp0.9.wav" fills 255 bytes with a 245-byte id; "é" is two bytes in

@@ -189,7 +189,7 @@ def test_an_overflowing_slope_is_a_data_error_encoded_or_not():
     with pytest.raises(DataError, match="must be finite"):
         speed_perturb(buffer, 0.5)
     with pytest.raises(DataError, match="speed factor 0.5 overflows"):
-        _resample(buffer, 0.5, "float32")
+        _resample(buffer.samples, buffer.sample_rate_hz, 0.5, "float32")
 
 
 def test_speed_perturb_memory_stays_bounded(traced_peak):

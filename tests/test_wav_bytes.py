@@ -6,9 +6,9 @@ from their names: they slice the data chunk into new bytes, downmix with
 ``mean(axis=1)``, reverse through a temporary, resample with one ``np.interp``
 over the whole buffer and encode with ``tobytes`` and ``header + payload``.
 The library must give the same samples, sign bits included, and the same file
-bytes; ``build_set``, which reverses the encoded payload, and
-``build_speed_set``, which resamples block by block into it, must write the
-files and manifest of these composed.
+bytes; ``build_set``, which reverses the source's one decode into the
+float32 payload, and ``build_speed_set``, which resamples it block by block
+into that payload, must write the files and manifest of these composed.
 """
 
 import math
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltrkit.audio_io import AudioBuffer, WavFormatError, _encode_wav, _float32_wav, read_wav, write_wav
+from ltrkit.audio_io import AudioBuffer, WavFormatError, _decode, _encode_wav, _wav_payload, read_wav, write_wav
 from ltrkit.dataset import SET_DURATIONS_MS, AugmentTag, ManifestRecord, build_set, build_speed_set, save_manifest
 from ltrkit.errors import DataError
 from ltrkit.ltr import _reverse, reverse_segments, segment_samples
@@ -176,10 +176,16 @@ def test_read_matches_seed_sample_for_sample(tmp_path, codec, channels):
         assert got.sample_rate_hz == want.sample_rate_hz
         assert _same_samples(got.samples, want.samples)
         assert not got.samples.flags.writeable
-        # build-set's decode straight to the float32 payload, against the reader's route
-        rate, header, payload = _float32_wav(path)
+        # the builders' one decode, against the reader's route: float32 for
+        # the exact layouts, and stored into the float32 payload as render does
+        rate, samples = _decode(path)
+        assert rate == got.sample_rate_hz
+        assert samples.dtype == (np.dtype("<f4") if channels == 1 or (codec, channels) == ("pcm16", 2) else np.float64)
+        assert _same_samples(samples.astype(np.float64), got.samples)
+        header, payload = _wav_payload(len(samples), rate, "float32")
+        payload[...] = samples
         want_header, want_payload = _encode_wav(got, "float32")
-        assert (rate, header) == (got.sample_rate_hz, want_header)
+        assert header == want_header
         assert payload.dtype == np.dtype("<f4") and payload.tobytes() == want_payload.tobytes()
 
 
@@ -201,7 +207,8 @@ def test_the_float32_decode_fails_as_the_reader_does(tmp_path, codec, channels):
         with pytest.raises(DataError) as want:
             _encode_wav(read_wav(path), "float32")
         with pytest.raises(DataError) as got:
-            _float32_wav(path)
+            rate, samples = _decode(path)
+            _wav_payload(len(samples), rate, "float32")
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), rate
 
 
