@@ -169,7 +169,13 @@ def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> 
 def _encode_wav(buffer: AudioBuffer, codec: str) -> tuple[bytes, np.ndarray]:
     """The header and the ``<i2`` or ``<f4`` payload of :func:`write_wav`."""
     header, payload = _wav_payload(len(buffer), buffer.sample_rate_hz, codec)
-    _encode(payload, buffer.samples)
+    if codec == "pcm16":
+        scaled = np.clip(buffer.samples, -1.0, 1.0)
+        scaled *= 32768.0
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, -32768, 32767, out=payload, casting="unsafe")
+    else:
+        np.clip(buffer.samples, -1.0, 1.0, out=payload, casting="same_kind")
     return header, payload
 
 
@@ -197,8 +203,8 @@ def _wav_payload(length: int, rate: int, codec: str) -> tuple[bytes, np.ndarray]
 
 def _decode(path: str | Path) -> tuple[int, np.ndarray]:
     """The rate and mono samples of a WAV file, decoded once for the builders:
-    widened to float64, the samples equal :func:`read_wav`'s bit for bit, and
-    the errors are :func:`read_wav`'s.
+    widened to float64, the samples equal :func:`read_wav`'s bit for bit, so
+    all lie in [-1, 1], and the errors are :func:`read_wav`'s.
 
     Mono PCM-16, stereo PCM-16 and mono float32 decode to ``<f4`` with no
     float64 buffer, and the decode is exact. A PCM-16 value times 2^-15, and
@@ -224,13 +230,3 @@ def _decode(path: str | Path) -> tuple[int, np.ndarray]:
             return rate, out
     return rate, _mono(path, tag, channels, rate, samples).samples
 
-
-def _encode(payload: np.ndarray, samples: np.ndarray) -> None:
-    """Encode ``samples`` into ``payload``, or a block of it: a value depends on its sample alone."""
-    if payload.dtype == np.int16:
-        scaled = np.clip(samples, -1.0, 1.0)
-        scaled *= 32768.0
-        np.rint(scaled, out=scaled)
-        np.clip(scaled, -32768, 32767, out=payload, casting="unsafe")
-    else:
-        np.clip(samples, -1.0, 1.0, out=payload, casting="same_kind")

@@ -31,7 +31,7 @@ from ._atomic import write_atomic
 from .audio_io import _decode, _wav_payload
 from .errors import DataError, _json_value, at_least, json_objects, number, positive
 from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
-from .perturb import DEFAULT_SPEED_FACTORS, _resample, _speed_factor
+from .perturb import DEFAULT_SPEED_FACTORS, _resample, _speed_factor, _speed_length
 
 __all__ = [
     "SET_DURATIONS_MS",
@@ -142,12 +142,12 @@ def _build(
     ``None`` keeps the source record and ``AugmentTag("speed", 1.0)`` retags
     it. Any other tag is rendered from one decode of the source,
     ``audio_io._decode`` (float32, or float64 only for layouts float32 cannot
-    hold exactly), and written as a float32 WAV named by its derived id: ``ltr
-    ms`` reverses the segments straight into the payload (a float64 sample,
-    already clipped, is stored as its float32 encode), ``speed f`` resamples
-    into it and divides the duration by ``f``. ``parallelism``, the
-    ids, their file names' lengths and ``out_dir``'s text are checked before
-    it is made.
+    hold exactly, all in [-1, 1]), into a float32 WAV payload named by its
+    derived id: ``ltr ms`` reverses the segments into it, ``speed f``
+    resamples into it and divides the duration by ``f``. Both store by a plain
+    cast, which is the float32 encode: a float64 value within a few ulps of
+    [-1, 1], cast to float32, is its clipped value. ``parallelism``, the ids,
+    their file names' lengths and ``out_dir``'s text are checked before it is made.
     """
     parallelism = at_least("parallelism", parallelism, 1)
     unit_speed = AugmentTag("speed", 1.0)
@@ -177,15 +177,15 @@ def _build(
                 continue
             derived_id = _derived_id(record, tag)
             out_path = out_dir / f"{derived_id}.wav"
-            duration_s = record.duration_s
-            if tag.type == "ltr":
-                header, out = _wav_payload(len(samples), rate, "float32")
-                _reverse(samples, segment_samples(tag.param, rate), out)
+            speed = tag.type == "speed"
+            header, out = _wav_payload(_speed_length(len(samples), tag.param) if speed else len(samples), rate, "float32")
+            if speed:
+                _resample(samples, tag.param, out)
             else:
-                header, out = _resample(samples, rate, tag.param, "float32")
-                duration_s /= tag.param
+                _reverse(samples, segment_samples(tag.param, rate), out)
             write_atomic(out_path, header, out)
             del out  # so that no two payloads are ever held at once
+            duration_s = record.duration_s / tag.param if speed else record.duration_s
             group.append(ManifestRecord(derived_id, str(out_path), record.text, duration_s, tag))
         return group
 

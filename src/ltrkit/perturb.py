@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import write_in_place
-from .audio_io import AudioBuffer, _encode, _wav_payload
+from .audio_io import AudioBuffer
 from .errors import DataError, at_least, fraction, positive
 from .features import FeatureMatrix
 from .matrix_io import FEATURES_MAGIC, MatrixFormatError, _matrix_payload
@@ -40,7 +40,8 @@ def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     at factor 2 give 5), and output sample i is the linear interpolation of the
     input at position ``i * factor``, clamped at the signal edges. Factor 1.0
     is the identity: it returns ``buffer`` itself. The factor must be finite
-    and at least 0.01.
+    and at least 0.01. A slope between samples that overflows gives a sample
+    that is not finite, which the output buffer rejects as a :class:`DataError`.
 
     The output is filled in blocks of a fixed size, each interpolated from
     only the input samples its positions fall between, at their own indices;
@@ -49,7 +50,8 @@ def speed_perturb(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     """
     if factor == 1.0:
         return buffer
-    return AudioBuffer._adopt(_resample(buffer.samples, buffer.sample_rate_hz, factor), buffer.sample_rate_hz)
+    out = np.empty(_speed_length(len(buffer), factor))
+    return AudioBuffer._adopt(_resample(buffer.samples, factor, out), buffer.sample_rate_hz)
 
 
 def _speed_factor(factor: float) -> None:
@@ -57,26 +59,28 @@ def _speed_factor(factor: float) -> None:
         raise DataError(f"speed factor must be at least {_MIN_SPEED_FACTOR}, got {factor}")
 
 
-def _resample(samples: np.ndarray, rate: int, factor: float, codec: str | None = None):
-    """The float64 samples of :func:`speed_perturb` at ``factor``, or with a
-    ``codec`` its ``_encode_wav`` at ``rate``, block by block. ``samples`` is
-    any float array: ``np.interp`` widens a float32 one exactly."""
+def _speed_length(n: int, factor: float) -> int:
+    """The length of an ``n``-sample buffer resampled at a checked ``factor``:
+    ``n / factor`` rounded half up, at least one sample."""
     _speed_factor(factor)
-    n = len(samples)
-    out_len = int(math.floor(n / factor + 0.5))
-    if out_len < 1:
+    length = int(math.floor(n / factor + 0.5))
+    if length < 1:
         raise DataError(f"factor {factor} leaves no output samples for a {n}-sample buffer")
-    header, out = _wav_payload(out_len, rate, codec) if codec else (None, np.empty(out_len))
+    return length
+
+
+def _resample(samples: np.ndarray, factor: float, out: np.ndarray) -> np.ndarray:
+    """``out``, of :func:`_speed_length`'s length, filled block by block by plain
+    assignment with float ``samples`` resampled as :func:`speed_perturb` says
+    (``np.interp`` widens float32 ``samples`` exactly, a float32 ``out`` casts)."""
+    n, out_len = len(samples), len(out)
     for start in range(0, out_len, _BLOCK_SAMPLES):
         stop = min(start + _BLOCK_SAMPLES, out_len)
         positions = np.arange(start, stop, dtype=np.float64) * factor
         lo = min(int(positions[0]), n - 1)
         hi = min(int(positions[-1]) + 2, n)
-        block = np.interp(positions, np.arange(lo, hi, dtype=np.float64), samples[lo:hi])
-        if codec and not np.isfinite(block).all():  # the encode would clip it; _adopt checks a buffer
-            raise DataError(f"speed factor {factor} overflows a slope between samples of this buffer")
-        (_encode if codec else np.copyto)(out[start:stop], block)
-    return (header, out) if codec else out
+        out[start:stop] = np.interp(positions, np.arange(lo, hi, dtype=np.float64), samples[lo:hi])
+    return out
 
 
 @dataclass(frozen=True)

@@ -318,13 +318,12 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     exact_above = 1021 * math.log(2.0) - math.log(3 * frames * num_states) - frames * math.log1p(_ROW_SUM_TOL)
     if total > 0.0 and (loss := 0.0 - (math.log(total) + exponent * math.log(2.0))) <= exact_above:
         return loss  # 0.0 - keeps a sure target at +0.0
-    return _ctc_log_loss(grid, target)
+    return _ctc_log_loss(grid, states, can_skip)
 
 
-def _ctc_log_loss(grid: PosteriorGrid, target: tuple[int, ...]) -> float:
-    """:func:`ctc_loss` of a checked grid and target by the exact forward
-    pass in log space, over the same windows and emission chunks."""
-    states, can_skip = _ctc_lattice(grid, target)
+def _ctc_log_loss(grid: PosteriorGrid, states: np.ndarray, can_skip: np.ndarray) -> float:
+    """:func:`ctc_loss` of a checked grid and a target's :func:`_ctc_lattice`
+    by the exact forward pass in log space, over the same windows and emission chunks."""
     num_states = len(states)
 
     # -inf for probability zero: an entry no window has reached, and the two

@@ -403,3 +403,24 @@ def test_atomic_is_the_one_module_that_writes_files():
     assert _SRC / "_atomic.py" in paths and _file_writers((_SRC / "_atomic.py").read_text(encoding="utf-8"), "_atomic.py")
     found = [where for path in paths if path.name != "_atomic.py" for where in _file_writers(path.read_text(encoding="utf-8"), f"src/ltrkit/{path.name}")]
     assert not found, f"files opened for writing outside _atomic.py: {', '.join(found)}"
+
+
+def _private_audio_io_names(source, filename):
+    """The ``_``-prefixed names ``source`` imports from ``audio_io`` or reads as ``audio_io._name``."""
+    names = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "audio_io":
+            names |= {alias.name for alias in node.names if alias.name.startswith("_")}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "audio_io" and node.attr.startswith("_"):
+            names.add(node.attr)
+    return names
+
+
+def test_only_the_builders_reach_into_audio_io():
+    # The WAV header and payload are audio_io's: the builders take its decode
+    # and an unfilled payload to render into, and no other module goes further.
+    source = "from .audio_io import AudioBuffer, _encode\nfrom ltrkit.audio_io import _decode\naudio_io._mono(p)\naudio_io.read_wav(p)\n"
+    assert _private_audio_io_names(source, "m.py") == {"_encode", "_decode", "_mono"}
+    found = {path.name: _private_audio_io_names(path.read_text(encoding="utf-8"), path.name) for path in sorted(_SRC.glob("*.py"))}
+    reaching = {name: names for name, names in found.items() if names and name != "audio_io.py"}
+    assert reaching.keys() <= {"dataset.py"} and reaching.get("dataset.py", set()) <= {"_decode", "_wav_payload"}, reaching

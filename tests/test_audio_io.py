@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from ltrkit.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
+from ltrkit.audio_io import AudioBuffer, WavFormatError, _decode, read_wav, write_wav
 from ltrkit.errors import DataError
 
 
@@ -76,6 +76,7 @@ def test_read_length_equals_frame_count(tmp_path):
     [
         (b"RIFX" + b"\x00" * 40, "not a RIFF/WAVE"),
         (b"RIFF" + struct.pack("<I", 4) + b"AIFF", "not a RIFF/WAVE"),
+        (make_wav_bytes(b"\x00\x00", 1, 0, 16000, 16), "bad.wav: channel count 0 is invalid"),
         (make_wav_bytes(b"\x00" * 4, 1, 1, 16000, 8), "unsupported codec"),
         (make_wav_bytes(b"\x00" * 8, 3, 1, 16000, 64), "unsupported codec"),
         (make_wav_bytes(b"\xfe" * 4, 85, 1, 16000, 16), "unsupported codec"),
@@ -88,8 +89,9 @@ def test_read_length_equals_frame_count(tmp_path):
 def test_malformed_and_unsupported_files(tmp_path, blob, message):
     path = tmp_path / "bad.wav"
     path.write_bytes(blob)
-    with pytest.raises(WavFormatError, match=message):
-        read_wav(path)
+    for decode in (read_wav, _decode):
+        with pytest.raises(WavFormatError, match=message):
+            decode(path)
 
 
 def test_missing_data_chunk(tmp_path):

@@ -83,6 +83,7 @@ def test_help_of_every_subcommand(capsys, command):
         ("featurize", "--window-ms", "inf"),
         ("analyze", "--durations", "nan"),
         ("build-speed-set", "--factors", "nan,0.9"),
+        ("build-speed-set", "--factors", ","),
     ],
 )
 def test_nonpositive_segment_is_usage_error(tmp_path, capsys, command, option, value):

@@ -265,6 +265,13 @@ def test_feature_matrix_rejects_empty_shapes(tmp_path, shape):
         load_features(path)
 
 
+def test_write_matrix_rejects_a_matrix_that_is_not_2d_and_writes_nothing(tmp_path):
+    path = tmp_path / "flat.fbk"
+    with pytest.raises(DataError, match=r"expected a 2-D matrix, got shape \(3,\)"):
+        write_matrix(np.zeros(3), path, FEATURES_MAGIC)
+    assert not path.exists()
+
+
 def test_write_matrix_rejects_values_beyond_float32(tmp_path):
     path = tmp_path / "big.fbk"
     # filterwarnings = error makes a numpy overflow warning fail this test

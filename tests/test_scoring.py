@@ -233,7 +233,7 @@ def test_ctc_matches_full_lattice_loop_exactly_on_long_grids():
     outcomes = {"finite": 0, "inf": 0}
     for grid, target in _long_grid_cases():
         want = _full_lattice_ctc_loss(grid, target)
-        got = scoring._ctc_log_loss(grid, target)
+        got = scoring._ctc_log_loss(grid, *scoring._ctc_lattice(grid, target))
         assert got == want or (math.isinf(got) and math.isinf(want)), (grid.num_frames, target)
         outcomes["inf" if math.isinf(want) else "finite"] += 1
     assert outcomes["finite"] >= 25 and outcomes["inf"] >= 25
@@ -254,7 +254,7 @@ def test_scaled_ctc_stays_within_rounding_of_the_log_space_pass():
     # may differ by 3*T*2^-53*max(1, loss).
     outcomes = {"scaled": 0, "exact": 0, "inf": 0}
     for grid, target in _long_grid_cases():
-        want = scoring._ctc_log_loss(grid, target)
+        want = scoring._ctc_log_loss(grid, *scoring._ctc_lattice(grid, target))
         got = ctc_loss(grid, target)
         assert ctc_loss(grid, target) == got  # deterministic
         if math.isinf(want):
@@ -374,14 +374,14 @@ def test_ctc_windows_match_the_per_frame_band_bit_for_bit():
         want = _seed_ctc_loss(grid, target)
         assert _same_float(ctc_loss(grid, target), want), (grid.num_frames, target)
         want_log = _seed_ctc_log_loss(grid, target)
-        assert _same_float(scoring._ctc_log_loss(grid, target), want_log), (grid.num_frames, target)
+        assert _same_float(scoring._ctc_log_loss(grid, *scoring._ctc_lattice(grid, target)), want_log), (grid.num_frames, target)
         outcomes["inf" if math.isinf(want) else "log" if want == want_log else "scaled"] += 1
     assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_a_sure_target_scores_positive_zero():
     grid = PosteriorGrid([[0.0, 1.0]])
-    for loss in [ctc_loss(grid, ()), scoring._ctc_log_loss(grid, ()), ctc_loss_bruteforce(grid, ()), attention_loss([[1.0]], [0])]:
+    for loss in [ctc_loss(grid, ()), scoring._ctc_log_loss(grid, *scoring._ctc_lattice(grid, ())), ctc_loss_bruteforce(grid, ()), attention_loss([[1.0]], [0])]:
         assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
 
@@ -391,7 +391,8 @@ def test_ctc_loss_can_dip_below_zero_by_the_row_sum_tolerance():
     grid = np.tile([1.0, 1e-6], (100, 1))
     loss = ctc_loss(grid, (0,))
     assert -100 * math.log1p(1e-6) <= loss < 0.0
-    assert loss == pytest.approx(scoring._ctc_log_loss(PosteriorGrid(grid), (0,)), abs=3 * 100 * 2.0**-53)
+    grid = PosteriorGrid(grid)
+    assert loss == pytest.approx(scoring._ctc_log_loss(grid, *scoring._ctc_lattice(grid, (0,))), abs=3 * 100 * 2.0**-53)
 
 
 def test_bruteforce_budget_guard():
@@ -466,6 +467,8 @@ def test_attention_zero_probability_is_inf():
 def test_attention_validation():
     with pytest.raises(ValueError, match="steps for"):
         attention_loss(np.array([[0.5, 0.5]]), [0, 1])
+    with pytest.raises(ValueError, match=r"stepwise_probs must be 2-D, got shape \(3,\)"):
+        attention_loss(np.zeros(3), [0])
     with pytest.raises(ValueError, match="sum to 1"):
         attention_loss(np.array([[0.8, 0.1]]), [0])
     for bad in ([[math.nan, 1.0]], [[math.nan, math.nan]], [[math.inf, 0.0]]):

@@ -376,6 +376,11 @@ def test_build_speed_set_matches_seed_build_byte_for_byte(tmp_path):
     values = np.random.default_rng(16).normal(0.0, 0.6, (40_000, 2)).astype("<f4")
     long_source.write_bytes(_wav_bytes(values.tobytes(), _TAG_IEEE_FLOAT, 2, 16000))
     manifest.append(ManifestRecord("long", str(long_source), "long", 2.5))
+    # and one at full scale and beyond: the decode clips it, so no slope exceeds 2
+    full_scale = tmp_path / "src" / "full-scale.wav"
+    values = np.resize(np.array([1.0, -1.0, np.inf, -np.inf, 3.4028235e38, -3.4028235e38, -0.0], "<f4"), 20_000)
+    full_scale.write_bytes(_wav_bytes(values.tobytes(), _TAG_IEEE_FLOAT, 1, 16000))
+    manifest.append(ManifestRecord("full-scale", str(full_scale), "full scale", 1.25))
     factors = (0.9, 1.1, 0.37)
     for parallelism in (1, 2):
         out_dir = tmp_path / f"p{parallelism}"
