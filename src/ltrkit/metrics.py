@@ -6,6 +6,13 @@ same alignment serves word, character, and phone units; only tokenization
 differs. Corpus rates are pooled (total errors over total reference tokens),
 not averaged per utterance. One numpy kernel aligns a whole corpus in padded
 batches; a single pair is its smallest case.
+
+Only what differs is aligned: a pair's longest common prefix and suffix count
+as hits and the kernel sees the middle. This is exact. When the last tokens
+match, D(i, j) = D(i-1, j-1), so the backtrace takes the suffix as hits first;
+past a prefix of length p the matrix is the middle's, and on its boundary the
+only path of cost j - p is p hits and j - p insertions. Tokens are equal when
+``a is b or a == b``, as in list equality. The size guard bounds whole pairs.
 """
 
 from __future__ import annotations
@@ -91,8 +98,11 @@ def tokenize(text: str, unit: str) -> list[str]:
         raise DataError(f"unit must be one of {_UNITS}, got {unit!r}")
     if unit in ("word", "phone"):
         return text.split()
+    text = "".join(text.split())
+    if text.isascii():  # no ASCII character is a combining mark
+        return list(text)
     clusters: list[str] = []
-    for ch in "".join(text.split()):
+    for ch in text:
         if clusters and unicodedata.combining(ch):
             clusters[-1] += ch
         else:
@@ -153,13 +163,18 @@ def _cost_matrix(bucket: list[tuple[list, list]]) -> np.ndarray:
     return cost
 
 
+def _common_prefix(ref: list, hyp: list) -> int:
+    return next((k for k, (r, h) in enumerate(zip(ref, hyp)) if r is not h and r != h), min(len(ref), len(hyp)))
+
+
 def _backtrace(cost: np.ndarray, ref: list, hyp: list, confusions: Counter) -> tuple[int, int, int, int]:
     # Preference at equal cost: substitution, deletion, insertion.
     hits = subs = dels = ins = 0
     i, j = len(ref), len(hyp)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost.item(i, j) == cost.item(i - 1, j - 1) + (ref[i - 1] != hyp[j - 1]):
-            if ref[i - 1] == hyp[j - 1]:
+        same = i > 0 and j > 0 and (ref[i - 1] is hyp[j - 1] or ref[i - 1] == hyp[j - 1])
+        if i > 0 and j > 0 and cost.item(i, j) == cost.item(i - 1, j - 1) + (not same):
+            if same:
                 hits += 1
             else:
                 subs += 1
@@ -180,23 +195,31 @@ def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Error
     Each pair is aligned on its own; the report sums their substitutions,
     insertions, deletions, hits and reference lengths and merges their
     confusions. A pair with an empty reference adds its hypothesis tokens as
-    insertions. All pairs are aligned in padded batches by one numpy kernel
-    that fills the cost matrix one reference position at a time.
+    insertions. A pair's longest common prefix and suffix count as hits, and
+    only the differing middles are aligned, in padded batches by one numpy
+    kernel that fills the cost matrix one reference position at a time.
 
     Raises:
-        DataError: if one pair needs more than ``_MAX_PAIR_CELLS`` matrix
-            cells; this is checked for every pair before any is aligned.
+        DataError: if one whole pair needs more than ``_MAX_PAIR_CELLS``
+            matrix cells; this is checked for every pair before any is aligned.
     """
     pairs = [(list(ref), list(hyp)) for ref, hyp in pairs]
+    middles = []
+    hits = 0
     for ref, hyp in pairs:
         if (len(ref) + 1) * (len(hyp) + 1) > _MAX_PAIR_CELLS:
             raise DataError(
                 f"aligning a {len(ref)}-token reference with a {len(hyp)}-token hypothesis needs more than "
                 f"{_MAX_PAIR_CELLS} cost-matrix cells"
             )
-    totals = (0, 0, 0, 0)
+        prefix = _common_prefix(ref, hyp)
+        suffix = _common_prefix(ref[prefix:][::-1], hyp[prefix:][::-1])
+        hits += prefix + suffix
+        if max(len(ref), len(hyp)) > prefix + suffix:
+            middles.append((ref[prefix : len(ref) - suffix], hyp[prefix : len(hyp) - suffix]))
+    totals = (0, 0, 0, hits)
     confusions: Counter = Counter()
-    for bucket in _buckets(pairs):
+    for bucket in _buckets(middles):
         cost = _cost_matrix(bucket)
         for b, (ref, hyp) in enumerate(bucket):
             counts = _backtrace(cost[:, b], ref, hyp, confusions)

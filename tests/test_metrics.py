@@ -1,12 +1,15 @@
 import dataclasses
+import json
 import random
+import unicodedata
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltrkit import metrics
+from ltrkit.cli import run
 from ltrkit.metrics import (
     ErrorReport,
     TrnFormatError,
@@ -133,6 +136,28 @@ def test_tokenize_phones():
 def test_tokenize_empty():
     for unit in ("word", "char", "phone"):
         assert tokenize("", unit) == []
+
+
+def _seed_clusters(text):
+    """The grapheme loop that ``tokenize(text, "char")`` runs on non-ASCII text."""
+    clusters = []
+    for ch in "".join(text.split()):
+        if clusters and unicodedata.combining(ch):
+            clusters[-1] += ch
+        else:
+            clusters.append(ch)
+    return clusters
+
+
+@pytest.mark.parametrize("text", [
+    "ab c\td\n e\r\x0b\x0cf \x1c\x1dg\x1e\x1fh  ",
+    "e\u0301f",
+    "\u0301ab e\u0300",
+    "a \u0301b c\u3000\u0308d",
+    " \u0300x y\u0308\u0301 z\x85",
+])
+def test_tokenize_chars_ascii_fast_path_matches_cluster_loop(text):
+    assert tokenize(text, "char") == _seed_clusters(text)
 
 
 def test_tokenize_rejects_unknown_unit():
@@ -262,6 +287,11 @@ def test_corpus_report_split_across_many_buckets(monkeypatch, bucket_cells):
     monkeypatch.setattr(metrics, "_BUCKET_CELLS", bucket_cells)
     monkeypatch.setattr(metrics, "_cost_matrix", recording_kernel)
     assert _counts(corpus_report(pairs)) == _seed_pooled(pairs)
+    # Hypotheses that differ from their references at both ends share no
+    # prefix or suffix, so every pair reaches the kernel at full length.
+    distinct_ends = [(ref, ["<", *hyp, ">"]) for ref, hyp in pairs]
+    batches.clear()
+    assert _counts(corpus_report(distinct_ends)) == _seed_pooled(distinct_ends)
     assert sum(size for size, _ in batches) == 40 and len(batches) > 3
     assert all(cells <= bucket_cells or size == 1 for size, cells in batches)
 
@@ -276,6 +306,65 @@ def test_corpus_report_rejects_oversize_pair_before_aligning(monkeypatch):
         corpus_report(pairs)
     with pytest.raises(ValueError, match="20000-token"):
         align(*pairs[1])
+
+
+@st.composite
+def _affix_corpora(draw):
+    """Pairs sharing a prefix and a suffix around two random middles, over
+    1-3 token alphabets so that tokens on either side of a boundary repeat."""
+    tokens = st.lists(st.sampled_from(draw(st.sampled_from(["a", "ab", "abc"]))), max_size=8)
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        prefix, ref_mid, hyp_mid, suffix = (draw(tokens) for _ in range(4))
+        pairs.append((prefix + ref_mid + suffix, prefix + hyp_mid + suffix))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=_affix_corpora())
+@example(pairs=[([], []), ([], ["a"]), (["a"], [])])
+@example(pairs=[(list("aab"), list("aab")), (list("aba"), list("abba")), (list("abab"), list("ab"))])
+def test_corpus_report_with_common_affixes_matches_pooled_seed(pairs):
+    assert _counts(corpus_report(pairs)) == _seed_pooled(pairs)
+
+
+def test_corpus_report_aligns_only_what_differs(monkeypatch):
+    sent = []
+    kernel = metrics._cost_matrix
+
+    def recording_kernel(bucket):
+        sent.append(list(bucket))
+        return kernel(bucket)
+
+    monkeypatch.setattr(metrics, "_cost_matrix", recording_kernel)
+    identical = [(list("abcabc"), list("abcabc")), (["w1", "w2"], ["w1", "w2"]), ([], [])]
+    assert _counts(corpus_report(identical)) == (0, 0, 0, 8, 8, Counter())
+    assert sent == []
+    one_off = identical + [(list("abcabc"), list("abxabc")), (list("abc"), list("xbc"))]
+    assert _counts(corpus_report(one_off)) == _seed_pooled(one_off)
+    assert sent == [[(["c"], ["x"]), (["a"], ["x"])]]
+
+
+def test_corpus_report_size_guard_bounds_the_whole_pair(monkeypatch):
+    def kernel(bucket):
+        raise AssertionError("an identical pair needs no alignment, but the guard must reject it first")
+
+    monkeypatch.setattr(metrics, "_cost_matrix", kernel)
+    with pytest.raises(ValueError, match="20000-token reference with a 20000-token hypothesis"):
+        corpus_report([(["a"] * 20000, ["a"] * 20000)])
+
+
+def test_one_token_equality_rule_in_trim_kernel_and_backtrace():
+    x, y = float("nan"), float("nan")
+    assert _counts(align([x], [x])) == (0, 0, 0, 1, 1, Counter())
+    assert _counts(corpus_report([([x, "a"], [x, "a"])])) == (0, 0, 0, 2, 2, Counter())
+    assert metrics._common_prefix([x, y], [x, x]) == 1
+    assert _counts(align([x], [y])) == (1, 0, 0, 0, 1, Counter({(x, y): 1}))
+    # A NaN inside a differing middle reaches the backtrace, not the trim.
+    for ref, hyp, hits in ((["a", x, "b"], ["c", x, "d"], 1), (["a", x, "b"], ["c", y, "d"], 0)):
+        report = align(ref, hyp)
+        assert report.hits == hits
+        assert report.total_errors == metrics._cost_matrix([(ref, hyp)])[len(ref), 0, len(hyp)]
 
 
 def test_corpus_report_of_nothing_is_zero():
@@ -401,3 +490,36 @@ def test_trn_report_is_the_wer_json_object(tmp_path):
     assert len(trn_report(ref, hyp, "word")["confusions"]) == 2  # ten by default, two exist
     assert trn_report(ref, hyp, "char")["ref_len"] == 5
 
+
+@pytest.mark.parametrize("unit", ["word", "char", "phone"])
+def test_wer_cli_on_pairs_with_common_affixes_matches_pooled_seed(tmp_path, capsys, unit):
+    rng = random.Random(25)
+    vocab = ["e\u0301te\u0301", "na\u0308", "sil", "n\u0303o", "ab", "e\u0300", "b"]
+    ref_lines, hyp_lines = [], []
+    for k in range(12):
+        words = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+        start, stop = sorted(rng.randint(0, len(words)) for _ in range(2))
+        hyp = words[:start] + _noisy(rng, words[start:stop], vocab, 0.6) + words[stop:]
+        ref_lines.append(f"{' '.join(words)} (u{k})\n")
+        hyp_lines.append(f"{' '.join(hyp)} (u{k})\n")
+    ref_path, hyp_path, json_out = tmp_path / "ref.trn", tmp_path / "hyp.trn", tmp_path / "wer.json"
+    ref_path.write_text("".join(ref_lines), encoding="utf-8")
+    hyp_path.write_text("".join(hyp_lines), encoding="utf-8")
+    refs, hyps = read_trn(ref_path), read_trn(hyp_path)
+    pairs = [(tokenize(refs[utt], unit), tokenize(hyps[utt], unit)) for utt in refs]
+    assert sum(ref[:1] == hyp[:1] and ref[-1:] == hyp[-1:] and ref != hyp for ref, hyp in pairs) >= 3
+
+    argv = ["wer", "--ref", str(ref_path), "--hyp", str(hyp_path), "--unit", unit, "--confusions", "10"]
+    assert run(argv + ["--json-out", str(json_out)]) == 0
+    report = json.loads(json_out.read_text(encoding="utf-8"))
+    seed = ErrorReport(*_seed_pooled(pairs))
+    keys = ("substitutions", "insertions", "deletions", "hits", "ref_len")
+    assert tuple(report[key] for key in keys) == _counts(seed)[:5]
+    assert report["confusions"] == [[r, h, count] for (r, h), count in top_confusions([seed], 10)]
+    assert report["confusions"] and report["error_rate"] == seed.rate
+    assert capsys.readouterr().out.splitlines() == [
+        f"{unit} error rate: {100.0 * seed.rate:.2f}%  ({seed.total_errors} errors / {seed.ref_len} ref tokens, 12 utterances)",
+        f"S={seed.substitutions} I={seed.insertions} D={seed.deletions} H={seed.hits}",
+        "top substitutions:",
+        *(f"  {r} -> {h}  {count}" for r, h, count in report["confusions"]),
+    ]
