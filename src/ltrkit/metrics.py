@@ -4,15 +4,21 @@ counts, and substitution confusion tables.
 Rates are (substitutions + insertions + deletions) / reference length. The
 same alignment serves word, character, and phone units; only tokenization
 differs. Corpus rates are pooled (total errors over total reference tokens),
-not averaged per utterance. One numpy kernel aligns a whole corpus in padded
-batches; a single pair is its smallest case.
+not averaged per utterance.
 
 Only what differs is aligned: a pair's longest common prefix and suffix count
-as hits and the kernel sees the middle. This is exact. When the last tokens
+as hits and only the middle is aligned. This is exact. When the last tokens
 match, D(i, j) = D(i-1, j-1), so the backtrace takes the suffix as hits first;
 past a prefix of length p the matrix is the middle's, and on its boundary the
-only path of cost j - p is p hits and j - p insertions. Tokens are equal when
-``a is b or a == b``, as in list equality. The size guard bounds whole pairs.
+only path of cost j - p is p hits and j - p insertions. A middle empty on one
+side is all insertions or all deletions, and one token a side is one
+substitution. Other middles go to a diagonal-transition pass (Ukkonen; Landau
+and Vishkin), whose work grows with the square of the edit distance and not
+with the middle's length, and whose backtrace takes the steps the matrix's
+would. A middle more edits apart than the square root of its length (and
+than 8) is left to one numpy kernel that aligns such middles in padded
+batches. Tokens are equal when ``a is b or a == b``, as in list equality.
+The size guard bounds whole pairs.
 """
 
 from __future__ import annotations
@@ -163,8 +169,82 @@ def _cost_matrix(bucket: list[tuple[list, list]]) -> np.ndarray:
     return cost
 
 
-def _common_prefix(ref: list, hyp: list) -> int:
-    return next((k for k, (r, h) in enumerate(zip(ref, hyp)) if r is not h and r != h), min(len(ref), len(hyp)))
+def _common_prefix(ref: list, hyp: list, i: int = 0, j: int = 0) -> int:
+    """Length of the common prefix of ``ref[i:]`` and ``hyp[j:]``, by slice
+    comparisons of doubling, then halving, length."""
+    top, k, step = min(len(ref) - i, len(hyp) - j), 0, 1
+    while k + step <= top and ref[i + k : i + k + step] == hyp[j + k : j + k + step]:
+        k, step = k + step, 2 * step
+    while step > 1:
+        step //= 2
+        if k + step <= top and ref[i + k : i + k + step] == hyp[j + k : j + k + step]:
+            k += step
+    return k
+
+
+def _fronts(ref: list, hyp: list) -> tuple[list[dict[int, int]], list[dict[int, int]]] | None:
+    """Diagonal-transition edit distance (Ukkonen; Landau and Vishkin).
+    ``ends[e][k]`` is the last row i with cost(i, i + k) <= e, and level e
+    matched tokens along diagonal k from row ``starts[e][k]`` to it; the
+    distance is ``len(ends) - 1``. Level e costs one step per diagonal,
+    about (e + 1)**2 in all, where the kernel costs a row of ufunc calls per
+    reference token, a backtrace step per token and a set-up that costs
+    more than 64 steps; so once e**2 exceeds both ``len(ref) + len(hyp)``
+    and 64, the pass gives up and returns None.
+
+    Level e starts diagonal k at the furthest of a substitution, deletion or
+    insertion from level e - 1, clipped to the matrix (adjacent cells differ
+    by at most 1)."""
+    n, m = len(ref), len(hyp)
+    starts, ends = [{0: 0}], [{0: _common_prefix(ref, hyp)}]
+    while ends[-1].get(m - n, -1) < n:
+        e, prev = len(ends), ends[-1]
+        if e * e > max(n + m, 64):
+            return None
+        start, end, get = {}, {}, prev.get
+        low = -min(n, e)
+        left, mid = get(low - 1, -1), get(low, -1)  # level e - 1 on diagonals k - 1 and k
+        for k in range(low, min(m, e) + 1):
+            right = get(k + 1, -1)
+            i = mid + 1 if mid >= right else right + 1
+            if left > i:
+                i = left
+            left, mid = mid, right
+            if i > n or i + k > m:
+                i = min(n, m - k)
+            start[k] = i
+            if i < n and i + k < m and (ref[i] is hyp[i + k] or ref[i] == hyp[i + k]):
+                i += _common_prefix(ref, hyp, i, i + k)
+            end[k] = i
+        starts.append(start)
+        ends.append(end)
+    return starts, ends
+
+
+def _trace_fronts(starts: list[dict[int, int]], ends: list[dict[int, int]], ref: list, hyp: list,
+                  confusions: Counter) -> tuple[int, int, int, int]:
+    # The backtrace of _backtrace. At a cell (i, j) of cost e a match is a
+    # hit, and a run that level e matched is taken whole; otherwise the step
+    # is the first, in _backtrace's order, whose source level e - 1 reaches.
+    hits = subs = dels = ins = 0
+    i, j = len(ref), len(hyp)
+    for e in range(len(ends) - 1, -1, -1):
+        start = starts[e][j - i]
+        if start < i:
+            hits, i, j = hits + i - start, start, j - i + start
+        while i and j and ref[i - 1 : i] == hyp[j - 1 : j]:
+            hits, i, j = hits + 1, i - 1, j - 1
+        if not (i and j):
+            break
+        if ends[e - 1].get(j - i, -1) >= i - 1:
+            subs += 1
+            confusions[(ref[i - 1], hyp[j - 1])] += 1
+            i, j = i - 1, j - 1
+        elif ends[e - 1].get(j - i + 1, -1) >= i - 1:
+            dels, i = dels + 1, i - 1
+        else:
+            ins, j = ins + 1, j - 1
+    return subs, ins + j, dels + i, hits
 
 
 def _backtrace(cost: np.ndarray, ref: list, hyp: list, confusions: Counter) -> tuple[int, int, int, int]:
@@ -196,8 +276,10 @@ def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Error
     insertions, deletions, hits and reference lengths and merges their
     confusions. A pair with an empty reference adds its hypothesis tokens as
     insertions. A pair's longest common prefix and suffix count as hits, and
-    only the differing middles are aligned, in padded batches by one numpy
-    kernel that fills the cost matrix one reference position at a time.
+    only the differing middles are aligned: by a diagonal-transition pass
+    whose work follows the number of edits when they are few, and otherwise
+    in padded batches by one numpy kernel that fills the cost matrix one
+    reference position at a time.
 
     Raises:
         DataError: if one whole pair needs more than ``_MAX_PAIR_CELLS``
@@ -205,7 +287,8 @@ def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Error
     """
     pairs = [(list(ref), list(hyp)) for ref, hyp in pairs]
     middles = []
-    hits = 0
+    confusions: Counter = Counter()
+    hits = substituted = inserted = deleted = 0
     for ref, hyp in pairs:
         if (len(ref) + 1) * (len(hyp) + 1) > _MAX_PAIR_CELLS:
             raise DataError(
@@ -215,11 +298,23 @@ def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Error
         prefix = _common_prefix(ref, hyp)
         suffix = _common_prefix(ref[prefix:][::-1], hyp[prefix:][::-1])
         hits += prefix + suffix
-        if max(len(ref), len(hyp)) > prefix + suffix:
-            middles.append((ref[prefix : len(ref) - suffix], hyp[prefix : len(hyp) - suffix]))
-    totals = (0, 0, 0, hits)
-    confusions: Counter = Counter()
-    for bucket in _buckets(middles):
+        ref, hyp = ref[prefix : len(ref) - suffix], hyp[prefix : len(hyp) - suffix]
+        if not (ref and hyp):  # only insertions or only deletions are left
+            inserted, deleted = inserted + len(hyp), deleted + len(ref)
+        elif len(ref) == len(hyp) == 1:  # one substitution
+            substituted += 1
+            confusions[(ref[0], hyp[0])] += 1
+        else:
+            middles.append((ref, hyp))
+    totals = (substituted, inserted, deleted, hits)
+    distant = []
+    for ref, hyp in middles:
+        fronts = _fronts(ref, hyp)
+        if fronts is None:
+            distant.append((ref, hyp))
+        else:
+            totals = tuple(map(sum, zip(totals, _trace_fronts(*fronts, ref, hyp, confusions))))
+    for bucket in _buckets(distant):
         cost = _cost_matrix(bucket)
         for b, (ref, hyp) in enumerate(bucket):
             counts = _backtrace(cost[:, b], ref, hyp, confusions)

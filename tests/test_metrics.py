@@ -287,9 +287,10 @@ def test_corpus_report_split_across_many_buckets(monkeypatch, bucket_cells):
     monkeypatch.setattr(metrics, "_BUCKET_CELLS", bucket_cells)
     monkeypatch.setattr(metrics, "_cost_matrix", recording_kernel)
     assert _counts(corpus_report(pairs)) == _seed_pooled(pairs)
-    # Hypotheses that differ from their references at both ends share no
-    # prefix or suffix, so every pair reaches the kernel at full length.
-    distinct_ends = [(ref, ["<", *hyp, ">"]) for ref, hyp in pairs]
+    # Pairs that differ at both ends share no prefix or suffix, and with the
+    # diagonal pass off every pair reaches the kernel at full length.
+    monkeypatch.setattr(metrics, "_fronts", lambda ref, hyp: None)
+    distinct_ends = [([">", *ref, "<"], ["<", *hyp, ">"]) for ref, hyp in pairs]
     batches.clear()
     assert _counts(corpus_report(distinct_ends)) == _seed_pooled(distinct_ends)
     assert sum(size for size, _ in batches) == 40 and len(batches) > 3
@@ -297,10 +298,11 @@ def test_corpus_report_split_across_many_buckets(monkeypatch, bucket_cells):
 
 
 def test_corpus_report_rejects_oversize_pair_before_aligning(monkeypatch):
-    def kernel(bucket):
-        raise AssertionError("no batch may be aligned once an over-size pair is seen")
+    def kernel(*args):
+        raise AssertionError("no pair may be aligned once an over-size pair is seen")
 
     monkeypatch.setattr(metrics, "_cost_matrix", kernel)
+    monkeypatch.setattr(metrics, "_fronts", kernel)
     pairs = [(["a"], ["a"]), (["x"] * 20000, ["y"] * 15000)]
     with pytest.raises(ValueError, match="20000-token reference with a 15000-token hypothesis"):
         corpus_report(pairs)
@@ -330,19 +332,106 @@ def test_corpus_report_with_common_affixes_matches_pooled_seed(pairs):
 
 def test_corpus_report_aligns_only_what_differs(monkeypatch):
     sent = []
-    kernel = metrics._cost_matrix
+    fronts = metrics._fronts
 
-    def recording_kernel(bucket):
-        sent.append(list(bucket))
-        return kernel(bucket)
+    def recording_fronts(ref, hyp):
+        sent.append((ref, hyp))
+        return fronts(ref, hyp)
 
-    monkeypatch.setattr(metrics, "_cost_matrix", recording_kernel)
+    def kernel(bucket):
+        raise AssertionError("pairs a few edits apart never reach the kernel")
+
+    monkeypatch.setattr(metrics, "_fronts", recording_fronts)
+    monkeypatch.setattr(metrics, "_cost_matrix", kernel)
     identical = [(list("abcabc"), list("abcabc")), (["w1", "w2"], ["w1", "w2"]), ([], [])]
     assert _counts(corpus_report(identical)) == (0, 0, 0, 8, 8, Counter())
     assert sent == []
-    one_off = identical + [(list("abcabc"), list("abxabc")), (list("abc"), list("xbc"))]
-    assert _counts(corpus_report(one_off)) == _seed_pooled(one_off)
-    assert sent == [[(["c"], ["x"]), (["a"], ["x"])]]
+    # A middle with one empty side is all insertions or all deletions, and
+    # one token a side is one substitution.
+    one_edit = identical + [(list("abcabc"), list("abcxabc")), (list("abc"), list("bc")), ([], ["x"]),
+                            (list("abcabc"), list("abxabc")), (list("abc"), list("xbc"))]
+    assert _counts(corpus_report(one_edit)) == _seed_pooled(one_edit)
+    assert sent == []
+    two_edits = one_edit + [(list("abcabc"), list("abxaxc"))]
+    assert _counts(corpus_report(two_edits)) == _seed_pooled(two_edits)
+    assert sent == [(list("cab"), list("xax"))]
+
+
+def test_corpus_report_sends_only_distant_pairs_to_the_kernel(monkeypatch):
+    sent = []
+    kernel = metrics._cost_matrix
+
+    def recording_kernel(bucket):
+        sent.extend(bucket)
+        return kernel(bucket)
+
+    monkeypatch.setattr(metrics, "_cost_matrix", recording_kernel)
+    near = (list("the cat sat on the mat"), list("the cot sat in the mat"))  # 2 edits in 44 tokens
+    short = (list("abcdefgh"), list("stuvwxyz"))  # 8 edits: a short middle may take up to 8 levels
+    far = (list("abcdefghij"), list("klmnopqrst"))  # 10 edits: the diagonal pass stops at 9**2 > 64
+    assert metrics._fronts(*far) is None
+    assert _counts(corpus_report([near, short, far])) == _seed_pooled([near, short, far])
+    assert sent == [far]
+
+
+def _few_edits(rng, alphabet, max_len):
+    ref = [rng.choice(alphabet) for _ in range(rng.randint(1, max_len))]
+    hyp = list(ref)
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(0, len(hyp))
+        kind = rng.randrange(3)
+        if kind == 0 and k < len(hyp):
+            hyp[k] = rng.choice(alphabet)
+        elif kind == 1 and k < len(hyp):
+            del hyp[k]
+        else:
+            hyp.insert(k, rng.choice(alphabet))
+    return ref, hyp
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc", "abcdefghij"], ids=len)
+def test_diagonal_pass_and_kernel_agree_with_seed(monkeypatch, alphabet):
+    rng = random.Random(200 + len(alphabet))
+    pairs = [_few_edits(rng, alphabet, 60) for _ in range(150)] + _random_pairs(rng, 60, alphabet, 40)
+    for ref, hyp in pairs:
+        found = metrics._fronts(ref, hyp)
+        if found is not None:
+            starts, ends = found
+            assert len(ends) - 1 == simple_edit_distance(ref, hyp)
+            confusions = Counter()
+            counts = metrics._trace_fronts(starts, ends, ref, hyp, confusions)
+            assert counts + (len(ref), confusions) == _counts(_seed_align(ref, hyp))
+    assert sum(metrics._fronts(ref, hyp) is not None for ref, hyp in pairs) > 150
+    expected = _seed_pooled(pairs)
+    assert _counts(corpus_report(pairs)) == expected
+    monkeypatch.setattr(metrics, "_fronts", lambda ref, hyp: None)
+    assert _counts(corpus_report(pairs)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(ref=st.lists(st.sampled_from("ab"), max_size=12), hyp=st.lists(st.sampled_from("ab"), max_size=12))
+def test_diagonal_pass_matches_seed_backtrace(ref, hyp):
+    found = metrics._fronts(ref, hyp)
+    if found is not None:
+        confusions = Counter()
+        counts = metrics._trace_fronts(*found, ref, hyp, confusions)
+        assert counts + (len(ref), confusions) == _counts(_seed_align(ref, hyp))
+        # Each front is the last cell of its diagonal within its cost.
+        cost = [[simple_edit_distance(ref[:i], hyp[:j]) for j in range(len(hyp) + 1)] for i in range(len(ref) + 1)]
+        for e, ends in enumerate(found[1]):
+            for k, end in ends.items():
+                rows = [i for i in range(max(0, -k), min(len(ref), len(hyp) - k) + 1) if cost[i][i + k] <= e]
+                assert end == max(rows, default=-1)
+
+
+@given(ref=st.lists(st.sampled_from("ab"), max_size=40), hyp=st.lists(st.sampled_from("ab"), max_size=40),
+       i=st.integers(0, 40), j=st.integers(0, 40))
+def test_common_prefix_matches_a_token_loop(ref, hyp, i, j):
+    i, j = min(i, len(ref)), min(j, len(hyp))
+    k = 0
+    while i + k < len(ref) and j + k < len(hyp) and ref[i + k] == hyp[j + k]:
+        k += 1
+    assert metrics._common_prefix(ref, hyp, i, j) == k
 
 
 def test_corpus_report_size_guard_bounds_the_whole_pair(monkeypatch):
@@ -354,17 +443,29 @@ def test_corpus_report_size_guard_bounds_the_whole_pair(monkeypatch):
         corpus_report([(["a"] * 20000, ["a"] * 20000)])
 
 
-def test_one_token_equality_rule_in_trim_kernel_and_backtrace():
+def _check_one_token_equality_rule():
     x, y = float("nan"), float("nan")
     assert _counts(align([x], [x])) == (0, 0, 0, 1, 1, Counter())
     assert _counts(corpus_report([([x, "a"], [x, "a"])])) == (0, 0, 0, 2, 2, Counter())
     assert metrics._common_prefix([x, y], [x, x]) == 1
     assert _counts(align([x], [y])) == (1, 0, 0, 0, 1, Counter({(x, y): 1}))
-    # A NaN inside a differing middle reaches the backtrace, not the trim.
+    # A NaN inside a differing middle reaches the aligner, not the trim.
     for ref, hyp, hits in ((["a", x, "b"], ["c", x, "d"], 1), (["a", x, "b"], ["c", y, "d"], 0)):
         report = align(ref, hyp)
         assert report.hits == hits
         assert report.total_errors == metrics._cost_matrix([(ref, hyp)])[len(ref), 0, len(hyp)]
+
+
+def test_one_token_equality_rule_in_trim_kernel_and_backtrace():
+    _check_one_token_equality_rule()
+    x, y = float("nan"), float("nan")
+    assert len(metrics._fronts(["a", x, "b"], ["c", x, "d"])[1]) - 1 == 2
+    assert len(metrics._fronts(["a", x, "b"], ["c", y, "d"])[1]) - 1 == 3
+
+
+def test_one_token_equality_rule_on_the_kernel_path(monkeypatch):
+    monkeypatch.setattr(metrics, "_fronts", lambda ref, hyp: None)
+    _check_one_token_equality_rule()
 
 
 def test_corpus_report_of_nothing_is_zero():
