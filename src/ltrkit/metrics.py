@@ -15,10 +15,10 @@ side is all insertions or all deletions, and one token a side is one
 substitution. Other middles go to a diagonal-transition pass (Ukkonen; Landau
 and Vishkin), whose work grows with the square of the edit distance and not
 with the middle's length, and whose backtrace takes the steps the matrix's
-would. A middle more edits apart than the square root of its length (and
-than 8) is left to one numpy kernel that aligns such middles in padded
-batches. Tokens are equal when ``a is b or a == b``, as in list equality.
-The size guard bounds whole pairs.
+would. A middle more edits apart than the square root of its length is
+left to Myers' bit-vector algorithm in Hyyrö's global form, one step on
+m-bit ints per reference token. Tokens are equal when ``a is b or a == b``,
+as in list equality. The size guard bounds whole pairs.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import DataError, at_least, numbered_lines
 
@@ -47,9 +45,8 @@ __all__ = [
 ]
 
 _UNITS = ("word", "char", "phone")
-# Padded cells per kernel batch: 2**22 int32 cells is 16 MiB.
-_BUCKET_CELLS = 1 << 22
-# Cells one pair may need (1 GiB as int32); a longer pair is rejected.
+# Cells (n + 1) * (m + 1) one whole pair may span; a longer pair is
+# rejected. It bounds the aligner's two m-bit ints per reference row.
 _MAX_PAIR_CELLS = 1 << 28
 
 
@@ -116,59 +113,6 @@ def tokenize(text: str, unit: str) -> list[str]:
     return clusters
 
 
-def _buckets(pairs: list[tuple[list, list]]):
-    """Pairs sorted by length, cut into batches of at most ``_BUCKET_CELLS``
-    padded cells (a pair that alone needs more gets a batch of its own)."""
-    bucket: list[tuple[list, list]] = []
-    n_max = m_max = 0
-    for ref, hyp in sorted(pairs, key=lambda pair: (len(pair[0]), len(pair[1]))):
-        n, m = max(n_max, len(ref)), max(m_max, len(hyp))
-        if bucket and (n + 1) * (len(bucket) + 1) * (m + 1) > _BUCKET_CELLS:
-            yield bucket
-            bucket, n, m = [], len(ref), len(hyp)
-        bucket.append((ref, hyp))
-        n_max, m_max = n, m
-    if bucket:
-        yield bucket
-
-
-def _cost_matrix(bucket: list[tuple[list, list]]) -> np.ndarray:
-    """Unit-cost edit distances of a batch: ``cost[i, b, j]`` aligns
-    ``ref[:i]`` with ``hyp[:j]`` of pair ``b``.
-
-    Tokens are mapped to integer codes, and each step fills row ``i`` for
-    every pair and every hypothesis position at once. Shorter pairs are
-    padded to the longest; a real cell depends only on cells above and to
-    its left, so padding never changes its value.
-    """
-    n_max = max(len(ref) for ref, _ in bucket)
-    m_max = max(len(hyp) for _, hyp in bucket)
-    codes: dict = {}
-    ref_codes = np.full((n_max, len(bucket), 1), -1, np.int32)
-    hyp_codes = np.full((len(bucket), m_max), -2, np.int32)
-    for b, (ref, hyp) in enumerate(bucket):
-        ref_codes[: len(ref), b, 0] = [codes.setdefault(token, len(codes)) for token in ref]
-        hyp_codes[b, : len(hyp)] = [codes.setdefault(token, len(codes)) for token in hyp]
-
-    # Rows hold cost[i, b, j] - j while they are filled. In that frame a
-    # diagonal step costs -match, a deletion +1 and an insertion 0, so the
-    # insertions of a row are one prefix-minimum scan along j.
-    cost = np.empty((n_max + 1, len(bucket), m_max + 1), np.int32)
-    cost[0] = 0
-    match = np.empty((len(bucket), m_max), np.bool_)
-    deletion = np.empty((len(bucket), m_max), np.int32)
-    for i in range(1, n_max + 1):
-        prev, row = cost[i - 1], cost[i]
-        np.equal(hyp_codes, ref_codes[i - 1], out=match)
-        np.subtract(prev[:, :-1], match, out=row[:, 1:])
-        np.add(prev[:, 1:], 1, out=deletion)
-        np.minimum(row[:, 1:], deletion, out=row[:, 1:])
-        row[:, 0] = i
-        np.minimum.accumulate(row, axis=1, out=row)
-    cost += np.arange(m_max + 1, dtype=np.int32)
-    return cost
-
-
 def _common_prefix(ref: list, hyp: list, i: int = 0, j: int = 0) -> int:
     """Length of the common prefix of ``ref[i:]`` and ``hyp[j:]``, by slice
     comparisons of doubling, then halving, length."""
@@ -187,19 +131,22 @@ def _fronts(ref: list, hyp: list) -> tuple[list[dict[int, int]], list[dict[int, 
     ``ends[e][k]`` is the last row i with cost(i, i + k) <= e, and level e
     matched tokens along diagonal k from row ``starts[e][k]`` to it; the
     distance is ``len(ends) - 1``. Level e costs one step per diagonal,
-    about (e + 1)**2 in all, where the kernel costs a row of ufunc calls per
-    reference token, a backtrace step per token and a set-up that costs
-    more than 64 steps; so once e**2 exceeds both ``len(ref) + len(hyp)``
-    and 64, the pass gives up and returns None.
+    about (e + 1)**2 in all, where :func:`_bit_align` costs one row step
+    per reference token and a backtrace step per token; so once e**2
+    exceeds ``len(ref) + len(hyp)``, the pass gives up and returns None. It
+    does so at once when the length difference, a lower bound on the
+    distance, already reaches that level.
 
     Level e starts diagonal k at the furthest of a substitution, deletion or
     insertion from level e - 1, clipped to the matrix (adjacent cells differ
     by at most 1)."""
     n, m = len(ref), len(hyp)
+    if (n - m) ** 2 > n + m:
+        return None
     starts, ends = [{0: 0}], [{0: _common_prefix(ref, hyp)}]
     while ends[-1].get(m - n, -1) < n:
         e, prev = len(ends), ends[-1]
-        if e * e > max(n + m, 64):
+        if e * e > n + m:
             return None
         start, end, get = {}, {}, prev.get
         low = -min(n, e)
@@ -221,11 +168,51 @@ def _fronts(ref: list, hyp: list) -> tuple[list[dict[int, int]], list[dict[int, 
     return starts, ends
 
 
+def _bit_align(ref: list, hyp: list, confusions: Counter) -> tuple[int, int, int, int]:
+    """Myers' bit-vector edit distance (1999) in Hyyrö's global form, with
+    a backtrace. Bit j - 1 of an int stands for hypothesis position j, and
+    one step per reference token turns row i - 1 into row i. Row i keeps
+    ``d0``, whose bit is set iff D(i, j) = D(i-1, j-1), and ``hp``, whose
+    bit is set iff D(i, j) = D(i-1, j) + 1; ``vp`` and ``vn`` carry the
+    row's +1 and -1 steps along j. Results are masked to m bits, since
+    ``~x`` of a Python int is negative and a sum can carry past bit m.
+    Tokens match through a dict, which compares by ``is``, then ``==``."""
+    mask = (1 << len(hyp)) - 1
+    peq: dict = {}
+    for j, token in enumerate(hyp):
+        peq[token] = peq.get(token, 0) | 1 << j
+    vp, vn, rows = mask, 0, []
+    for token in ref:
+        eq = peq.get(token, 0)
+        d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & mask
+        hp = vn | ~(d0 | vp) & mask
+        rows.append((d0, hp))
+        hp = hp << 1 | 1  # D(i, 0) = D(i-1, 0) + 1
+        vp = ((vp & d0) << 1 | ~(d0 | hp)) & mask
+        vn = d0 & hp
+    hits = subs = dels = ins = 0
+    i, j = len(ref), len(hyp)
+    while i and j:
+        d0, hp = rows[i - 1]
+        if ref[i - 1] is hyp[j - 1] or ref[i - 1] == hyp[j - 1]:
+            hits, i, j = hits + 1, i - 1, j - 1
+        elif not d0 >> (j - 1) & 1:
+            subs += 1
+            confusions[(ref[i - 1], hyp[j - 1])] += 1
+            i, j = i - 1, j - 1
+        elif hp >> (j - 1) & 1:
+            dels, i = dels + 1, i - 1
+        else:
+            ins, j = ins + 1, j - 1
+    return subs, ins + j, dels + i, hits
+
+
 def _trace_fronts(starts: list[dict[int, int]], ends: list[dict[int, int]], ref: list, hyp: list,
                   confusions: Counter) -> tuple[int, int, int, int]:
-    # The backtrace of _backtrace. At a cell (i, j) of cost e a match is a
-    # hit, and a run that level e matched is taken whole; otherwise the step
-    # is the first, in _backtrace's order, whose source level e - 1 reaches.
+    # At a cell (i, j) of cost e a match is a hit, and a run that level e
+    # matched is taken whole. Otherwise the step is the first of
+    # substitution, deletion and insertion (the preference at equal cost, as
+    # in _bit_align) whose source level e - 1 reaches.
     hits = subs = dels = ins = 0
     i, j = len(ref), len(hyp)
     for e in range(len(ends) - 1, -1, -1):
@@ -247,28 +234,6 @@ def _trace_fronts(starts: list[dict[int, int]], ends: list[dict[int, int]], ref:
     return subs, ins + j, dels + i, hits
 
 
-def _backtrace(cost: np.ndarray, ref: list, hyp: list, confusions: Counter) -> tuple[int, int, int, int]:
-    # Preference at equal cost: substitution, deletion, insertion.
-    hits = subs = dels = ins = 0
-    i, j = len(ref), len(hyp)
-    while i > 0 or j > 0:
-        same = i > 0 and j > 0 and (ref[i - 1] is hyp[j - 1] or ref[i - 1] == hyp[j - 1])
-        if i > 0 and j > 0 and cost.item(i, j) == cost.item(i - 1, j - 1) + (not same):
-            if same:
-                hits += 1
-            else:
-                subs += 1
-                confusions[(ref[i - 1], hyp[j - 1])] += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and cost.item(i, j) == cost.item(i - 1, j) + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return subs, ins, dels, hits
-
-
 def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> ErrorReport:
     """Pooled alignment counts over a corpus of (reference, hypothesis) pairs.
 
@@ -278,8 +243,8 @@ def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Error
     insertions. A pair's longest common prefix and suffix count as hits, and
     only the differing middles are aligned: by a diagonal-transition pass
     whose work follows the number of edits when they are few, and otherwise
-    in padded batches by one numpy kernel that fills the cost matrix one
-    reference position at a time.
+    by a bit-vector aligner that steps through the reference one token at a
+    time over m-bit ints.
 
     Raises:
         DataError: if one whole pair needs more than ``_MAX_PAIR_CELLS``
@@ -307,18 +272,13 @@ def corpus_report(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Error
         else:
             middles.append((ref, hyp))
     totals = (substituted, inserted, deleted, hits)
-    distant = []
     for ref, hyp in middles:
         fronts = _fronts(ref, hyp)
         if fronts is None:
-            distant.append((ref, hyp))
+            counts = _bit_align(ref, hyp, confusions)
         else:
-            totals = tuple(map(sum, zip(totals, _trace_fronts(*fronts, ref, hyp, confusions))))
-    for bucket in _buckets(distant):
-        cost = _cost_matrix(bucket)
-        for b, (ref, hyp) in enumerate(bucket):
-            counts = _backtrace(cost[:, b], ref, hyp, confusions)
-            totals = tuple(map(sum, zip(totals, counts)))
+            counts = _trace_fronts(*fronts, ref, hyp, confusions)
+        totals = tuple(map(sum, zip(totals, counts)))
     return ErrorReport(*totals, sum(len(ref) for ref, _ in pairs), confusions)
 
 

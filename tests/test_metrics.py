@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 import unicodedata
 from collections import Counter
 
@@ -39,7 +40,8 @@ def simple_edit_distance(a, b):
 def _seed_align(ref, hyp):
     """The original pure-Python alignment: full cost matrix as lists, then
     the backtrace preferring substitution, deletion, insertion. The
-    reference that the numpy kernel must match count for count."""
+    reference that the diagonal pass and the bit-vector aligner must match
+    count for count."""
     n, m = len(ref), len(hyp)
     cost = [list(range(m + 1))]
     for i in range(1, n + 1):
@@ -239,7 +241,7 @@ def test_triangle_inequality(a, b, c):
     assert align(a, c).total_errors <= align(a, b).total_errors + align(b, c).total_errors
 
 
-# ---------------------------------------------------------------- kernel vs seed
+# ---------------------------------------------------------------- aligners vs seed
 
 
 @pytest.mark.parametrize("alphabet", ["a", "ab", "abcdefghij", [f"w{k}" for k in range(300)]], ids=len)
@@ -272,37 +274,39 @@ def test_corpus_report_matches_seed_on_combining_mark_graphemes():
             assert _counts(align(ref, hyp)) == _counts(_seed_align(ref, hyp))
 
 
-@pytest.mark.parametrize("bucket_cells", [1, 64, 2000])
-def test_corpus_report_split_across_many_buckets(monkeypatch, bucket_cells):
-    rng = random.Random(bucket_cells)
-    pairs = _random_pairs(rng, 40, "abc", 50, empty_refs=True)
-    batches = []
-    kernel = metrics._cost_matrix
+def _recording(monkeypatch, name):
+    """Replace ``metrics.<name>`` by a wrapper that records the (ref, hyp)
+    of each call, and return the record."""
+    sent, aligner = [], getattr(metrics, name)
 
-    def recording_kernel(bucket):
-        cost = kernel(bucket)
-        batches.append((len(bucket), cost.size))
-        return cost
+    def recording_aligner(ref, hyp, *args):
+        sent.append((ref, hyp))
+        return aligner(ref, hyp, *args)
 
-    monkeypatch.setattr(metrics, "_BUCKET_CELLS", bucket_cells)
-    monkeypatch.setattr(metrics, "_cost_matrix", recording_kernel)
+    monkeypatch.setattr(metrics, name, recording_aligner)
+    return sent
+
+
+@pytest.mark.parametrize("max_len", [10, 50, 150])
+def test_corpus_report_bit_aligns_every_middle(monkeypatch, max_len):
+    rng = random.Random(max_len)
+    pairs = _random_pairs(rng, 40, "abc", max_len, empty_refs=True)
     assert _counts(corpus_report(pairs)) == _seed_pooled(pairs)
     # Pairs that differ at both ends share no prefix or suffix, and with the
-    # diagonal pass off every pair reaches the kernel at full length.
+    # diagonal pass off every pair reaches the bit-vector aligner at full length.
     monkeypatch.setattr(metrics, "_fronts", lambda ref, hyp: None)
+    sent = _recording(monkeypatch, "_bit_align")
     distinct_ends = [([">", *ref, "<"], ["<", *hyp, ">"]) for ref, hyp in pairs]
-    batches.clear()
     assert _counts(corpus_report(distinct_ends)) == _seed_pooled(distinct_ends)
-    assert sum(size for size, _ in batches) == 40 and len(batches) > 3
-    assert all(cells <= bucket_cells or size == 1 for size, cells in batches)
+    assert sent == distinct_ends
 
 
 def test_corpus_report_rejects_oversize_pair_before_aligning(monkeypatch):
-    def kernel(*args):
+    def aligner(*args):
         raise AssertionError("no pair may be aligned once an over-size pair is seen")
 
-    monkeypatch.setattr(metrics, "_cost_matrix", kernel)
-    monkeypatch.setattr(metrics, "_fronts", kernel)
+    monkeypatch.setattr(metrics, "_bit_align", aligner)
+    monkeypatch.setattr(metrics, "_fronts", aligner)
     pairs = [(["a"], ["a"]), (["x"] * 20000, ["y"] * 15000)]
     with pytest.raises(ValueError, match="20000-token reference with a 15000-token hypothesis"):
         corpus_report(pairs)
@@ -331,18 +335,11 @@ def test_corpus_report_with_common_affixes_matches_pooled_seed(pairs):
 
 
 def test_corpus_report_aligns_only_what_differs(monkeypatch):
-    sent = []
-    fronts = metrics._fronts
+    def bit_align(*args):
+        raise AssertionError("pairs a few edits apart never reach the bit-vector aligner")
 
-    def recording_fronts(ref, hyp):
-        sent.append((ref, hyp))
-        return fronts(ref, hyp)
-
-    def kernel(bucket):
-        raise AssertionError("pairs a few edits apart never reach the kernel")
-
-    monkeypatch.setattr(metrics, "_fronts", recording_fronts)
-    monkeypatch.setattr(metrics, "_cost_matrix", kernel)
+    sent = _recording(monkeypatch, "_fronts")
+    monkeypatch.setattr(metrics, "_bit_align", bit_align)
     identical = [(list("abcabc"), list("abcabc")), (["w1", "w2"], ["w1", "w2"]), ([], [])]
     assert _counts(corpus_report(identical)) == (0, 0, 0, 8, 8, Counter())
     assert sent == []
@@ -357,21 +354,26 @@ def test_corpus_report_aligns_only_what_differs(monkeypatch):
     assert sent == [(list("cab"), list("xax"))]
 
 
-def test_corpus_report_sends_only_distant_pairs_to_the_kernel(monkeypatch):
-    sent = []
-    kernel = metrics._cost_matrix
-
-    def recording_kernel(bucket):
-        sent.extend(bucket)
-        return kernel(bucket)
-
-    monkeypatch.setattr(metrics, "_cost_matrix", recording_kernel)
+def test_corpus_report_sends_only_distant_pairs_to_the_bit_aligner(monkeypatch):
+    sent = _recording(monkeypatch, "_bit_align")
     near = (list("the cat sat on the mat"), list("the cot sat in the mat"))  # 2 edits in 44 tokens
-    short = (list("abcdefgh"), list("stuvwxyz"))  # 8 edits: a short middle may take up to 8 levels
-    far = (list("abcdefghij"), list("klmnopqrst"))  # 10 edits: the diagonal pass stops at 9**2 > 64
-    assert metrics._fronts(*far) is None
-    assert _counts(corpus_report([near, short, far])) == _seed_pooled([near, short, far])
-    assert sent == [far]
+    ends = (list("abcdefghij"), list("xbcdyfghiz"))  # 3 edits in 20 tokens: 3**2 <= 20
+    short = (list("abcdefgh"), list("stuvwxyz"))  # 8 edits in 16 tokens: the pass stops at 5**2 > 16
+    far = (list("abcdefghij"), list("klmnopqrst"))  # 10 edits in 20 tokens: the pass stops at 5**2 > 20
+    assert metrics._fronts(*ends) is not None
+    assert metrics._fronts(*short) is None and metrics._fronts(*far) is None
+    corpus = [near, ends, short, far]
+    assert _counts(corpus_report(corpus)) == _seed_pooled(corpus)
+    assert sent == [short, far]
+
+
+def test_diagonal_pass_gives_up_at_once_on_a_length_difference(monkeypatch):
+    def common_prefix(*args):
+        raise AssertionError("the length difference alone rules out every level of the pass")
+
+    monkeypatch.setattr(metrics, "_common_prefix", common_prefix)
+    assert metrics._fronts(list("abcdefghijkl"), list("ab")) is None  # at least 10 edits: 10**2 > 14
+    assert metrics._fronts(list("ab"), list("abcdefg")) is None  # at least 5 edits: 5**2 > 9
 
 
 def _few_edits(rng, alphabet, max_len):
@@ -390,17 +392,20 @@ def _few_edits(rng, alphabet, max_len):
 
 
 @pytest.mark.parametrize("alphabet", ["a", "ab", "abc", "abcdefghij"], ids=len)
-def test_diagonal_pass_and_kernel_agree_with_seed(monkeypatch, alphabet):
+def test_diagonal_pass_and_bit_aligner_agree_with_seed(monkeypatch, alphabet):
     rng = random.Random(200 + len(alphabet))
     pairs = [_few_edits(rng, alphabet, 60) for _ in range(150)] + _random_pairs(rng, 60, alphabet, 40)
     for ref, hyp in pairs:
+        seed = _counts(_seed_align(ref, hyp))
+        confusions = Counter()
+        assert metrics._bit_align(ref, hyp, confusions) + (len(ref), confusions) == seed
         found = metrics._fronts(ref, hyp)
         if found is not None:
             starts, ends = found
             assert len(ends) - 1 == simple_edit_distance(ref, hyp)
             confusions = Counter()
             counts = metrics._trace_fronts(starts, ends, ref, hyp, confusions)
-            assert counts + (len(ref), confusions) == _counts(_seed_align(ref, hyp))
+            assert counts + (len(ref), confusions) == seed
     assert sum(metrics._fronts(ref, hyp) is not None for ref, hyp in pairs) > 150
     expected = _seed_pooled(pairs)
     assert _counts(corpus_report(pairs)) == expected
@@ -424,6 +429,46 @@ def test_diagonal_pass_matches_seed_backtrace(ref, hyp):
                 assert end == max(rows, default=-1)
 
 
+@st.composite
+def _bit_pairs(draw):
+    """A pair over a 1-3 token alphabet whose hypothesis length crosses the
+    64- and 128-bit boundaries of the aligner's ints."""
+    tokens = st.sampled_from(draw(st.sampled_from(["a", "ab", "abc"])))
+    sizes = st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]) | st.integers(0, 140)
+    ref = draw(st.lists(tokens, max_size=140))
+    size = draw(sizes)
+    return ref, draw(st.lists(tokens, min_size=size, max_size=size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_bit_pairs())
+@example(pair=(["a"] * 70, ["b"] * 129))
+@example(pair=(list("ab" * 33), list("ba" * 64)))
+def test_bit_align_matches_seed(pair):
+    ref, hyp = pair
+    confusions = Counter()
+    counts = metrics._bit_align(ref, hyp, confusions)
+    assert counts + (len(ref), confusions) == _counts(_seed_align(ref, hyp))
+
+
+def test_corpus_report_memory_on_a_far_apart_pair_stays_small():
+    # Two m-bit ints per reference row are about 1 MiB at 2,000 x 2,000; a
+    # full int32 cost matrix would be 16 MiB.
+    rng = random.Random(2000)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    ref = [rng.choice(letters) for _ in range(2000)]
+    hyp = [rng.choice(letters) for _ in range(2000)]
+    ref[0], ref[-1], hyp[0], hyp[-1] = "<", ">", ">", "<"
+    tracemalloc.start()
+    try:
+        report = corpus_report([(ref, hyp)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total_errors == 1772  # by simple_edit_distance, which takes about a second here
+    assert peak < 4 * 2**20
+
+
 @given(ref=st.lists(st.sampled_from("ab"), max_size=40), hyp=st.lists(st.sampled_from("ab"), max_size=40),
        i=st.integers(0, 40), j=st.integers(0, 40))
 def test_common_prefix_matches_a_token_loop(ref, hyp, i, j):
@@ -435,10 +480,11 @@ def test_common_prefix_matches_a_token_loop(ref, hyp, i, j):
 
 
 def test_corpus_report_size_guard_bounds_the_whole_pair(monkeypatch):
-    def kernel(bucket):
+    def aligner(*args):
         raise AssertionError("an identical pair needs no alignment, but the guard must reject it first")
 
-    monkeypatch.setattr(metrics, "_cost_matrix", kernel)
+    monkeypatch.setattr(metrics, "_bit_align", aligner)
+    monkeypatch.setattr(metrics, "_fronts", aligner)
     with pytest.raises(ValueError, match="20000-token reference with a 20000-token hypothesis"):
         corpus_report([(["a"] * 20000, ["a"] * 20000)])
 
@@ -450,22 +496,24 @@ def _check_one_token_equality_rule():
     assert metrics._common_prefix([x, y], [x, x]) == 1
     assert _counts(align([x], [y])) == (1, 0, 0, 0, 1, Counter({(x, y): 1}))
     # A NaN inside a differing middle reaches the aligner, not the trim.
-    for ref, hyp, hits in ((["a", x, "b"], ["c", x, "d"], 1), (["a", x, "b"], ["c", y, "d"], 0)):
+    for ref, hyp, hits, errors in ((["a", x, "b"], ["c", x, "d"], 1, 2), (["a", x, "b"], ["c", y, "d"], 0, 3)):
         report = align(ref, hyp)
-        assert report.hits == hits
-        assert report.total_errors == metrics._cost_matrix([(ref, hyp)])[len(ref), 0, len(hyp)]
+        assert (report.hits, report.total_errors) == (hits, errors)
 
 
-def test_one_token_equality_rule_in_trim_kernel_and_backtrace():
+def test_one_token_equality_rule_in_trim_pass_and_backtrace():
     _check_one_token_equality_rule()
     x, y = float("nan"), float("nan")
-    assert len(metrics._fronts(["a", x, "b"], ["c", x, "d"])[1]) - 1 == 2
-    assert len(metrics._fronts(["a", x, "b"], ["c", y, "d"])[1]) - 1 == 3
+    tail = ["e"] * 3  # long enough that the pass does not give up at 3 edits: 3**2 <= 12
+    assert len(metrics._fronts(["a", x, "b", *tail], ["c", x, "d", *tail])[1]) - 1 == 2
+    assert len(metrics._fronts(["a", x, "b", *tail], ["c", y, "d", *tail])[1]) - 1 == 3
 
 
-def test_one_token_equality_rule_on_the_kernel_path(monkeypatch):
+def test_one_token_equality_rule_on_the_bit_aligner_path(monkeypatch):
     monkeypatch.setattr(metrics, "_fronts", lambda ref, hyp: None)
+    sent = _recording(monkeypatch, "_bit_align")
     _check_one_token_equality_rule()
+    assert len(sent) == 2
 
 
 def test_corpus_report_of_nothing_is_zero():
@@ -593,7 +641,7 @@ def test_trn_report_is_the_wer_json_object(tmp_path):
 
 
 @pytest.mark.parametrize("unit", ["word", "char", "phone"])
-def test_wer_cli_on_pairs_with_common_affixes_matches_pooled_seed(tmp_path, capsys, unit):
+def test_wer_cli_on_pairs_with_common_affixes_matches_pooled_seed(tmp_path, capsys, monkeypatch, unit):
     rng = random.Random(25)
     vocab = ["e\u0301te\u0301", "na\u0308", "sil", "n\u0303o", "ab", "e\u0300", "b"]
     ref_lines, hyp_lines = [], []
@@ -601,6 +649,13 @@ def test_wer_cli_on_pairs_with_common_affixes_matches_pooled_seed(tmp_path, caps
         words = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
         start, stop = sorted(rng.randint(0, len(words)) for _ in range(2))
         hyp = words[:start] + _noisy(rng, words[start:stop], vocab, 0.6) + words[stop:]
+        ref_lines.append(f"{' '.join(words)} (u{k})\n")
+        hyp_lines.append(f"{' '.join(hyp)} (u{k})\n")
+    # Long pairs at 30% noise, and far-apart pairs of unrelated words, more
+    # than 64 tokens a side.
+    for k in range(12, 16):
+        words = [rng.choice(vocab) for _ in range(rng.randint(65, 90))]
+        hyp = _noisy(rng, words, vocab, 0.3) if k < 14 else [rng.choice(vocab) for _ in range(rng.randint(65, 90))]
         ref_lines.append(f"{' '.join(words)} (u{k})\n")
         hyp_lines.append(f"{' '.join(hyp)} (u{k})\n")
     ref_path, hyp_path, json_out = tmp_path / "ref.trn", tmp_path / "hyp.trn", tmp_path / "wer.json"
@@ -611,7 +666,9 @@ def test_wer_cli_on_pairs_with_common_affixes_matches_pooled_seed(tmp_path, caps
     assert sum(ref[:1] == hyp[:1] and ref[-1:] == hyp[-1:] and ref != hyp for ref, hyp in pairs) >= 3
 
     argv = ["wer", "--ref", str(ref_path), "--hyp", str(hyp_path), "--unit", unit, "--confusions", "10"]
+    sent = _recording(monkeypatch, "_bit_align")
     assert run(argv + ["--json-out", str(json_out)]) == 0
+    assert max(len(hyp) for _, hyp in sent) > 64
     report = json.loads(json_out.read_text(encoding="utf-8"))
     seed = ErrorReport(*_seed_pooled(pairs))
     keys = ("substitutions", "insertions", "deletions", "hits", "ref_len")
@@ -619,7 +676,7 @@ def test_wer_cli_on_pairs_with_common_affixes_matches_pooled_seed(tmp_path, caps
     assert report["confusions"] == [[r, h, count] for (r, h), count in top_confusions([seed], 10)]
     assert report["confusions"] and report["error_rate"] == seed.rate
     assert capsys.readouterr().out.splitlines() == [
-        f"{unit} error rate: {100.0 * seed.rate:.2f}%  ({seed.total_errors} errors / {seed.ref_len} ref tokens, 12 utterances)",
+        f"{unit} error rate: {100.0 * seed.rate:.2f}%  ({seed.total_errors} errors / {seed.ref_len} ref tokens, 16 utterances)",
         f"S={seed.substitutions} I={seed.insertions} D={seed.deletions} H={seed.hits}",
         "top substitutions:",
         *(f"  {r} -> {h}  {count}" for r, h, count in report["confusions"]),
