@@ -7,8 +7,9 @@ Nyquist on the ``2595 * log10(1 + f/700)`` scale. Filterbank energies are
 floored at 1e-10 before the natural log, so silence maps to ``log(1e-10)``
 everywhere. Mean-variance normalization is per utterance and per coefficient.
 The spectra are computed in blocks of a fixed number of frames, each
-pre-emphasizing only the samples its frames cover, so no temporary grows with
-the utterance beyond the spectrum itself.
+pre-emphasizing only the samples its frames cover, and the mel product runs
+once per group of one or two blocks, so no temporary grows with the utterance:
+only the output does (at 2-4 dims, the spectrum too; see :func:`fbank`).
 
 Two analysis helpers quantify what local time reversal does to a signal:
 :func:`boundary_discontinuity` measures the average sample jump at segment
@@ -27,7 +28,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .errors import DataError, FrozenArray, at_least
-from .ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
+from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
 from .matrix_io import FEATURES_MAGIC, MatrixFormatError, read_matrix, write_matrix
 
 __all__ = [
@@ -45,8 +46,8 @@ __all__ = [
 
 _PREEMPHASIS = 0.97
 _ENERGY_FLOOR = 1e-10
-# Frames per FFT block: one zero-padded input of this many rows is reused for
-# the whole utterance, and each block's complex spectrum is this many rows.
+# Frames per FFT block and per mel product group: one zero-padded input and
+# one complex spectrum of this many rows are reused for the whole utterance.
 _BLOCK_FRAMES = 256
 # Cells of one mel filterbank, dims x FFT bins: 2^22 float64 cells are 32 MiB,
 # and building the table holds about three arrays of that size at once.
@@ -117,31 +118,51 @@ def _tables(dims: int, window: int, fft_size: int, sample_rate_hz: int) -> tuple
     return hamming, mel
 
 
-def _magnitude_spectrum(
-    x: np.ndarray, window: int, hop: int, n_frames: int, fft_size: int, hamming: np.ndarray
+def _mel_energies(
+    x: np.ndarray, segment: int | None, window: int, hop: int, n_frames: int, fft_size: int, hamming: np.ndarray, mel: np.ndarray
 ) -> np.ndarray:
-    """``abs(rfft(emphasized_frames * hamming, fft_size))``, one block of
-    frames at a time."""
+    """``abs(rfft(emphasized_frames * hamming, fft_size)) @ mel.T`` over the
+    samples ``x``, or with ``segment`` over their LTR rendering in
+    ``segment``-sample segments, one block of frames at a time."""
     # Pre-emphasis within a frame is the whole signal's pre-emphasis: frame
     # f's samples 1..window-1 are emphasized[f*hop : f*hop + window - 1], and
     # only its first sample, which has no predecessor in the frame, is scaled
-    # on its own. Each block emphasizes only the samples its frames cover.
+    # on its own. Each block emphasizes only the samples its frames cover,
+    # and renders only those when it reads an LTR rendering.
+    energies = np.empty((n_frames, len(mel)))
     rows = min(n_frames, _BLOCK_FRAMES)
-    emphasized = np.empty((rows - 1) * hop + window - 1)
+    span = (rows - 1) * hop + window
+    emphasized = np.empty(span - 1)
     tails = np.lib.stride_tricks.sliding_window_view(emphasized, window - 1)[::hop]
-    spectrum = np.empty((n_frames, fft_size // 2 + 1))
+    rendered = None if segment is None else np.empty(span)
     padded = np.zeros((rows, fft_size))
+    transformed = np.empty((rows, fft_size // 2 + 1), dtype=complex)
+    # The mel product runs once per group of frames, with the filterbank as
+    # its transposed view (a contiguous copy can change the last bits): each
+    # group is one block, the last takes the rest, so fewer than two blocks
+    # of frames are one product, and no group is padded. At 1 dim and at 5
+    # or more such products give the single product's bits; at 2-4 dims
+    # OpenBLAS's product over 512 frames or more does not (pinned by
+    # test_fbank_mel_product_in_groups_matches_seed_at_every_dims), so those
+    # dims keep one product over the whole spectrum.
+    whole = 2 <= len(mel) <= 4
+    spectrum = np.empty((n_frames if whole else min(n_frames, 2 * _BLOCK_FRAMES - 1), fft_size // 2 + 1))
+    first = 0  # the group's first frame
     for start in range(0, n_frames, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, n_frames)
         block = padded[: stop - start]
         lo, hi = start * hop, (stop - 1) * hop + window
-        span = emphasized[: hi - lo - 1]
-        np.multiply(x[lo : hi - 1], _PREEMPHASIS, out=span)
-        np.subtract(x[lo + 1 : hi], span, out=span)
-        np.multiply(x[lo:hi:hop][: stop - start] * (1.0 - _PREEMPHASIS), hamming[0], out=block[:, 0])
+        samples = x[lo:hi] if segment is None else _reverse(x, segment, rendered, lo, hi)
+        head = emphasized[: hi - lo - 1]
+        np.multiply(samples[:-1], _PREEMPHASIS, out=head)
+        np.subtract(samples[1:], head, out=head)
+        np.multiply(samples[::hop][: stop - start] * (1.0 - _PREEMPHASIS), hamming[0], out=block[:, 0])
         np.multiply(tails[: stop - start], hamming[1:], out=block[:, 1:window])
-        np.abs(np.fft.rfft(block), out=spectrum[start:stop])
-    return spectrum
+        np.abs(np.fft.rfft(block, out=transformed[: stop - start]), out=spectrum[start - first : stop - first])
+        if stop == n_frames or (not whole and n_frames - stop >= _BLOCK_FRAMES):
+            np.matmul(spectrum[: stop - first], mel.T, out=energies[first:stop])
+            first = stop
+    return energies
 
 
 def fbank(
@@ -153,10 +174,13 @@ def fbank(
     """Log-mel filterbank features, one row per frame. No normalization.
     Window and hop are rounded to samples by :func:`~ltrkit.ltr.segment_samples`.
 
-    The frames go through the FFT in blocks of a fixed size, reusing one
-    zero-padded block and writing magnitudes straight into the spectrum; the
-    result equals the all-frames-at-once formula (pre-emphasize each frame,
-    window it, ``abs(rfft(..., fft_size)) @ mel.T``) bit for bit.
+    The frames go through the FFT in blocks of 256, reusing one zero-padded
+    block and one complex block. The mel product runs once per group of 256
+    frames, the last group taking the remaining 256-511, so at most 511 rows
+    of spectrum are alive; at 2-4 dims one product covers all frames, because
+    there OpenBLAS's product over more rows changes the last bits. The result
+    equals the all-frames-at-once formula (pre-emphasize each frame, window
+    it, ``abs(rfft(..., fft_size)) @ mel.T``) bit for bit.
 
     Raises:
         DataError: if ``dims`` is not an integer >= 1, if ``frame_length_ms``
@@ -168,6 +192,19 @@ def fbank(
             than one analysis window, or if samples so large that the spectrum
             overflows make a feature that is not finite.
     """
+    return _fbank(buffer, None, dims, frame_length_ms, frame_shift_ms)
+
+
+def _fbank(
+    buffer: AudioBuffer,
+    segment: int | None,
+    dims: int = 80,
+    frame_length_ms: float = 25.0,
+    frame_shift_ms: float = 10.0,
+) -> FeatureMatrix:
+    """:func:`fbank` of ``buffer``, or with ``segment`` of its LTR rendering
+    in ``segment``-sample segments, which is never made whole: each block
+    renders the samples it reads."""
     dims = at_least("dims", dims, 1)
     window = segment_samples(frame_length_ms, buffer.sample_rate_hz)
     hop = segment_samples(frame_shift_ms, buffer.sample_rate_hz)
@@ -186,10 +223,7 @@ def fbank(
         )
     hamming, mel = _tables(dims, window, fft_size, buffer.sample_rate_hz)
 
-    spectrum = _magnitude_spectrum(buffer.samples, window, hop, n_frames, fft_size, hamming)
-    # one product over all frames, with the filterbank as its transposed
-    # view: a blocked product or a contiguous copy can change the last bits
-    energies = spectrum @ mel.T
+    energies = _mel_energies(buffer.samples, segment, window, hop, n_frames, fft_size, hamming, mel)
     np.maximum(energies, _ENERGY_FLOOR, out=energies)
     return FeatureMatrix._adopt(np.log(energies, out=energies))
 
@@ -245,7 +279,7 @@ def spectral_distance(a: FeatureMatrix, b: FeatureMatrix) -> float:
     if a.values.shape != b.values.shape:
         raise DataError(f"shape mismatch: {a.values.shape} vs {b.values.shape}")
     diff = a.values - b.values
-    return float(np.sqrt(np.mean(diff * diff)))
+    return float(np.sqrt(np.mean(np.multiply(diff, diff, out=diff))))
 
 
 def distortion_curve(
@@ -254,15 +288,22 @@ def distortion_curve(
     """``(segment_ms, value)`` per duration, in the given order: the
     ``"boundary"`` discontinuity of each LTR rendering of ``buffer``, or the
     ``"spectral-distance"`` between the default :func:`fbank` features of
-    ``buffer`` and of each rendering. Renderings are made one at a time; the
-    boundary metric reads its seams from ``buffer`` and renders nothing.
+    ``buffer`` and of each rendering. No rendering is made whole: the spectral
+    metric renders each FFT block's span of samples from ``buffer`` as the
+    block reads it, in time linear in the span whatever the segment length,
+    and the boundary metric reads its seams from ``buffer`` and renders
+    nothing. The values equal those of the whole renderings bit for bit.
     """
     if metric not in DISTORTION_METRICS:
         raise DataError(f"metric must be one of {DISTORTION_METRICS}, got {metric!r}")
     if metric == "boundary":
         return [(duration_ms, _seam_jump(buffer, duration_ms, ltr=True)) for duration_ms in durations_ms]
     reference = fbank(buffer)
-    return [(duration_ms, spectral_distance(reference, fbank(reverse_segments(buffer, duration_ms)))) for duration_ms in durations_ms]
+    rate = buffer.sample_rate_hz
+    return [
+        (duration_ms, spectral_distance(reference, _fbank(buffer, segment_samples(duration_ms, rate))))
+        for duration_ms in durations_ms
+    ]
 
 
 def distortion_csv(buffer: AudioBuffer, metric: str, durations_ms: Iterable[float] = DEFAULT_DURATIONS_MS) -> str:

@@ -49,13 +49,26 @@ def reverse_segments(buffer: AudioBuffer, segment_ms: float) -> AudioBuffer:
     return AudioBuffer._adopt(_reverse(buffer.samples, seg), buffer.sample_rate_hz)
 
 
-def _reverse(x: np.ndarray, seg: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``out``, or a new array of ``x``'s dtype, filled with non-empty 1-D ``x``
-    with each ``seg``-sample segment reversed, as :func:`reverse_segments` says."""
+def _reverse(x: np.ndarray, seg: int, out: np.ndarray | None = None, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Samples ``lo`` to ``hi`` (default: all) of non-empty 1-D ``x`` with each
+    ``seg``-sample segment reversed, as :func:`reverse_segments` says, in the
+    first ``hi - lo`` cells of contiguous ``out`` or in a new array of ``x``'s
+    dtype. The work is O(``hi - lo``) whatever ``seg``: sample i of the segment
+    [a, b) is ``x[a + b - 1 - i]``, so the part of a segment the span cuts is
+    one reversed slice, and the whole segments between are one reshape."""
     n = len(x)
     seg = min(seg, n)
-    out = np.empty(n, dtype=x.dtype) if out is None else out
-    full = (n // seg) * seg
-    out[:full].reshape(-1, seg)[...] = x[:full].reshape(-1, seg)[:, ::-1]
-    out[full:] = x[full:][::-1]
+    hi = n if hi is None else hi
+    out = np.empty(hi - lo, dtype=x.dtype) if out is None else out[: hi - lo]
+    pos = lo
+    if pos % seg:  # the span starts inside a segment
+        a = pos - pos % seg
+        b = min(a + seg, n)
+        pos = min(b, hi)
+        out[: pos - lo] = x[a + b - pos : a + b - lo][::-1]
+    full = pos + (hi - pos) // seg * seg
+    out[pos - lo : full - lo].reshape(-1, seg)[...] = x[pos:full].reshape(-1, seg)[:, ::-1]
+    if full < hi:  # the span ends inside a segment, or in the short last one
+        b = min(full + seg, n)
+        out[full - lo :] = x[full + b - hi : b][::-1]
     return out

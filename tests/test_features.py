@@ -407,3 +407,70 @@ def test_spectrum_and_output_cap_is_checked_before_anything_is_built(
 
     assert traced_peak(rejected)[1] < 4 << 20
 
+
+
+_GROUP_FRAME_COUNTS = (1, 255, 256, 257, 511, 512, 513, 767, 768, 769, 1023, 1024, 1025, 4097)
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+def test_fbank_mel_product_in_groups_matches_seed_at_every_dims(rate):
+    # The mel product runs per group of 256-511 frames. On OpenBLAS that
+    # gives the single product's bits at 1 dim and at 5 or more, but not at
+    # 2-4 dims (from 512 frames at 3-4 dims, from 767 at 2), which therefore
+    # keep one product; this grid pins both sides of that rule.
+    rng = np.random.default_rng(rate + 27)
+    window = segment_samples(25.0, rate)
+    hop = segment_samples(10.0, rate)
+    for frames in _GROUP_FRAME_COUNTS:
+        buffer = AudioBuffer(rng.uniform(-1.0, 1.0, window + (frames - 1) * hop + int(rng.integers(0, hop))), rate)
+        for dims in (1, 2, 3, 4, 5, 6, 7, 8, 13, 23, 80, 128):
+            got = fbank(buffer, dims).values
+            assert got.shape[0] == frames
+            assert _same_bits(got, _seed_fbank(buffer, dims)), (frames, dims)
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+def test_spectral_curve_equals_the_features_of_each_whole_rendering(rate):
+    # distortion_curve renders each LTR copy one block span at a time; it
+    # must give the distance to the features of the whole rendering, bit for
+    # bit, for segments of one sample, segments cut by the spans, and
+    # segments longer than the buffer
+    rng = np.random.default_rng(rate + 28)
+    window = segment_samples(25.0, rate)
+    hop = segment_samples(10.0, rate)
+    for frames in (1, 300, 700):
+        n = window + (frames - 1) * hop + int(rng.integers(0, hop))
+        buffer = AudioBuffer(rng.uniform(-1.0, 1.0, n), rate)
+        durations = [0.01, 7.3, 25.0, 50.0, 1000.0 * n / rate + 1.0, 1e300]
+        want = [(ms, spectral_distance(fbank(buffer), fbank(reverse_segments(buffer, ms)))) for ms in durations]
+        assert distortion_curve(buffer, "spectral-distance", durations) == want, frames
+    with pytest.raises(DataError, match="shorter than one 25 ms window"):
+        distortion_curve(AudioBuffer(np.zeros(window - 1), rate), "spectral-distance", [math.nan, 0.0, -5.0])
+    bad = [math.nan, 0.0, -5.0]
+    for k in range(len(bad)):
+        with pytest.raises(DataError) as want:
+            reverse_segments(buffer, bad[k])
+        with pytest.raises(DataError) as got:
+            distortion_curve(buffer, "spectral-distance", [25.0, *bad[k:]])
+        assert str(got.value) == str(want.value)
+
+
+def test_fbank_of_ten_minutes_peaks_at_its_output_plus_the_blocks(traced_peak):
+    rng = np.random.default_rng(29)
+    buffer = AudioBuffer._adopt(rng.uniform(-1.0, 1.0, 16000 * 600), 16000)
+    fbank(AudioBuffer(buffer.samples[:16000], 16000))  # the tables are cached by then
+    features, peak = traced_peak(fbank, buffer)
+    assert features.values.nbytes == 59_998 * 80 * 8  # 36.6 MiB
+    assert peak < features.values.nbytes + (4 << 20), peak / 2**20
+
+
+def test_spectral_curve_makes_no_copy_of_the_buffer(traced_peak):
+    # At 48 kHz a 10 ms hop of 80 features is a sixth of its samples, so a
+    # buffer-sized rendering beside the reference features would show in
+    # the peak
+    rate = 48000
+    buffer = AudioBuffer._adopt(np.random.default_rng(30).uniform(-1.0, 1.0, rate * 60), rate)
+    reference = fbank(buffer)
+    curve, peak = traced_peak(distortion_curve, buffer, "spectral-distance", [25.0, 1e300])
+    assert [ms for ms, _ in curve] == [25.0, 1e300]
+    assert peak < buffer.samples.nbytes + reference.values.nbytes, peak / 2**20

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ltrkit.audio_io import AudioBuffer
 from ltrkit.errors import DataError
 from ltrkit.features import distortion_curve
-from ltrkit.ltr import DEFAULT_DURATIONS_MS, reverse_segments, segment_samples
+from ltrkit.ltr import DEFAULT_DURATIONS_MS, _reverse, reverse_segments, segment_samples
 
 
 def make_buffer(values, rate=1000):
@@ -118,3 +118,19 @@ def test_config_rejects_nonpositive_duration():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DataError, match="a duration in ms must be positive and finite"):
             reverse_segments(make_buffer([1.0]), bad)
+
+
+def test_reverse_of_a_span_is_that_span_of_the_whole_rendering():
+    # _reverse renders any span [lo, hi) from the source alone, in the
+    # first cells of the array it is given, for every segment length
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 50, 161):
+        x = rng.normal(size=n)
+        for seg in (1, 2, 3, 7, n - 1 or 1, n, n + 1, 10**300):
+            whole = _reverse(x, seg)
+            for lo in range(0, n, max(1, n // 7)):
+                for hi in range(lo, n + 1, max(1, n // 5)):
+                    out = np.full(n + 3, np.nan)
+                    got = _reverse(x, seg, out, lo, hi)
+                    assert np.array_equal(got, whole[lo:hi]) and np.array_equal(out[: hi - lo], got), (n, seg, lo, hi)
+                    assert np.isnan(out[hi - lo :]).all()
