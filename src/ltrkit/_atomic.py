@@ -42,7 +42,7 @@ def write_atomic(path: str | Path, *chunks) -> None:
         if old is None or stat.S_ISREG(old.st_mode):
             path = os.path.realpath(path)
     if old is not None and not stat.S_ISREG(old.st_mode):
-        return write_in_place(path, *chunks)
+        return write_in_place(path, chunks)
 
     head, name = os.path.split(path)
     suffix = f".{os.getpid()}-{threading.get_ident()}.tmp"
@@ -66,9 +66,10 @@ def write_atomic(path: str | Path, *chunks) -> None:
         raise
 
 
-def write_in_place(path: str | Path, *chunks) -> None:
-    """Write the bytes-like ``chunks`` in order to ``path`` as ``open(path, "wb")``
-    does: truncate or create (mode 0o666 less the umask), follow a symlink."""
+def write_in_place(path: str | Path, chunks) -> None:
+    """Write the bytes-like items of the iterable ``chunks`` to ``path`` in order,
+    each before the next is taken, as ``open(path, "wb")`` does: truncate or
+    create (mode 0o666 less the umask), follow a symlink."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
     try:
         _write_all(fd, chunks)

@@ -2,9 +2,11 @@
 
 Supports the RIFF/WAVE subset this package needs: format tag 1 (integer PCM,
 16-bit) and format tag 3 (IEEE float, 32-bit), mono or multichannel, in
-little-endian byte order. Unknown chunks are skipped on read; writing always
-produces a canonical 44-byte header (RIFF, "fmt " of 16 bytes, "data"), and
-is atomic.
+little-endian byte order. A read parses the chunk headers once, seeking past
+unknown chunks, then reads the data chunk's frames in spans: all of them for
+:func:`read_wav`, one FFT block's for ``featurize``. A pipe is read whole
+first. Writing always produces a canonical 44-byte header (RIFF, "fmt " of 16
+bytes, "data"), and is atomic.
 
 Samples are normalized floats. A PCM-16 value ``v`` decodes to ``v / 32768.0``
 so the integer minimum lands exactly on -1.0. Multichannel audio is downmixed
@@ -14,6 +16,8 @@ are never wrapped.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,81 +77,110 @@ def read_wav(path: str | Path) -> AudioBuffer:
         WavFormatError: malformed RIFF structure, unsupported format tag or
             bit depth, a zero rate, an empty data chunk, or a NaN sample.
     """
-    return _mono(path, *_wav_frames(path))
+    with _open_wav(path) as wav:
+        return wav.buffer()
 
 
-def _wav_frames(path: str | Path) -> tuple[int, int, int, np.ndarray]:
-    """The format tag, channel count and rate of a WAV file, and its data
-    chunk as a flat ``<i2`` or ``<f4`` view of the interleaved frames."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
-
-    view = memoryview(raw)
-    fmt_body = None
-    data_body = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = view[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise WavFormatError(f"{path}: truncated {chunk_id!r} chunk")
-        if chunk_id == b"fmt ":
-            fmt_body = body
-        elif chunk_id == b"data":
-            data_body = body
-        # chunks are word-aligned: odd sizes carry one pad byte
-        pos += 8 + size + (size & 1)
-
-    if fmt_body is None or len(fmt_body) < 16:
-        raise WavFormatError(f"{path}: missing or short 'fmt ' chunk")
-    if data_body is None:
-        raise WavFormatError(f"{path}: missing 'data' chunk")
-
-    tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt_body, 0)
-    if channels < 1:
-        raise WavFormatError(f"{path}: channel count {channels} is invalid")
-    if (tag, bits) == (_TAG_PCM, 16):
-        dtype = np.dtype("<i2")
-    elif (tag, bits) == (_TAG_IEEE_FLOAT, 32):
-        dtype = np.dtype("<f4")
-    else:
-        raise WavFormatError(f"{path}: unsupported codec (format tag {tag}, {bits}-bit)")
-
-    if len(data_body) == 0:
-        raise WavFormatError(f"{path}: zero-length data chunk")
-    frame_size = channels * dtype.itemsize
-    if len(data_body) % frame_size != 0:
-        raise WavFormatError(f"{path}: data chunk size {len(data_body)} is not a multiple of the {frame_size}-byte frame size")
-    return tag, channels, rate, np.frombuffer(data_body, dtype=dtype)
+@contextlib.contextmanager
+def _open_wav(path: str | Path):
+    """The :class:`_Wav` of ``path``, open for a ``with`` block; a pipe is read whole first."""
+    with open(path, "rb") as handle:
+        yield _Wav(path, handle if handle.seekable() else io.BytesIO(handle.read()))
 
 
-def _mono(path: str | Path, tag: int, channels: int, rate: int, samples: np.ndarray) -> AudioBuffer:
-    """The :class:`AudioBuffer` of :func:`read_wav` from the parts of :func:`_wav_frames`."""
-    # +inf and -inf in one frame mix to NaN, which _adopt reports; numpy's
-    # warning about it would only repeat the error
-    with np.errstate(invalid="ignore"):
-        if 1 < channels < 8:
-            # mean(axis=1) below 8 channels, bit for bit (signed zeros too): the frame
-            # view's columns added in order to 0.0, then divided by the count; PCM-16
-            # sums are exact, so scaling by 2^-15 after that changes no bit
-            values = np.zeros(len(samples) // channels)
-            for column in samples.reshape(-1, channels).T:
-                values += column
-            values /= channels
-        else:
-            values = samples.astype(np.float64)
-        if tag == _TAG_PCM:
-            values /= 32768.0
-        if channels >= 8:
-            # numpy's reduction sums 8 or more values per row in its own
-            # unrolled order, not column by column; the 8 is that unroll
-            # width, kept here only for bit parity with mean(axis=1), which
-            # tests/test_wav_bytes.py pins at 8, 9 and 16 channels
-            values = values.reshape(-1, channels).mean(axis=1)
-    np.clip(values, -1.0, 1.0, out=values)
-    return AudioBuffer._adopt(values, int(rate), path=path, error=WavFormatError)
+class _Wav:
+    """A WAV file's layout from one RIFF parse, which reads the chunk headers
+    and seeks past their bodies: format tag, channel count, rate and the data
+    chunk's frame count. Any span of the frames is then read on demand into one
+    reused buffer (:meth:`frames`), or decoded to :func:`read_wav`'s samples (:meth:`mono`)."""
+
+    def __init__(self, path: str | Path, handle) -> None:
+        self.path, self._handle = path, handle
+        size = handle.seek(0, io.SEEK_END)
+        handle.seek(0)
+        head = handle.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+
+        fmt_body, data, pos = None, None, 12
+        while pos + 8 <= size:
+            handle.seek(pos)
+            chunk_id, chunk_size = struct.unpack("<4sI", handle.read(8))
+            if pos + 8 + chunk_size > size:
+                raise WavFormatError(f"{path}: truncated {chunk_id!r} chunk")
+            if chunk_id == b"fmt ":
+                fmt_body = handle.read(min(chunk_size, 16))  # the fields read below
+            elif chunk_id == b"data":
+                data = pos + 8, chunk_size
+            # chunks are word-aligned: odd sizes carry one pad byte
+            pos += 8 + chunk_size + (chunk_size & 1)
+
+        if fmt_body is None or len(fmt_body) < 16:
+            raise WavFormatError(f"{path}: missing or short 'fmt ' chunk")
+        if data is None:
+            raise WavFormatError(f"{path}: missing 'data' chunk")
+
+        tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt_body, 0)
+        if channels < 1:
+            raise WavFormatError(f"{path}: channel count {channels} is invalid")
+        dtype = {(_TAG_PCM, 16): np.dtype("<i2"), (_TAG_IEEE_FLOAT, 32): np.dtype("<f4")}.get((tag, bits))
+        if dtype is None:
+            raise WavFormatError(f"{path}: unsupported codec (format tag {tag}, {bits}-bit)")
+
+        self._offset, data_size = data
+        if data_size == 0:
+            raise WavFormatError(f"{path}: zero-length data chunk")
+        self._frame_size = channels * dtype.itemsize
+        if data_size % self._frame_size != 0:
+            raise WavFormatError(f"{path}: data chunk size {data_size} is not a multiple of the {self._frame_size}-byte frame size")
+        self.tag, self.channels, self.rate, self.length = tag, channels, rate, data_size // self._frame_size
+        self._buffer = np.empty(0, dtype)
+
+    def frames(self, lo: int, hi: int) -> np.ndarray:
+        """Frames ``lo`` to ``hi`` as a flat ``<i2`` or ``<f4`` array of the
+        interleaved channels, valid until the next call."""
+        if len(self._buffer) < (hi - lo) * self.channels:
+            self._buffer = np.empty((hi - lo) * self.channels, self._buffer.dtype)
+        samples = self._buffer[: (hi - lo) * self.channels]
+        self._handle.seek(self._offset + lo * self._frame_size)
+        if self._handle.readinto(samples.view(np.uint8)) < samples.nbytes:  # the file shrank since the parse
+            raise WavFormatError(f"{self.path}: truncated b'data' chunk")
+        return samples
+
+    def buffer(self) -> AudioBuffer:
+        """:func:`read_wav`'s buffer: every frame decoded, with its errors."""
+        return AudioBuffer._adopt(self.mono(None, 0, self.length), self.rate, path=self.path, error=WavFormatError)
+
+    def mono(self, out: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+        """:func:`read_wav`'s samples ``lo`` to ``hi`` in the first cells of
+        float64 ``out`` or in a new array, unchecked. Each depends only on its
+        own frame, so any span decodes to the values of the whole, bit for bit."""
+        samples, channels = self.frames(lo, hi), self.channels
+        values = np.empty(hi - lo) if out is None else out[: hi - lo]
+        # +inf and -inf in one frame mix to NaN, which _adopt reports; numpy's
+        # warning about it would only repeat the error
+        with np.errstate(invalid="ignore"):
+            if 1 < channels < 8:
+                # mean(axis=1) below 8 channels, bit for bit (signed zeros too): the frame
+                # view's columns added in order to 0.0, then divided by the count; PCM-16
+                # sums are exact, so scaling by 2^-15 after that changes no bit
+                values.fill(0.0)
+                for column in samples.reshape(-1, channels).T:
+                    values += column
+                values /= channels
+                wide = values
+            else:
+                wide = values if channels == 1 else np.empty(len(samples))
+                wide[:] = samples
+            if self.tag == _TAG_PCM:
+                wide /= 32768.0
+            if channels >= 8:
+                # numpy's reduction sums 8 or more values per row in its own
+                # unrolled order, not column by column; the 8 is that unroll
+                # width, kept here only for bit parity with mean(axis=1), which
+                # tests/test_wav_bytes.py pins at 8, 9 and 16 channels
+                np.mean(wide.reshape(-1, channels), axis=1, out=values)
+        return np.clip(values, -1.0, 1.0, out=values)
 
 
 def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> None:
@@ -216,17 +249,17 @@ def _decode(path: str | Path) -> tuple[int, np.ndarray]:
     Any other layout, and a file with a zero rate or a NaN sample, takes
     :func:`read_wav`'s decode and gives its float64 array.
     """
-    tag, channels, rate, samples = _wav_frames(path)
-    if rate and (channels == 1 or (tag, channels) == (_TAG_PCM, 2)):
-        out = np.empty(len(samples) // channels, dtype="<f4")
-        if tag == _TAG_IEEE_FLOAT:
-            np.clip(samples, -1.0, 1.0, out=out)
-        elif channels == 1:
-            np.multiply(samples, np.float32(2.0**-15), out=out)
-        else:
-            np.add(samples[0::2], samples[1::2], out=out, dtype=np.float32)
-            out *= np.float32(2.0**-16)
-        if tag == _TAG_PCM or not np.isnan(out.min()):  # a NaN is read_wav's error
-            return rate, out
-    return rate, _mono(path, tag, channels, rate, samples).samples
-
+    with _open_wav(path) as wav:
+        tag, channels, rate, samples = wav.tag, wav.channels, wav.rate, wav.frames(0, wav.length)
+        if rate and (channels == 1 or (tag, channels) == (_TAG_PCM, 2)):
+            out = np.empty(wav.length, dtype="<f4")
+            if tag == _TAG_IEEE_FLOAT:
+                np.clip(samples, -1.0, 1.0, out=out)
+            elif channels == 1:
+                np.multiply(samples, np.float32(2.0**-15), out=out)
+            else:
+                np.add(samples[0::2], samples[1::2], out=out, dtype=np.float32)
+                out *= np.float32(2.0**-16)
+            if tag == _TAG_PCM or not np.isnan(out.min()):  # a NaN is read_wav's error
+                return rate, out
+        return rate, wav.buffer().samples

@@ -20,7 +20,7 @@ from ._atomic import write_atomic, write_in_place
 from .audio_io import read_wav, write_wav
 from .dataset import SET_DURATIONS_MS, build_set, build_speed_set, load_manifest, save_manifest
 from .errors import DataError, at_least, positive
-from .features import DISTORTION_METRICS, distortion_csv, fbank, mvn, save_features
+from .features import DISTORTION_METRICS, _featurize, distortion_csv
 from .ltr import DEFAULT_DURATIONS_MS, reverse_segments
 from .metrics import trn_report
 from .perturb import DEFAULT_SPEED_FACTORS, SpecAugmentPolicy, spec_augment_file, speed_perturb
@@ -167,8 +167,7 @@ def _cmd_specaug(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
-    features = fbank(read_wav(args.in_path), args.dims, args.window_ms, args.shift_ms)
-    save_features(features if args.no_mvn else mvn(features), args.out_path)
+    _featurize(args.in_path, args.out_path, args.dims, args.window_ms, args.shift_ms, not args.no_mvn)
     return 0
 
 
@@ -206,7 +205,7 @@ def _cmd_score_fuse(args) -> int:
 def _cmd_wer(args) -> int:
     report = trn_report(args.ref, args.hyp, args.unit, args.confusions or 10)
     if args.json_out:
-        write_in_place(args.json_out, (json.dumps(report, ensure_ascii=False, indent=2) + "\n").encode("utf-8"))
+        write_in_place(args.json_out, [(json.dumps(report, ensure_ascii=False, indent=2) + "\n").encode("utf-8")])
     errors = report["substitutions"] + report["insertions"] + report["deletions"]
     print(f"{args.unit} error rate: {100.0 * report['error_rate']:.2f}%  "
           f"({errors} errors / {report['ref_len']} ref tokens, {report['utterances']} utterances)")

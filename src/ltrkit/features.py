@@ -9,7 +9,9 @@ everywhere. Mean-variance normalization is per utterance and per coefficient.
 The spectra are computed in blocks of a fixed number of frames, each
 pre-emphasizing only the samples its frames cover, and the mel product runs
 once per group of one or two blocks, so no temporary grows with the utterance:
-only the output does (at 2-4 dims, the spectrum too; see :func:`fbank`).
+only the output does (at 2-4 dims, the spectrum too; see :func:`fbank`). The
+CLI's ``featurize`` decodes each block's samples from the WAV file as it reads
+them and normalizes in place, so it holds the output, not the input.
 
 Two analysis helpers quantify what local time reversal does to a signal:
 :func:`boundary_discontinuity` measures the average sample jump at segment
@@ -22,11 +24,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, _open_wav
 from .errors import DataError, FrozenArray, at_least
 from .ltr import DEFAULT_DURATIONS_MS, _reverse, segment_samples
 from .matrix_io import FEATURES_MAGIC, MatrixFormatError, read_matrix, write_matrix
@@ -119,22 +121,23 @@ def _tables(dims: int, window: int, fft_size: int, sample_rate_hz: int) -> tuple
 
 
 def _mel_energies(
-    x: np.ndarray, segment: int | None, window: int, hop: int, n_frames: int, fft_size: int, hamming: np.ndarray, mel: np.ndarray
+    source: Callable[[np.ndarray, int, int], np.ndarray],
+    window: int, hop: int, n_frames: int, fft_size: int, hamming: np.ndarray, mel: np.ndarray,
 ) -> np.ndarray:
     """``abs(rfft(emphasized_frames * hamming, fft_size)) @ mel.T`` over the
-    samples ``x``, or with ``segment`` over their LTR rendering in
-    ``segment``-sample segments, one block of frames at a time."""
+    samples that ``source(out, lo, hi)`` gives, span by span, one block of
+    frames at a time: samples ``lo`` to ``hi``, which it may put in ``out``."""
     # Pre-emphasis within a frame is the whole signal's pre-emphasis: frame
     # f's samples 1..window-1 are emphasized[f*hop : f*hop + window - 1], and
     # only its first sample, which has no predecessor in the frame, is scaled
     # on its own. Each block emphasizes only the samples its frames cover,
-    # and renders only those when it reads an LTR rendering.
+    # and its source renders or decodes only those.
     energies = np.empty((n_frames, len(mel)))
     rows = min(n_frames, _BLOCK_FRAMES)
     span = (rows - 1) * hop + window
     emphasized = np.empty(span - 1)
     tails = np.lib.stride_tricks.sliding_window_view(emphasized, window - 1)[::hop]
-    rendered = None if segment is None else np.empty(span)
+    rendered = np.empty(span)
     padded = np.zeros((rows, fft_size))
     transformed = np.empty((rows, fft_size // 2 + 1), dtype=complex)
     # The mel product runs once per group of frames, with the filterbank as
@@ -152,7 +155,7 @@ def _mel_energies(
         stop = min(start + _BLOCK_FRAMES, n_frames)
         block = padded[: stop - start]
         lo, hi = start * hop, (stop - 1) * hop + window
-        samples = x[lo:hi] if segment is None else _reverse(x, segment, rendered, lo, hi)
+        samples = source(rendered, lo, hi)
         head = emphasized[: hi - lo - 1]
         np.multiply(samples[:-1], _PREEMPHASIS, out=head)
         np.subtract(samples[1:], head, out=head)
@@ -192,23 +195,21 @@ def fbank(
             than one analysis window, or if samples so large that the spectrum
             overflows make a feature that is not finite.
     """
-    return _fbank(buffer, None, dims, frame_length_ms, frame_shift_ms)
+    x = buffer.samples
+    values = _log_mel(lambda out, lo, hi: x[lo:hi], len(x), buffer.sample_rate_hz, dims, frame_length_ms, frame_shift_ms)
+    return FeatureMatrix._adopt(values)
 
 
-def _fbank(
-    buffer: AudioBuffer,
-    segment: int | None,
-    dims: int = 80,
-    frame_length_ms: float = 25.0,
-    frame_shift_ms: float = 10.0,
-) -> FeatureMatrix:
-    """:func:`fbank` of ``buffer``, or with ``segment`` of its LTR rendering
-    in ``segment``-sample segments, which is never made whole: each block
-    renders the samples it reads."""
+def _log_mel(
+    source: Callable[[np.ndarray, int, int], np.ndarray], n: int, sample_rate_hz: int,
+    dims: int = 80, frame_length_ms: float = 25.0, frame_shift_ms: float = 10.0,
+) -> np.ndarray:
+    """:func:`fbank`'s values, unchecked, of ``n`` samples at ``sample_rate_hz``
+    that :func:`_mel_energies` reads through ``source``: a buffer's, an LTR
+    rendering's or a file's, rendered or decoded per block, never whole."""
     dims = at_least("dims", dims, 1)
-    window = segment_samples(frame_length_ms, buffer.sample_rate_hz)
-    hop = segment_samples(frame_shift_ms, buffer.sample_rate_hz)
-    n = len(buffer)
+    window = segment_samples(frame_length_ms, sample_rate_hz)
+    hop = segment_samples(frame_shift_ms, sample_rate_hz)
     if n < window:
         raise DataError(f"buffer of {n} samples is shorter than one {frame_length_ms:g} ms window")
 
@@ -221,11 +222,40 @@ def _fbank(
         raise DataError(
             f"{n_frames} frames of {bins} FFT bins and {dims} dims need more than {_MAX_FRAME_CELLS} cells"
         )
-    hamming, mel = _tables(dims, window, fft_size, buffer.sample_rate_hz)
+    hamming, mel = _tables(dims, window, fft_size, sample_rate_hz)
 
-    energies = _mel_energies(buffer.samples, segment, window, hop, n_frames, fft_size, hamming, mel)
+    energies = _mel_energies(source, window, hop, n_frames, fft_size, hamming, mel)
     np.maximum(energies, _ENERGY_FLOOR, out=energies)
-    return FeatureMatrix._adopt(np.log(energies, out=energies))
+    return np.log(energies, out=energies)
+
+
+def _featurize(
+    in_path: str | Path, out_path: str | Path, dims: int, frame_length_ms: float, frame_shift_ms: float, normalize: bool
+) -> None:
+    """Write ``save_features(mvn(fbank(read_wav(in_path), dims, ...)), out_path)``,
+    without :func:`mvn` unless ``normalize``: the same bytes, and the same
+    errors in the same order. The samples are decoded one FFT block's span at a
+    time into one reused buffer and normalized in place, so only the float64
+    output grows with the input. An error first decodes the whole file as
+    :func:`read_wav` does, whose errors come first and count NaNs over the whole
+    file. The input is closed before ``out_path``, which may name it, is written."""
+    with _open_wav(in_path) as wav:
+        def source(out: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            samples = wav.mono(out, lo, hi)
+            if np.isnan(samples.min()):
+                raise DataError(f"{in_path}: a sample is NaN")  # the except below raises read_wav's, which counts them all
+            return samples
+
+        try:
+            values = _log_mel(source, wav.length, wav.rate, dims, frame_length_ms, frame_shift_ms)
+            source(None, max(0, wav.length - segment_samples(frame_shift_ms, wav.rate)), wav.length)  # after the last frame
+            FeatureMatrix._check_values(values)
+        except DataError:
+            wav.buffer()
+            raise
+    if normalize:
+        _normalize(values)
+    write_matrix(values, out_path, FEATURES_MAGIC)
 
 
 def mvn(features: FeatureMatrix) -> FeatureMatrix:
@@ -235,12 +265,26 @@ def mvn(features: FeatureMatrix) -> FeatureMatrix:
     divisor is ``max(stddev, 1e-8)``. A single-frame matrix therefore
     normalizes to all zeros. Idempotent up to rounding.
     """
-    v = features.values
-    centered = v - v.mean(axis=0)
-    # the steps numpy's v.std(axis=0) takes, on the centered matrix already here
-    spread = np.sqrt((centered * centered).sum(axis=0) / len(v))
-    centered /= np.maximum(spread, 1e-8)
-    return FeatureMatrix._adopt(centered)
+    values = features.values.copy(order="K")
+    _normalize(values)
+    return FeatureMatrix._adopt(values)
+
+
+def _normalize(v: np.ndarray) -> None:
+    """:func:`mvn` of the writable float64 frames x dims array ``v``, in place
+    and bit for bit: the steps of ``v.std(axis=0)``, the squares summed a block
+    of rows at a time. numpy sums a C-order matrix of 2 or more dims down axis
+    0 row by row, so a sum carried into a block's first row has the whole sum's
+    bits; a contiguous column (1 dim, or F order) it sums pairwise, so there
+    the whole matrix is one block."""
+    v -= v.mean(axis=0)
+    rows = len(v) if v.flags.f_contiguous else _BLOCK_FRAMES
+    squares = np.zeros(v.shape[1])
+    for start in range(0, len(v), rows):
+        block = np.multiply(v[start : start + rows], v[start : start + rows])
+        block[0] += squares
+        squares = block.sum(axis=0)
+    v /= np.maximum(np.sqrt(squares / len(v)), 1e-8)
 
 
 def boundary_discontinuity(buffer: AudioBuffer, segment_ms: float) -> float:
@@ -299,9 +343,10 @@ def distortion_curve(
     if metric == "boundary":
         return [(duration_ms, _seam_jump(buffer, duration_ms, ltr=True)) for duration_ms in durations_ms]
     reference = fbank(buffer)
-    rate = buffer.sample_rate_hz
+    x, rate = buffer.samples, buffer.sample_rate_hz
     return [
-        (duration_ms, spectral_distance(reference, _fbank(buffer, segment_samples(duration_ms, rate))))
+        (duration_ms, spectral_distance(reference, FeatureMatrix._adopt(
+            _log_mel(functools.partial(_reverse, x, segment_samples(duration_ms, rate)), len(x), rate))))
         for duration_ms in durations_ms
     ]
 

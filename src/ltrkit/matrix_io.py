@@ -22,6 +22,7 @@ __all__ = ["FEATURES_MAGIC", "POSTERIORS_MAGIC", "MatrixFormatError", "read_matr
 
 FEATURES_MAGIC = b"FBK1"
 POSTERIORS_MAGIC = b"PST1"
+_WRITE_CELLS = 1 << 16  # values per float32 block that write_matrix converts and writes: 256 KiB
 
 
 class MatrixFormatError(DataError):
@@ -33,16 +34,27 @@ def write_matrix(values: np.ndarray, path: str | Path, magic: bytes) -> None:
     write cut midway leaves a file whose size does not match its header, which
     ``read_matrix`` rejects. A finite value too large for float32 is a
     :class:`DataError`, raised before the file is opened; NaN and infinities
-    are written as they are."""
+    are written as they are. The rows are converted and written in blocks of
+    about ``_WRITE_CELLS`` values, so no float32 copy of the whole is made."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DataError(f"expected a 2-D matrix, got shape {values.shape}")
+    step = max(1, _WRITE_CELLS // max(1, values.shape[1]))
+    encoded = np.empty((min(step, len(values)), values.shape[1]), dtype="<f4")
+
+    def chunks():  # the header, then each block converted into the one float32 buffer
+        yield magic + struct.pack("<II", *values.shape)
+        for start in range(0, len(values), step):
+            block = values[start : start + step]
+            np.copyto(encoded[: len(block)], block, casting="same_kind")
+            yield encoded[: len(block)].reshape(-1)
     try:
         with np.errstate(over="raise"):  # set only by a finite value that becomes inf
-            encoded = np.ascontiguousarray(values, dtype="<f4")
+            for _ in chunks():
+                pass
     except FloatingPointError:
         raise DataError(f"{path}: a finite value is too large for float32 (magnitude above {np.finfo(np.float32).max:g})") from None
-    write_in_place(path, magic + struct.pack("<II", *values.shape), encoded.reshape(-1))
+    write_in_place(path, chunks())
 
 
 def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:

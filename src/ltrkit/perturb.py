@@ -133,7 +133,7 @@ def spec_augment_file(in_path: str | Path, out_path: str | Path, policy: SpecAug
     except DataError as exc:
         raise MatrixFormatError(f"{in_path}: {exc}") from exc
     _mask(values, policy)
-    write_in_place(out_path, raw)
+    write_in_place(out_path, [raw])
 
 
 def _mask(values: np.ndarray, policy: SpecAugmentPolicy) -> np.ndarray:

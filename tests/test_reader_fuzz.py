@@ -7,7 +7,7 @@ Every reader must return or raise a ``DataError`` (an ``OSError`` would be
 the file system's), and print no warning: a signaling NaN widened without
 ``np.errstate`` is what a warning would most likely show. The builders' WAV
 decode must agree with ``read_wav`` on every mutated WAV, outcome and message
-alike.
+alike, and so must the streamed ``featurize`` with ``fbank(read_wav(...))``.
 """
 
 import json
@@ -20,7 +20,7 @@ import numpy as np
 from ltrkit.audio_io import _decode, read_wav
 from ltrkit.dataset import load_manifest
 from ltrkit.errors import DataError
-from ltrkit.features import load_features
+from ltrkit.features import _featurize, fbank, load_features, mvn, save_features
 from ltrkit.matrix_io import FEATURES_MAGIC, POSTERIORS_MAGIC, write_matrix
 from ltrkit.metrics import read_trn
 from ltrkit.scoring import load_grid, load_hypotheses
@@ -125,4 +125,26 @@ def test_the_builders_decode_agrees_with_read_wav_on_mutated_files(tmp_path):
             assert np.array_equal(np.signbit(widened), np.signbit(want[1].samples)), k
         else:
             assert got == want, k
+    assert "ok" in outcomes and len(outcomes) > 1, outcomes
+
+
+def test_featurize_agrees_with_fbank_of_read_wav_on_mutated_files(tmp_path):
+    # a 1 ms window and a 0.5 ms shift give the 48-frame seeds several frames
+    rng = random.Random(2210)
+    seeds = _wav_seeds(np.random.default_rng(2210))
+    path, want, got = tmp_path / "mutated.wav", tmp_path / "want.fbk", tmp_path / "got.fbk"
+    outcomes = set()
+    for k in range(_MUTATIONS):
+        path.write_bytes(_mutate(rng, seeds[k % len(seeds)]))
+        for normalize in (True, False):
+
+            def composed(p):
+                features = fbank(read_wav(p), 4, 1.0, 0.5)
+                save_features(mvn(features) if normalize else features, want)
+
+            expected = _outcome(composed, path)
+            assert _outcome(lambda p: _featurize(p, got, 4, 1.0, 0.5, normalize), path) == expected, k
+            if expected[0] == "ok":
+                assert got.read_bytes() == want.read_bytes(), k
+        outcomes.add(expected[0])
     assert "ok" in outcomes and len(outcomes) > 1, outcomes
