@@ -57,7 +57,7 @@ _ROW_SUM_TOL = 1e-6
 _BRUTEFORCE_MAX_PATHS = 10_000_000
 _LM_FLOOR = 1e-12
 _EMISSION_CHUNK_FRAMES = 128
-_RESCALE_FRAMES = 8
+_RESCALE_FRAMES = 32
 # The log-probability fields of a Hypothesis, as JSONL hypothesis lists name them.
 _SCORE_KEYS = ("log_p_ctc", "log_p_att", "log_p_lm")
 
@@ -247,41 +247,60 @@ def _ctc_lattice(grid: PosteriorGrid, target: tuple[int, ...]) -> tuple[np.ndarr
 def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     """-log of the total probability of all paths collapsing to ``target``.
 
-    Standard forward algorithm over the S = 2U+1 blank-interleaved states.
-    Finite for feasible targets, and at least -T*log1p(1e-6), as rows may sum
-    to 1 + 1e-6; ``inf`` when no path collapses to the target: at once if it
-    needs more than T frames (:func:`ctc_min_frames`), else if every such
-    path has probability zero.
+    Forward-backward over the S = 2U+1 blank-interleaved states (Graves et
+    al. 2006). Finite for feasible targets, and at least -T*log1p(1e-6), as
+    rows may sum to 1 + 1e-6; ``inf`` when no path collapses to the target:
+    at once if it needs more than T frames (:func:`ctc_min_frames`), else if
+    every such path has probability zero.
 
-    At frame t of T only the band of states ``[max(0, S - 2(T-t)),
-    min(S, 2t+2))`` can lie on a complete path: a state above it is
-    unreachable from the start and one below it cannot reach the two final
-    states. The frames are walked in blocks of eight, and each frame of a
-    block updates one window of states, from the band's lower edge at the
-    block's first frame to its upper edge at its last, through views built
-    once per block. The extra cells change no value that reaches the result.
-    A state inherits only from itself and the one or two below it, and the
-    lower edge rises by two a frame once it is above 0, so a cell below the
-    band feeds only cells below the band, and never overflows: it comes from
-    rows at most eight frames old, so it stays below 3^15. A cell above the
-    band sums zeros and stays +0.0. Every cell of the band thus sees the
-    operations the band alone would, in the same order. Emission
-    probabilities are gathered per state in chunks of a fixed number of
-    frames, so they take O(chunk x S) memory, not O(T x S); the forward
-    variables take two preallocated rows of S + 2.
+    The lattice is walked from both ends at once. The forward half takes
+    frames 0 to m = ceil(T/2) - 1 and the backward half frames T-1 down to
+    m+1, a frame each per step, and the halves meet between m and m+1:
+    P = sum over s of alpha_m(s) * (beta_m+1(s) + beta_m+1(s+1) + skip(s+2) *
+    beta_m+1(s+2)), summed pairwise. An odd T gives frame 0 to the forward
+    half alone, so at T = 1 the pass is that frame. The backward half holds
+    state S-1-r at r: it is the forward pass of the reversed target over the
+    reversed frames, and reads states r, r-1 and r-2 as the forward half
+    does. One row, [pad pad | forward | pad pad | backward], holds both, so
+    each of a step's four numpy calls serves both halves.
 
-    The pass runs in probability space, scaled as in Rabiner (1989) and
-    Graves et al. (2006): every eight frames the band is multiplied by the
-    power of two that brings its maximum into [1/2, 1). That is exact, so
-    where the rescales fall changes no result, and as the band grows at most
-    3x a frame, it cannot overflow in between. Rounding moves log P by at
-    most about 3*T*2^-53, and the result stays within 3*T*2^-53*max(1, loss)
-    of the exact log-space pass. Forward and backward probabilities stay
-    below (1 + 1e-6)^T and the scale below 2(1 + 1e-6)^T, so the at most
-    3*T*S operations that round into the subnormal range (flushes to 0 too)
-    move P by at most 3*T*S*2^-1074(1 + 1e-6)^T, so by one rounding, 2^-53 P,
-    at most, while the loss is at most 1021 ln 2 - ln(3*T*S) - T*log1p(1e-6).
-    A larger scaled loss, or a scaled total of 0, is recomputed in log space.
+    At frame t only the band of states ``[max(0, S - 2(T-t)), min(S,
+    2t+2))`` can lie on a complete path (:func:`_ctc_window`; for the
+    backward half, in its own frames and states). The steps are walked in
+    blocks of 32, and each step of a block updates one slice of the row:
+    from the forward band's lower edge at the block's first step to the
+    backward band's upper edge at its last, through views built once per
+    block. The extra cells change no value that reaches the result. A cell
+    above a band sums zeros and stays +0.0, and the inner pads emit 0. A
+    state inherits only from itself and the one or two below it, and a lower
+    edge rises by two a step once it is above 0, so a cell below a band
+    feeds only cells below that band. Every cell of a band thus sees the
+    operations the band alone would, in the same order, and a product at
+    the meeting that takes a cell outside a band takes a +0.0 too. Emission
+    probabilities are gathered per block, so they take O(32 x S) memory, not
+    O(T x S); the halves take two rows of 2S + 4.
+
+    The pass runs in probability space, scaled as in Rabiner (1989): after
+    every block, each half's band is multiplied by the power of two that
+    brings its maximum into [1/2, 1), and each half keeps its own exponent.
+    That is exact. Nothing overflows in between: a cell passes its value
+    only to itself and the one or two states above it, which emit distinct
+    labels, so a step multiplies the total of the cells it reads by at most
+    1 + 1e-6. A band thus stays below S(1 + 1e-6)^32 between rescales, and
+    a cell below it, which gathers at most two of its cells a step, below
+    6TS(1 + 1e-6)^(T+32). Rounding moves log P by at most about (3T +
+    ceil(log2 S) + 3)*2^-53: three roundings a frame, three at the meeting
+    and those of the pairwise sum. The result stays within that times
+    max(1, loss) of the exact log-space pass. Forward and backward
+    probabilities stay below (1 + 1e-6)^T, and each half's scale below 2(1 +
+    1e-6)^T. So an operation that rounds into the subnormal range (flushes
+    to 0 too) moves P by at most 2^-1074(1 + 1e-6)^T, twice that for a
+    product of the two halves at the meeting. Counting those twice, there
+    are at most 3*T*S such operations: a skip of 0 adds an exact 0, so a
+    cell takes fewer than 2.5 roundings a frame, rescales add S*T/32 and the
+    meeting 3.5S. They move P by one rounding, 2^-53 P, at most, while the
+    loss is at most 1021 ln 2 - ln(3*T*S) - T*log1p(1e-6). A larger scaled
+    loss, or a scaled total of 0, is recomputed in log space.
     """
     grid = _as_grid(grid)
     target = _validated_target(target, grid.num_tokens)
@@ -290,31 +309,49 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
         return math.inf
     states, can_skip = _ctc_lattice(grid, target)
     num_states = len(states)
+    back = num_states + 2  # joint state of the backward half's state 0
 
-    # Laid out as in _ctc_log_loss, with 0 for probability zero. A skip is a
-    # product with 0 or 1, which is exact and cheaper than a masked sum.
-    skip = can_skip.astype(np.float64)
-    spare = np.empty(num_states)
-    rows = np.zeros((2, num_states + 2))
-    exponent = 0  # a forward probability is its held value times 2**exponent
-    for t0, lo, hi, emit, steps in _ctc_blocks(grid, states, rows):
-        skip_w, spare_w = skip[lo:hi], spare[lo:hi]
-        for t, row in enumerate(emit, t0):
-            p0, p1, p2, out = steps[t & 1]
-            if t == 0:  # a path starts in state 0 or 1
-                out[: max(0, 2 - lo)] = row[: max(0, 2 - lo)]
-            else:
-                np.add(p0, p1, out=out)
-                out += np.multiply(p2, skip_w, out=spare_w)
-                out *= row
-        if len(emit) == _RESCALE_FRAMES:
-            band = out[_ctc_window(t, t + 1, frames, num_states)[0] - lo :]
-            shift = math.frexp(np.maximum.reduce(band))[1]
-            np.ldexp(band, -shift, out=band)
-            exponent += shift
+    # Held as in _ctc_log_loss, with 0 for probability zero, joint state j at
+    # index j + 2. The backward half's skips are the forward half's read
+    # backwards, two states on. A skip is a product with 0 or 1, which is
+    # exact and cheaper than a masked sum.
+    skip = np.concatenate((can_skip, [False] * 4, can_skip[::-1]))[:-2].astype(np.float64)
+    spare = np.empty(len(skip))
+    rows = np.zeros((2, len(skip) + 2))
+    alpha, beta = rows[0, 2:back], rows[0, back + 2 :]
+    first = frames % 2  # an odd T gives frame 0 to the forward half alone
+    if first:
+        alpha[:2] = grid.probs[0, states[:2]]
+    else:
+        alpha[0] = 1.0  # before frame 0
+    beta[0] = 1.0  # after frame T - 1
+    pads = np.zeros((_RESCALE_FRAMES, 2))
+    steps = frames // 2
+    exponent = 0  # P is the held total times 2**exponent
+    for k0 in range(0, steps, _RESCALE_FRAMES):
+        k1 = min(k0 + _RESCALE_FRAMES, steps)
+        lo = _ctc_window(first + k0, first + k1, frames, num_states)[0]
+        top = _ctc_window(k0, k1, frames, num_states)[1]
+        ahead = grid.probs[first + k0 : first + k1][:, states[lo:]]
+        behind = grid.probs[frames - k1 : frames - k0][::-1][:, states[::-1][:top]]
+        emit = np.concatenate((ahead, pads[: k1 - k0], behind), axis=1)
+        skip_w, spare_w = skip[lo : back + top], spare[lo : back + top]
+        views = _ctc_views(rows, lo, back + top)
+        for k, row in enumerate(emit):
+            p0, p1, p2, out = views[k & 1]
+            np.add(p0, p1, out=out)
+            out += np.multiply(p2, skip_w, out=spare_w)
+            out *= row
+        if k1 - k0 == _RESCALE_FRAMES:  # an even block: rows[0] holds its last step
+            for half, t in ((alpha, first + k1 - 1), (beta, k1 - 1)):
+                band = half[slice(*_ctc_window(t, t + 1, frames, num_states))]
+                shift = math.frexp(np.maximum.reduce(band))[1]
+                np.ldexp(band, -shift, out=band)
+                exponent += shift
 
-    last = rows[frames % 2]
-    total = last[-1] if num_states == 1 else last[-1] + last[-2]
+    last = rows[steps & 1]  # the bracket of P, in the backward half's order
+    after = last[back + 2 :] + last[back + 1 : -1] + skip[back:] * last[back:-2]
+    total = np.add.reduce(last[2:back] * after[::-1])
     exact_above = 1021 * math.log(2.0) - math.log(3 * frames * num_states) - frames * math.log1p(_ROW_SUM_TOL)
     if total > 0.0 and (loss := 0.0 - (math.log(total) + exponent * math.log(2.0))) <= exact_above:
         return loss  # 0.0 - keeps a sure target at +0.0
@@ -323,7 +360,7 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
 
 def _ctc_log_loss(grid: PosteriorGrid, states: np.ndarray, can_skip: np.ndarray) -> float:
     """:func:`ctc_loss` of a checked grid and a target's :func:`_ctc_lattice`
-    by the exact forward pass in log space, over the same windows and emission chunks."""
+    by the exact forward pass in log space, walked by :func:`_ctc_blocks`."""
     num_states = len(states)
 
     # -inf for probability zero: an entry no window has reached, and the two
@@ -356,27 +393,32 @@ def _ctc_window(t0: int, t1: int, frames: int, num_states: int) -> tuple[int, in
 
 
 def _ctc_blocks(grid: PosteriorGrid, states: np.ndarray, rows: np.ndarray):
-    """The forward passes' walk over ``grid`` in blocks of ``_RESCALE_FRAMES``
+    """The log-space pass's walk over ``grid`` in blocks of ``_RESCALE_FRAMES``
     frames. Per block that starts at frame ``t0``, yields ``(t0, lo, hi, emit,
     steps)``: the block's window ``[lo, hi)`` (:func:`_ctc_window`); its
-    emission probabilities over the window, one row per frame; and, for the
-    two forward rows ``rows`` (state s at index s + 2), the views ``steps[t &
-    1] = (p0, p1, p2, out)`` that frame t reads as states s, s - 1 and s - 2
-    and writes as state s, over the window. Emissions are gathered per state
-    in chunks of ``_EMISSION_CHUNK_FRAMES``, a multiple of the block, so they
-    take O(chunk x S) memory, not O(T x S).
+    emission probabilities over the window, one row per frame; and the views
+    ``steps`` of :func:`_ctc_views` over the window, for the two forward
+    rows ``rows``. Emissions are gathered per state in chunks of
+    ``_EMISSION_CHUNK_FRAMES``, a multiple of the block, so they take
+    O(chunk x S) memory, not O(T x S).
     """
     frames, num_states = grid.num_frames, len(states)
-    even, odd = rows
     for t0 in range(0, frames, _RESCALE_FRAMES):
         first = t0 % _EMISSION_CHUNK_FRAMES
         if first == 0:
             chunk = grid.probs[t0 : t0 + _EMISSION_CHUNK_FRAMES][:, states]
         t1 = min(t0 + _RESCALE_FRAMES, frames)
         lo, hi = _ctc_window(t0, t1, frames, num_states)
-        e0, o0 = even[lo + 2 : hi + 2], odd[lo + 2 : hi + 2]
-        steps = (e0, even[lo + 1 : hi + 1], even[lo:hi], o0), (o0, odd[lo + 1 : hi + 1], odd[lo:hi], e0)
-        yield t0, lo, hi, chunk[first : first + t1 - t0, lo:hi], steps
+        yield t0, lo, hi, chunk[first : first + t1 - t0, lo:hi], _ctc_views(rows, lo, hi)
+
+
+def _ctc_views(rows: np.ndarray, lo: int, hi: int):
+    """For two rows of lattice variables, state s at index s + 2, the views
+    ``steps[t & 1] = (p0, p1, p2, out)`` that step t reads as states s, s - 1
+    and s - 2 and writes as state s, over the states ``[lo, hi)``."""
+    even, odd = rows
+    e0, o0 = even[lo + 2 : hi + 2], odd[lo + 2 : hi + 2]
+    return (e0, even[lo + 1 : hi + 1], even[lo:hi], o0), (o0, odd[lo + 1 : hi + 1], odd[lo:hi], e0)
 
 
 def ctc_loss_labels(grid: PosteriorGrid, vocab: Vocabulary, labels: Sequence[str]) -> float:
