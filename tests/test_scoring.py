@@ -404,7 +404,7 @@ def _two_ended_cases():
             yield grid, ()
             yield grid, tuple(t % 3 for t in range(frames))  # S = 2T+1
             yield grid, tuple(t % 3 for t in range(max(0, frames - 2)))  # S = 2T-3
-            yield grid, tuple(t % 3 for t in range(max(0, frames - 3)))  # S = 2T-5, as T = 18, S = 31
+            yield grid, tuple(t % 3 for t in range(max(0, frames - 3)))  # S = 2T-5
             yield grid, (0,) * half  # repeats that need all T frames when T is odd
             yield grid, tuple(rng.integers(0, 3, size=rng.integers(0, half + 1)).tolist())
 
