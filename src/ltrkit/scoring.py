@@ -296,11 +296,12 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     1e-6)^T. So an operation that rounds into the subnormal range (flushes
     to 0 too) moves P by at most 2^-1074(1 + 1e-6)^T, twice that for a
     product of the two halves at the meeting. Counting those twice, there
-    are at most 3*T*S such operations: a skip of 0 adds an exact 0, so a
-    cell takes fewer than 2.5 roundings a frame, rescales add S*T/32 and the
-    meeting 3.5S. They move P by one rounding, 2^-53 P, at most, while the
-    loss is at most 1021 ln 2 - ln(3*T*S) - T*log1p(1e-6). A larger scaled
-    loss, or a scaled total of 0, is recomputed in log space.
+    are at most 3*T*S such operations: a skip of 0 adds an exact 0 and each
+    half's first frame is exact, so each later frame takes fewer than 2.5S,
+    rescales add S*T/32 and the meeting 3.5S (none at T = 1). They move P
+    by one rounding, 2^-53 P, at most, while the loss is at most 1021 ln 2
+    - ln(3*T*S) - T*log1p(1e-6). A larger scaled loss, or a scaled total of
+    0, is recomputed in log space.
     """
     grid = _as_grid(grid)
     target = _validated_target(target, grid.num_tokens)
