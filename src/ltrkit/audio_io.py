@@ -92,7 +92,9 @@ class _Wav:
     """A WAV file's layout from one RIFF parse, which reads the chunk headers
     and seeks past their bodies: format tag, channel count, rate and the data
     chunk's frame count. Any span of the frames is then read on demand into one
-    reused buffer (:meth:`frames`), or decoded to :func:`read_wav`'s samples (:meth:`mono`)."""
+    reused buffer (:meth:`frames`), or decoded to :func:`read_wav`'s samples
+    (:meth:`mono`), and checked for its NaN error (:meth:`check`). Every reader
+    of WAV samples decodes them here."""
 
     def __init__(self, path: str | Path, handle) -> None:
         self.path, self._handle = path, handle
@@ -135,6 +137,7 @@ class _Wav:
             raise WavFormatError(f"{path}: data chunk size {data_size} is not a multiple of the {self._frame_size}-byte frame size")
         self.tag, self.channels, self.rate, self.length = tag, channels, rate, data_size // self._frame_size
         self._buffer = np.empty(0, dtype)
+        self._checked = 0  # the frames before this one were checked for NaN
 
     def frames(self, lo: int, hi: int) -> np.ndarray:
         """Frames ``lo`` to ``hi`` as a flat ``<i2`` or ``<f4`` array of the
@@ -152,15 +155,33 @@ class _Wav:
         return AudioBuffer._adopt(self.mono(None, 0, self.length), self.rate, path=self.path, error=WavFormatError)
 
     def mono(self, out: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
-        """:func:`read_wav`'s samples ``lo`` to ``hi`` in the first cells of
-        float64 ``out`` or in a new array, unchecked. Each depends only on its
-        own frame, so any span decodes to the values of the whole, bit for bit."""
-        samples, channels = self.frames(lo, hi), self.channels
+        """:func:`read_wav`'s samples ``lo`` to ``hi``, unchecked, in the first
+        cells of ``out`` or in a new float64 array, computed in ``out``'s dtype.
+        Each depends only on its own frame, so any span decodes to the values
+        of the whole, bit for bit.
+
+        ``out`` may be float32 for mono audio and stereo PCM-16 only, whose
+        float32 decode is exact. A PCM-16 value times 2^-15, and the sum of a
+        stereo frame's two values times 2^-16, are float32 numbers (the sum is
+        below 2^17 in magnitude, far inside the 24-bit significand, and the
+        scale is a power of two), so they are what the float64 decode rounds
+        to. Clipping a float32 sample to [-1, 1] gives the same value, sign of
+        zero included, before or after widening it, and ±inf still becomes ±1.
+        PCM-16 is not clipped: a mean of its values lies in [-1, 1) already."""
+        samples, channels, pcm = self.frames(lo, hi), self.channels, self.tag == _TAG_PCM
         values = np.empty(hi - lo) if out is None else out[: hi - lo]
-        # +inf and -inf in one frame mix to NaN, which _adopt reports; numpy's
-        # warning about it would only repeat the error
+        if pcm and channels <= 2:
+            if channels == 1:
+                return np.multiply(samples, 2.0**-15, out=values, dtype=values.dtype)
+            np.add(samples[0::2], samples[1::2], out=values, dtype=values.dtype)
+            values *= 2.0**-16
+            return values
+        # a NaN sample, or +inf and -inf mixed in one frame, is a NaN that
+        # _adopt reports; numpy's warning about it would only repeat the error
         with np.errstate(invalid="ignore"):
-            if 1 < channels < 8:
+            if channels == 1:
+                return np.clip(samples, -1.0, 1.0, out=values)
+            if channels < 8:
                 # mean(axis=1) below 8 channels, bit for bit (signed zeros too): the frame
                 # view's columns added in order to 0.0, then divided by the count; PCM-16
                 # sums are exact, so scaling by 2^-15 after that changes no bit
@@ -170,9 +191,8 @@ class _Wav:
                 values /= channels
                 wide = values
             else:
-                wide = values if channels == 1 else np.empty(len(samples))
-                wide[:] = samples
-            if self.tag == _TAG_PCM:
+                wide = samples.astype(np.float64)
+            if pcm:
                 wide /= 32768.0
             if channels >= 8:
                 # numpy's reduction sums 8 or more values per row in its own
@@ -180,7 +200,21 @@ class _Wav:
                 # width, kept here only for bit parity with mean(axis=1), which
                 # tests/test_wav_bytes.py pins at 8, 9 and 16 channels
                 np.mean(wide.reshape(-1, channels), axis=1, out=values)
-        return np.clip(values, -1.0, 1.0, out=values)
+            return values if pcm else np.clip(values, -1.0, 1.0, out=values)
+
+    def check(self, out: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+        """:meth:`mono`'s samples ``lo`` to ``hi``, with :func:`read_wav`'s
+        error, which counts the NaNs of the whole file, if they hold a NaN or
+        if the frames skipped since the last span checked do. Only float
+        input can decode to NaN, so PCM-16 is not tested."""
+        float_input = self.tag == _TAG_IEEE_FLOAT
+        if float_input and self._checked < lo:
+            self.check(None, self._checked, lo)
+        samples = self.mono(out, lo, hi)
+        if float_input and hi > lo and np.isnan(samples.min()):
+            self.buffer()  # raises read_wav's error, which counts them all
+        self._checked = max(self._checked, hi)
+        return samples
 
 
 def write_wav(buffer: AudioBuffer, path: str | Path, codec: str = "float32") -> None:
@@ -237,29 +271,12 @@ def _wav_payload(length: int, rate: int, codec: str) -> tuple[bytes, np.ndarray]
 def _decode(path: str | Path) -> tuple[int, np.ndarray]:
     """The rate and mono samples of a WAV file, decoded once for the builders:
     widened to float64, the samples equal :func:`read_wav`'s bit for bit, so
-    all lie in [-1, 1], and the errors are :func:`read_wav`'s.
-
-    Mono PCM-16, stereo PCM-16 and mono float32 decode to ``<f4`` with no
-    float64 buffer, and the decode is exact. A PCM-16 value times 2^-15, and
-    the sum of a stereo frame's two values times 2^-16, are float32 numbers
-    (the sum is below 2^17 in magnitude, far inside the 24-bit significand,
-    and the scale is a power of two), so they are what the float64 decode
-    rounds to. Clipping a float32 sample to [-1, 1] gives the same value, sign
-    of zero included, before or after widening it, and ±inf still becomes ±1.
-    Any other layout, and a file with a zero rate or a NaN sample, takes
-    :func:`read_wav`'s decode and gives its float64 array.
+    all lie in [-1, 1], and the errors are :func:`read_wav`'s. Mono audio and
+    stereo PCM-16 decode to ``<f4`` in one numpy pass, or two for stereo
+    (:meth:`_Wav.mono` says why that is exact). Any other layout, and a file
+    with a zero rate, takes :func:`read_wav`'s decode and gives its float64 array.
     """
     with _open_wav(path) as wav:
-        tag, channels, rate, samples = wav.tag, wav.channels, wav.rate, wav.frames(0, wav.length)
-        if rate and (channels == 1 or (tag, channels) == (_TAG_PCM, 2)):
-            out = np.empty(wav.length, dtype="<f4")
-            if tag == _TAG_IEEE_FLOAT:
-                np.clip(samples, -1.0, 1.0, out=out)
-            elif channels == 1:
-                np.multiply(samples, np.float32(2.0**-15), out=out)
-            else:
-                np.add(samples[0::2], samples[1::2], out=out, dtype=np.float32)
-                out *= np.float32(2.0**-16)
-            if tag == _TAG_PCM or not np.isnan(out.min()):  # a NaN is read_wav's error
-                return rate, out
-        return rate, wav.buffer().samples
+        if wav.rate and (wav.channels == 1 or (wav.tag, wav.channels) == (_TAG_PCM, 2)):
+            return wav.rate, wav.check(np.empty(wav.length, "<f4"), 0, wav.length)
+        return wav.rate, wav.buffer().samples

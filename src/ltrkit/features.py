@@ -235,20 +235,17 @@ def _featurize(
     """Write ``save_features(mvn(fbank(read_wav(in_path), dims, ...)), out_path)``,
     without :func:`mvn` unless ``normalize``: the same bytes, and the same
     errors in the same order. The samples are decoded one FFT block's span at a
-    time into one reused buffer and normalized in place, so only the float64
-    output grows with the input. An error first decodes the whole file as
-    :func:`read_wav` does, whose errors come first and count NaNs over the whole
-    file. The input is closed before ``out_path``, which may name it, is written."""
+    time into one reused buffer by :meth:`~ltrkit.audio_io._Wav.check`, and
+    normalized in place, so only the float64 output grows with the input. Every
+    sample is checked for NaN, those no frame covers too (between blocks when
+    the window is shorter than the hop, and after the last frame), with
+    :func:`read_wav`'s error, which counts them over the whole file. Any other
+    error first decodes the whole file as :func:`read_wav` does, whose errors
+    come first. The input is closed before ``out_path``, which may name it, is written."""
     with _open_wav(in_path) as wav:
-        def source(out: np.ndarray, lo: int, hi: int) -> np.ndarray:
-            samples = wav.mono(out, lo, hi)
-            if np.isnan(samples.min()):
-                raise DataError(f"{in_path}: a sample is NaN")  # the except below raises read_wav's, which counts them all
-            return samples
-
         try:
-            values = _log_mel(source, wav.length, wav.rate, dims, frame_length_ms, frame_shift_ms)
-            source(None, max(0, wav.length - segment_samples(frame_shift_ms, wav.rate)), wav.length)  # after the last frame
+            values = _log_mel(wav.check, wav.length, wav.rate, dims, frame_length_ms, frame_shift_ms)
+            wav.check(None, wav.length, wav.length)  # the samples after the last frame
             FeatureMatrix._check_values(values)
         except DataError:
             wav.buffer()

@@ -56,7 +56,6 @@ __all__ = [
 _ROW_SUM_TOL = 1e-6
 _BRUTEFORCE_MAX_PATHS = 10_000_000
 _LM_FLOOR = 1e-12
-_EMISSION_CHUNK_FRAMES = 128
 _RESCALE_FRAMES = 32
 # The log-probability fields of a Hypothesis, as JSONL hypothesis lists name them.
 _SCORE_KEYS = ("log_p_ctc", "log_p_att", "log_p_lm")
@@ -230,9 +229,12 @@ def _interleave(target: tuple[int, ...], blank_index: int) -> list[int]:
 def ctc_min_frames(target: Sequence[int]) -> int:
     """Fewest frames any path collapsing to ``target`` can have: one per
     token plus one separator blank per adjacent equal pair."""
-    target = _validated_target(target, math.inf)
-    repeats = sum(1 for a, b in zip(target, target[1:]) if a == b)
-    return len(target) + repeats
+    return _min_frames(_validated_target(target, math.inf))
+
+
+def _min_frames(target: tuple[int, ...]) -> int:
+    """:func:`ctc_min_frames` of a checked target."""
+    return len(target) + sum(1 for a, b in zip(target, target[1:]) if a == b)
 
 
 def _ctc_lattice(grid: PosteriorGrid, target: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +308,7 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
     grid = _as_grid(grid)
     target = _validated_target(target, grid.num_tokens)
     frames = grid.num_frames
-    if ctc_min_frames(target) > frames:
+    if _min_frames(target) > frames:
         return math.inf
     states, can_skip = _ctc_lattice(grid, target)
     num_states = len(states)
@@ -361,16 +363,20 @@ def ctc_loss(grid: PosteriorGrid | np.ndarray, target: Sequence[int]) -> float:
 
 def _ctc_log_loss(grid: PosteriorGrid, states: np.ndarray, can_skip: np.ndarray) -> float:
     """:func:`ctc_loss` of a checked grid and a target's :func:`_ctc_lattice`
-    by the exact forward pass in log space, walked by :func:`_ctc_blocks`."""
-    num_states = len(states)
+    by the exact forward pass in log space, in blocks of ``_RESCALE_FRAMES``
+    frames over each block's window (:func:`_ctc_window`), its emissions
+    gathered per block as in :func:`ctc_loss`."""
+    frames, num_states = grid.num_frames, len(states)
 
     # -inf for probability zero: an entry no window has reached, and the two
     # pads, stay -inf.
     rows = np.full((2, num_states + 2), -np.inf)
-    for t0, lo, hi, emit, steps in _ctc_blocks(grid, states, rows):
-        skip_w = can_skip[lo:hi]
+    for t0 in range(0, frames, _RESCALE_FRAMES):
+        t1 = min(t0 + _RESCALE_FRAMES, frames)
+        lo, hi = _ctc_window(t0, t1, frames, num_states)
+        skip_w, steps = can_skip[lo:hi], _ctc_views(rows, lo, hi)
         with np.errstate(divide="ignore"):
-            emit = np.log(emit)
+            emit = np.log(grid.probs[t0:t1][:, states[lo:hi]])
         for t, row in enumerate(emit, t0):
             p0, p1, p2, out = steps[t & 1]
             if t == 0:
@@ -380,7 +386,7 @@ def _ctc_log_loss(grid: PosteriorGrid, states: np.ndarray, can_skip: np.ndarray)
                 np.logaddexp(out, p2, out=out, where=skip_w)
                 out += row
 
-    last = rows[grid.num_frames % 2]
+    last = rows[frames % 2]
     log_total = last[-1] if num_states == 1 else np.logaddexp(last[-1], last[-2])
     return math.inf if log_total == -np.inf else float(0.0 - log_total)
 
@@ -391,26 +397,6 @@ def _ctc_window(t0: int, t1: int, frames: int, num_states: int) -> tuple[int, in
     by frame ``t1 - 1``, and one below ``lo`` cannot reach the two final
     states from frame ``t0``. For ``t1 = t0 + 1`` it is the band of frame ``t0``."""
     return max(0, num_states - 2 * (frames - t0)), min(num_states, 2 * t1)
-
-
-def _ctc_blocks(grid: PosteriorGrid, states: np.ndarray, rows: np.ndarray):
-    """The log-space pass's walk over ``grid`` in blocks of ``_RESCALE_FRAMES``
-    frames. Per block that starts at frame ``t0``, yields ``(t0, lo, hi, emit,
-    steps)``: the block's window ``[lo, hi)`` (:func:`_ctc_window`); its
-    emission probabilities over the window, one row per frame; and the views
-    ``steps`` of :func:`_ctc_views` over the window, for the two forward
-    rows ``rows``. Emissions are gathered per state in chunks of
-    ``_EMISSION_CHUNK_FRAMES``, a multiple of the block, so they take
-    O(chunk x S) memory, not O(T x S).
-    """
-    frames, num_states = grid.num_frames, len(states)
-    for t0 in range(0, frames, _RESCALE_FRAMES):
-        first = t0 % _EMISSION_CHUNK_FRAMES
-        if first == 0:
-            chunk = grid.probs[t0 : t0 + _EMISSION_CHUNK_FRAMES][:, states]
-        t1 = min(t0 + _RESCALE_FRAMES, frames)
-        lo, hi = _ctc_window(t0, t1, frames, num_states)
-        yield t0, lo, hi, chunk[first : first + t1 - t0, lo:hi], _ctc_views(rows, lo, hi)
 
 
 def _ctc_views(rows: np.ndarray, lo: int, hi: int):

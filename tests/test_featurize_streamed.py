@@ -153,12 +153,14 @@ def test_featurize_may_write_over_its_input(tmp_path):
 
 def test_a_nan_is_read_wav_s_error_counted_over_the_whole_file(tmp_path):
     path = tmp_path / "in.wav"
-    for nans in ([5], [5, _BLOCK_SPAN * 2, -1], [-50]):  # the last two lie after the last frame
+    # -1 and -50 lie after the last frame; 255 * _HOP + 83 lies between the
+    # first two FFT blocks, which a 5 ms window every 10 ms leaves 80 samples apart
+    for nans, window_ms in (([5], 25.0), ([5, _BLOCK_SPAN * 2, -1], 25.0), ([-50], 25.0), ([255 * _HOP + 80 + 3], 5.0)):
         values, tag = _samples(np.random.default_rng(6), "float32", _WINDOW + 600 * _HOP + 100, 1)
         values[nans] = np.nan
         path.write_bytes(_wav(values, tag))
         message = f"{path}: samples must be finite, {len(nans)} of {len(values)} are not"
-        assert _assert_same(tmp_path, path) == (WavFormatError, message)
+        assert _assert_same(tmp_path, path, window_ms=window_ms) == (WavFormatError, message)
 
 
 def test_read_wav_s_errors_come_before_fbank_s(tmp_path):

@@ -191,11 +191,10 @@ def _full_lattice_ctc_loss(grid, target):
 
 
 def _long_grid_cases():
-    """(grid, target) pairs over grids of 1 to 900 frames that straddle the
-    emission chunk, with zero entries or 1e-250 columns in every third grid."""
+    """(grid, target) pairs over grids of 1 to 900 frames, some on both sides
+    of 128 and 256 frames, with zero entries or 1e-250 columns in every third grid."""
     rng = np.random.default_rng(2021)
-    chunk = scoring._EMISSION_CHUNK_FRAMES
-    frame_counts = [1, 2, 3, 8, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 700]
+    frame_counts = [1, 2, 3, 8, 127, 128, 129, 255, 256, 257, 700]
     frame_counts += rng.integers(1, 701, size=5).tolist()
     for case, frames in enumerate(frame_counts):
         num_tokens = int(rng.integers(1, 5))

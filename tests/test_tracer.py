@@ -60,7 +60,8 @@ def test_the_benchmark_tracer_sees_the_layers_and_restores_them(tmp_path, monkey
 def test_a_ctc_loss_that_falls_back_to_log_space_is_one_traced_call(monkeypatch):
     # The two 1e-250 tokens underflow the scaled total to 0, so the private
     # log-space pass, which the tracer does not wrap, gives the loss. The
-    # feasibility rule, ctc_min_frames, is public and shows as a child span.
+    # feasibility rule runs on the target ctc_loss has already checked, so
+    # the public ctc_min_frames, which checks it again, is not called.
     tracer = _load_tracer(monkeypatch).Tracer()
     grid = ltrkit.scoring.PosteriorGrid(np.tile([1e-250, 1.0 - 1e-250], (5, 1)))
     tracer.install(ltrkit)
@@ -73,5 +74,4 @@ def test_a_ctc_loss_that_falls_back_to_log_space_is_one_traced_call(monkeypatch)
     assert exact_above < loss < np.inf
     calls = [(span, span_counts) for span, _, name, _, _, span_counts in tracer.spans if name == "scoring.ctc_loss"]
     assert [span_counts for _, span_counts in calls] == [{"lattice_cells": 5 * 5}]
-    rules = [parent for _, parent, name, _, _, _ in tracer.spans if name == "scoring.ctc_min_frames"]
-    assert rules == [calls[0][0]]
+    assert not any(name == "scoring.ctc_min_frames" for _, _, name, _, _, _ in tracer.spans)
